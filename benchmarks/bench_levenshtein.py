@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark the jitted edit-distance kernel against the numpy fallback.
+"""Time metrics.levenshtein against a full-table dynamic-programming oracle.
 
-The active kernel is chosen by the WARC2META_NO_NUMBA env flag at import
-time, so both paths are timed here by calling the kernels directly.
+Both are run over the same random lowercase pairs; the script fails if they
+disagree on any pair, then prints pairs/s for each.
 
 Usage: python3 benchmarks/bench_levenshtein.py [--pairs N] [--length L]
 """
@@ -11,29 +11,33 @@ import argparse
 import random
 import time
 
-import numpy as np
+from warc2meta.metrics import levenshtein
 
-from warc2meta import _accel
+
+def dp_oracle(a, b):
+    """Textbook two-row Wagner-Fischer table."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
 
 
 def make_pairs(n, length, seed=0):
     rng = random.Random(seed)
-    pairs = []
-    for _ in range(n):
-        a = np.array([rng.randint(97, 122) for _ in range(length)], dtype=np.int32)
-        b = np.array([rng.randint(97, 122) for _ in range(length)], dtype=np.int32)
-        pairs.append((a, b))
-    return pairs
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    return [
+        tuple("".join(rng.choice(letters) for _ in range(length)) for _ in range(2))
+        for _ in range(n)
+    ]
 
 
-def bench(fn, pairs, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        for a, b in pairs:
-            fn(a, b)
-        best = min(best, time.perf_counter() - started)
-    return best
+def timed(fn, pairs):
+    started = time.perf_counter()
+    results = [fn(a, b) for a, b in pairs]
+    return time.perf_counter() - started, results
 
 
 def main():
@@ -43,21 +47,15 @@ def main():
     args = parser.parse_args()
 
     pairs = make_pairs(args.pairs, args.length)
-    results = {"numpy": bench(_accel._lev_kernel_numpy, pairs)}
-    if _accel.USE_NUMBA:
-        _accel._lev_kernel_numba(*pairs[0])  # warm the JIT before timing
-        results["numba"] = bench(_accel._lev_kernel_numba, pairs)
-        a, b = pairs[0]
-        assert _accel._lev_kernel_numba(a, b) == _accel._lev_kernel_numpy(a, b)
-    else:
-        print("numba disabled (WARC2META_NO_NUMBA set or numba missing)")
+    kernel_s, got = timed(levenshtein, pairs)
+    oracle_s, want = timed(dp_oracle, pairs)
+    bad = sum(g != w for g, w in zip(got, want))
+    if bad:
+        raise SystemExit(f"{bad} of {args.pairs} pairs disagree with the DP oracle")
 
-    print(f"{args.pairs} pairs of length {args.length}:")
-    for name, secs in results.items():
-        rate = args.pairs / secs
-        print(f"  {name:>6}: {secs:.3f}s ({rate:,.0f} pairs/s)")
-    if "numba" in results:
-        print(f"  speedup: {results['numpy'] / results['numba']:.1f}x")
+    print(f"{args.pairs} pairs of length {args.length}, all agree with the oracle:")
+    for name, secs in (("levenshtein", kernel_s), ("dp oracle", oracle_s)):
+        print(f"  {name:>11}: {secs:.3f}s ({args.pairs / secs:,.0f} pairs/s)")
 
 
 if __name__ == "__main__":

@@ -15,17 +15,23 @@ from pathlib import Path
 
 import click
 
-from . import heuristics as heur_mod
 from .client import GeneratedMetadata, combination_id, run_batch
 from .config import PipelineConfig, load_config
 from .errors import ConfigError, Warc2MetaError
-from .heuristics import HeuristicId, load_filter_rules, select
+from .heuristics import HeuristicId, Selection, load_filter_rules, select
 from .ingest import SiteDocument, ingest_many
 from .metrics import HttpEmbeddingProvider, MockEmbeddingProvider
 from .prompts import VARIANTS
 from .ranking import rank_combinations, score_combination, score_pairs
 from .stats import cochran_q, ingest_grading, mcnemar
 from .tokens import load_vocabulary, reduction_report
+from .urlnorm import normalize_url
+
+
+# combination_id order: heuristic-major, with-rules before without
+ALL_COMBINATIONS = [
+    (v, h) for h in HeuristicId for v in (VARIANTS["rules"], VARIANTS["norules"])
+]
 
 
 def _site_id(source_file: str) -> str:
@@ -58,6 +64,11 @@ def _load_sites(out_dir: Path):
         return [SiteDocument.from_json(line) for line in fh if line.strip()]
 
 
+def _site_texts(docs):
+    """Whole-site "before" texts for the token-reduction report."""
+    return [" ".join(p.body_text for p in d.pages) for d in docs]
+
+
 def _tokenizer(cfg: PipelineConfig):
     if cfg.tokenizer_path is None:
         return None
@@ -86,6 +97,7 @@ def main(ctx, config_path, output, workers):
     """Convert WARC archives into candidate catalogue metadata and evaluate it."""
     try:
         ctx.obj = _build_config(config_path, output, workers)
+        ctx.obj.validate()
     except Warc2MetaError as exc:
         raise click.ClickException(str(exc))
 
@@ -141,21 +153,50 @@ def _selection_row(site_id, sel):
     )
 
 
+def _read_selections(out_dir: Path, heuristic: HeuristicId):
+    """(site_id, Selection) for each non-error row of a selections file."""
+    path = out_dir / f"selections_h{int(heuristic)}.jsonl"
+    if not path.is_file():
+        raise click.ClickException(
+            f"no selections for heuristic {int(heuristic)}; run `select` first"
+        )
+    items = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            obj = json.loads(line)
+            if "error" in obj:
+                continue
+            sel = Selection(
+                heuristic=HeuristicId(obj["heuristic"]),
+                chosen_url=normalize_url(obj["chosen_url"]),
+                content=obj["content"],
+                original_token_estimate=obj["original_token_estimate"],
+                reduced_token_estimate=obj["reduced_token_estimate"],
+            )
+            items.append((obj["site_id"], sel))
+    return items
+
+
 def _run_select(cfg, docs, heuristic, rules, tok):
+    """Write selections_h<N>.jsonl; return (path, selected contents, errors)."""
     rows = []
-    errors = 0
+    contents = []
     for doc in docs:
         sid = _site_id(doc.source_file)
         try:
             sel = select(doc, heuristic, rules, tok, cfg.max_content_tokens)
         except Warc2MetaError as exc:
-            rows.append(json.dumps({"site_id": sid, "error": f"{type(exc).__name__}"}))
-            errors += 1
+            rows.append(
+                json.dumps({"site_id": sid, "error": f"{type(exc).__name__}: {exc}"})
+            )
             continue
         rows.append(_selection_row(sid, sel))
+        contents.append(sel.content)
     out = cfg.output_dir / f"selections_h{int(heuristic)}.jsonl"
     out.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return out, errors
+    return out, contents, len(docs) - len(contents)
 
 
 @main.command("select")
@@ -174,18 +215,12 @@ def select_cmd(cfg: PipelineConfig, heuristic, all_heuristics):
         if all_heuristics
         else [HeuristicId(heuristic or int(cfg.heuristic))]
     )
-    before = [" ".join(p.body_text for p in d.pages) for d in docs]
+    before = _site_texts(docs)
     cost_rows = []
     total_errors = 0
     for h in which:
-        out, errors = _run_select(cfg, docs, h, rules, tok)
+        out, after, errors = _run_select(cfg, docs, h, rules, tok)
         total_errors += errors
-        after = []
-        with open(out, encoding="utf-8") as fh:
-            for line in fh:
-                obj = json.loads(line)
-                if "content" in obj:
-                    after.append(obj["content"])
         report = reduction_report(before, after, cfg.prices, tok)
         cost_rows.append((h, report))
         click.echo(f"heuristic {int(h)} -> {out}")
@@ -233,38 +268,14 @@ def generate(cfg: PipelineConfig, heuristic, prompt_name, all_combinations):
     """Call the chat model over selections; resumable via checkpoints."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if all_combinations:
-        combos = [
-            (v, h) for h in HeuristicId for v in (VARIANTS["rules"], VARIANTS["norules"])
-        ]
+        combos = ALL_COMBINATIONS
     else:
         variant = VARIANTS[prompt_name or cfg.prompt_variant]
         combos = [(variant, HeuristicId(heuristic or int(cfg.heuristic)))]
     generated_total = 0
     error_total = 0
     for variant, h in combos:
-        sel_path = cfg.output_dir / f"selections_h{int(h)}.jsonl"
-        if not sel_path.is_file():
-            raise click.ClickException(
-                f"no selections for heuristic {int(h)}; run `select` first"
-            )
-        items = []
-        with open(sel_path, encoding="utf-8") as fh:
-            for line in fh:
-                obj = json.loads(line)
-                if "error" in obj:
-                    continue
-                items.append(
-                    (
-                        obj["site_id"],
-                        heur_mod.Selection(
-                            heuristic=HeuristicId(obj["heuristic"]),
-                            chosen_url=_parse_url(obj["chosen_url"]),
-                            content=obj["content"],
-                            original_token_estimate=obj["original_token_estimate"],
-                            reduced_token_estimate=obj["reduced_token_estimate"],
-                        ),
-                    )
-                )
+        items = _read_selections(cfg.output_dir, h)
         combo = combination_id(variant, h)
         ckpt = cfg.output_dir / f"checkpoint_combo{combo}.jsonl"
         rows = run_batch(items, variant, cfg.client, checkpoint_path=ckpt)
@@ -278,12 +289,6 @@ def generate(cfg: PipelineConfig, heuristic, prompt_name, all_combinations):
         click.echo(f"combo {combo}: {ok}/{len(rows)} generated -> {out}")
     counts = {"generated": generated_total, "errors": error_total}
     _write_manifest(cfg.output_dir, "generate", cfg, counts, started)
-
-
-def _parse_url(url):
-    from .urlnorm import normalize_url
-
-    return normalize_url(url)
 
 
 def _load_generated(path):
@@ -318,27 +323,26 @@ def evaluate(cfg: PipelineConfig, reference_path):
     provider = _provider(cfg)
     all_stats = []
     per_site_rows = []
-    for h in HeuristicId:
-        for variant in (VARIANTS["rules"], VARIANTS["norules"]):
-            combo = combination_id(variant, h)
-            path = cfg.output_dir / f"generated_combo{combo}.jsonl"
-            if not path.is_file():
-                continue
-            generated = _load_generated(path)
-            if not generated:
-                continue
-            stats = score_combination(generated, reference, provider, variant, h)
-            all_stats.append(stats)
-            for pair in score_pairs(generated, reference, provider):
-                per_site_rows.append(
-                    [
-                        pair.site_id,
-                        combo,
-                        pair.title_levenshtein,
-                        f"{pair.title_bertscore_f1:.6f}",
-                        f"{pair.abstract_bertscore_f1:.6f}",
-                    ]
-                )
+    for variant, h in ALL_COMBINATIONS:
+        combo = combination_id(variant, h)
+        path = cfg.output_dir / f"generated_combo{combo}.jsonl"
+        if not path.is_file():
+            continue
+        generated = _load_generated(path)
+        if not generated:
+            continue
+        pairs = score_pairs(generated, reference, provider)
+        all_stats.append(score_combination(pairs, len(generated), variant, h))
+        for pair in pairs:
+            per_site_rows.append(
+                [
+                    pair.site_id,
+                    combo,
+                    pair.title_levenshtein,
+                    f"{pair.title_bertscore_f1:.6f}",
+                    f"{pair.abstract_bertscore_f1:.6f}",
+                ]
+            )
     if len(all_stats) < 2:
         raise click.ClickException(
             "need at least two generated combinations to evaluate"
@@ -410,17 +414,9 @@ def cost(cfg: PipelineConfig, heuristic):
     """Recompute the token/cost reduction report from stored stage outputs."""
     docs = _load_sites(cfg.output_dir)
     tok = _tokenizer(cfg)
-    before = [" ".join(p.body_text for p in d.pages) for d in docs]
+    before = _site_texts(docs)
     h = HeuristicId(heuristic or int(cfg.heuristic))
-    sel_path = cfg.output_dir / f"selections_h{int(h)}.jsonl"
-    if not sel_path.is_file():
-        raise click.ClickException(f"no selections for heuristic {int(h)}")
-    after = []
-    with open(sel_path, encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            if "content" in obj:
-                after.append(obj["content"])
+    after = [sel.content for _, sel in _read_selections(cfg.output_dir, h)]
     report = reduction_report(before, after, cfg.prices, tok)
     _write_cost_csv(cfg.output_dir / "cost_report.csv", [(h, report)])
     click.echo(

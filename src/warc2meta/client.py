@@ -13,25 +13,17 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import requests
 
 from .errors import ApiError, RateLimited, SchemaViolation
 from .heuristics import HeuristicId, Selection
-from .prompts import PromptVariant, build_prompt
-
-
-class SourceKind(Enum):
-    HUMAN = "human"
-    COMBO = "combo"
+from .prompts import PromptVariant, Variant, build_prompt
 
 
 def combination_id(variant: PromptVariant, heuristic: HeuristicId) -> int:
     """Stable 0..5 numbering: heuristic-major, with-rules before without."""
-    from .prompts import Variant
-
     return 2 * (int(heuristic) - 1) + (0 if variant.variant == Variant.WITH_RULES else 1)
 
 
@@ -140,13 +132,9 @@ def _post_chat(
         if resp.status_code == 429:
             if attempts >= cfg.max_retries:
                 raise RateLimited(f"429 after {attempts} retries")
-            retry_after = resp.headers.get("Retry-After")
-            if retry_after is not None:
-                try:
-                    delay = float(retry_after)
-                except ValueError:
-                    delay = cfg.retry_backoff[min(attempts, len(cfg.retry_backoff) - 1)]
-            else:
+            try:
+                delay = float(resp.headers.get("Retry-After"))
+            except (TypeError, ValueError):  # absent or not a number of seconds
                 delay = cfg.retry_backoff[min(attempts, len(cfg.retry_backoff) - 1)]
             time.sleep(delay)
             attempts += 1

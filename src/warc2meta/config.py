@@ -45,8 +45,6 @@ class PipelineConfig:
     embedding_model: Optional[str] = None
 
     def validate(self):
-        if not self.input_dir.exists():
-            raise ConfigError(f"input_dir does not exist: {self.input_dir}")
         if self.worker_count < 1:
             raise ConfigError("worker_count must be >= 1")
         for p in (self.tokenizer_path, self.filter_rules_path):

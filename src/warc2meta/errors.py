@@ -100,7 +100,3 @@ class NoDiscordantPairs(Warc2MetaError):
 
 class ConfigError(Warc2MetaError):
     pass
-
-
-class NoInput(Warc2MetaError):
-    pass

@@ -121,6 +121,23 @@ def _shortest_page(pages: List[PageRecord]) -> PageRecord:
     return min(pages, key=lambda p: (len(p.url.url), p.url.url))
 
 
+def _page_selection(
+    page: PageRecord,
+    heuristic: HeuristicId,
+    tok: Optional[TokenizerHandle],
+    max_tokens: int,
+) -> Selection:
+    original = _estimate(page.body_text, tok)
+    content = _truncate(page.body_text, max_tokens, tok)
+    return Selection(
+        heuristic=heuristic,
+        chosen_url=page.url,
+        content=content,
+        original_token_estimate=original,
+        reduced_token_estimate=min(original, _estimate(content, tok)),
+    )
+
+
 def select_shortest_url(
     site: SiteDocument,
     tok: Optional[TokenizerHandle] = None,
@@ -130,15 +147,7 @@ def select_shortest_url(
     if not site.pages:
         raise EmptySite(site.source_file)
     page = _shortest_page(site.pages)
-    original = _estimate(page.body_text, tok)
-    content = _truncate(page.body_text, max_tokens, tok)
-    return Selection(
-        heuristic=HeuristicId.SHORTEST_URL,
-        chosen_url=page.url,
-        content=content,
-        original_token_estimate=original,
-        reduced_token_estimate=min(original, _estimate(content, tok)),
-    )
+    return _page_selection(page, HeuristicId.SHORTEST_URL, tok, max_tokens)
 
 
 def _is_about_page(page: PageRecord, about_tokens) -> bool:
@@ -156,25 +165,8 @@ def select_about_priority(
     if not site.pages:
         raise EmptySite(site.source_file)
     candidates = [p for p in site.pages if _is_about_page(p, about_tokens)]
-    if not candidates:
-        sel = select_shortest_url(site, tok, max_tokens)
-        return Selection(
-            heuristic=HeuristicId.ABOUT_PRIORITY,
-            chosen_url=sel.chosen_url,
-            content=sel.content,
-            original_token_estimate=sel.original_token_estimate,
-            reduced_token_estimate=sel.reduced_token_estimate,
-        )
-    page = _shortest_page(candidates)
-    original = _estimate(page.body_text, tok)
-    content = _truncate(page.body_text, max_tokens, tok)
-    return Selection(
-        heuristic=HeuristicId.ABOUT_PRIORITY,
-        chosen_url=page.url,
-        content=content,
-        original_token_estimate=original,
-        reduced_token_estimate=min(original, _estimate(content, tok)),
-    )
+    page = _shortest_page(candidates or site.pages)
+    return _page_selection(page, HeuristicId.ABOUT_PRIORITY, tok, max_tokens)
 
 
 def select_shortest_url_filtered(

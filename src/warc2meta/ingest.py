@@ -147,10 +147,14 @@ def _decode_body(payload: bytes, content_type: Optional[str]) -> Optional[str]:
         return None
 
 
+def _is_html(record: RawWarcRecord) -> bool:
+    media_type = (record.content_type or "").split(";")[0].strip().lower()
+    return media_type in HTML_CONTENT_TYPES
+
+
 def extract_page(record: RawWarcRecord) -> Optional[PageRecord]:
     """Turn an HTML record into a PageRecord; None for non-HTML or undecodable."""
-    ct = (record.content_type or "").split(";")[0].strip().lower()
-    if ct not in HTML_CONTENT_TYPES:
+    if not _is_html(record):
         return None
     body = _decode_body(record.payload, record.content_type)
     if body is None:
@@ -209,12 +213,9 @@ def ingest_warc_file(path, min_chars: int = DEFAULT_MIN_CHARS) -> SiteDocument:
     rejected = 0
     undecodable = 0
     for record in open_warc_stream(path):
-        is_html = (record.content_type or "").split(";")[0].strip().lower() in (
-            HTML_CONTENT_TYPES
-        )
         page = extract_page(record)
         if page is None:
-            if is_html:
+            if _is_html(record):
                 undecodable += 1
             continue
         if quality_filter(page, min_chars) is not None:

@@ -13,19 +13,44 @@ from typing import List, Protocol, Tuple
 import numpy as np
 import requests
 
-from ._accel import levenshtein_codes
 from .errors import EmptyText
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Minimum single-character edit count between a and b."""
+    """Minimum single-character edit count between a and b.
+
+    Bit-vector DP of Myers 1999 in Hyyro's 2003 form: bit i of pv/mv marks
+    a +1/-1 step from row i to i+1 of the current column. Python ints are
+    unbounded, so the longer string fits in one vector at any length.
+    """
     a = unicodedata.normalize("NFC", a)
     b = unicodedata.normalize("NFC", b)
     if a == b:
         return 0
-    arr_a = np.array([ord(c) for c in a], dtype=np.int32)
-    arr_b = np.array([ord(c) for c in b], dtype=np.int32)
-    return levenshtein_codes(arr_a, arr_b)
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    peq = {}
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, score = full, 0, len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
 
 
 class EmbeddingProvider(Protocol):

@@ -75,14 +75,13 @@ def score_pairs(
 
 
 def score_combination(
-    generated: Sequence[GeneratedMetadata],
-    reference: Sequence[GeneratedMetadata],
-    provider: EmbeddingProvider,
+    pairs: Sequence[ScorePair],
+    generated_count: int,
     prompt: PromptVariant = None,
     heuristic: HeuristicId = None,
 ) -> CombinationStats:
-    """Aggregate per-site scores into medians and dispersion."""
-    pairs = score_pairs(generated, reference, provider)
+    """Aggregate score_pairs output into medians and dispersion; the
+    generated rows beyond len(pairs) had no reference and count as unmatched."""
     if not pairs:
         raise NoOverlap("no site_id overlap between generated and reference")
     abstract_f1s = [p.abstract_bertscore_f1 for p in pairs]
@@ -99,7 +98,7 @@ def score_combination(
         bs_median=statistics.median(abstract_f1s),
         bs_std=statistics.pstdev(abstract_f1s),
         n=len(pairs),
-        unmatched=len(generated) - len(pairs),
+        unmatched=generated_count - len(pairs),
     )
 
 

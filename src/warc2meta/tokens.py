@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, List, Optional
 
 from .errors import VocabularyLoadError
 
@@ -21,11 +21,10 @@ _CENTS = Decimal("0.000001")
 @dataclass(frozen=True)
 class TokenizerHandle:
     vocabulary: Dict[bytes, int]
-    special_tokens: FrozenSet[str]
     name: str
 
 
-def load_vocabulary(path, name: str = "", special_tokens=()) -> TokenizerHandle:
+def load_vocabulary(path, name: str = "") -> TokenizerHandle:
     """Load a tiktoken-style rank table: base64 token, space, integer rank."""
     ranks: Dict[bytes, int] = {}
     try:
@@ -45,11 +44,7 @@ def load_vocabulary(path, name: str = "", special_tokens=()) -> TokenizerHandle:
         raise VocabularyLoadError(str(exc)) from exc
     if len(set(ranks.values())) != len(ranks):
         raise VocabularyLoadError(f"{path}: duplicate merge ranks")
-    return TokenizerHandle(
-        vocabulary=ranks,
-        special_tokens=frozenset(special_tokens),
-        name=name or str(path),
-    )
+    return TokenizerHandle(vocabulary=ranks, name=name or str(path))
 
 
 def encode(text: str, tok: TokenizerHandle) -> List[bytes]:
@@ -84,13 +79,6 @@ def count_tokens(text: str, tok: Optional[TokenizerHandle]) -> int:
 class PriceConfig:
     price_per_million_input: Decimal
     price_per_million_output: Decimal
-
-    @classmethod
-    def from_mapping(cls, obj) -> "PriceConfig":
-        return cls(
-            price_per_million_input=Decimal(str(obj["price_per_million_input"])),
-            price_per_million_output=Decimal(str(obj["price_per_million_output"])),
-        )
 
 
 @dataclass(frozen=True)

@@ -97,15 +97,34 @@ class TestSelectCommand:
         assert (tmp_path / "out" / "cost_report.csv").is_file()
 
     def test_all_heuristics(self, tmp_path, runner):
-        cfg = _write_config(tmp_path, _make_corpus(tmp_path))
+        warc_dir = _make_corpus(tmp_path)
+        empty = warc_dir / "empty.warc"
+        build_warc(empty, [response_record("https://gone.sg/", status=404)])
+        cfg = _write_config(tmp_path, warc_dir)
         runner.invoke(main, ["--config", str(cfg), "ingest"])
         result = runner.invoke(main, ["--config", str(cfg), "select", "--all"])
         assert result.exit_code == 0, result.output
         for h in (1, 2, 3):
-            assert (tmp_path / "out" / f"selections_h{h}.jsonl").is_file()
+            path = tmp_path / "out" / f"selections_h{h}.jsonl"
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            errors = [r["error"] for r in rows if "error" in r]
+            assert errors == [f"EmptySite: {empty}"]
         with open(tmp_path / "out" / "cost_report.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["heuristic"] for r in rows] == ["1", "2", "3"]
+
+
+    def test_missing_tokenizer_fails_before_output(self, tmp_path, runner):
+        cfg = _write_config(tmp_path, _make_corpus(tmp_path))
+        assert runner.invoke(main, ["--config", str(cfg), "ingest"]).exit_code == 0
+        missing = tmp_path / "no_such.tiktoken"
+        raw = yaml.safe_load(cfg.read_text())
+        raw["tokenizer_path"] = str(missing)
+        cfg.write_text(yaml.safe_dump(raw))
+        result = runner.invoke(main, ["--config", str(cfg), "select", "--all"])
+        assert result.exit_code != 0
+        assert str(missing) in result.output
+        assert list((tmp_path / "out").glob("selections_h*.jsonl")) == []
 
 
 class TestGenerateEvaluate:

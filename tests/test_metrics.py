@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from warc2meta._accel import _lev_kernel_numpy, levenshtein_codes
 from warc2meta.errors import EmptyText
 from warc2meta.metrics import MockEmbeddingProvider, bertscore, levenshtein
 
@@ -64,6 +63,19 @@ class TestLevenshtein:
             a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
             b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
             assert levenshtein(a, b) == dp_oracle(a, b)
+        # non-ASCII and astral code points, lengths above 64 and 200 (bit
+        # vectors wider than a machine word), and "" against long strings
+        alphabet = "a\u00e9\u6f22\U0001f600 "
+        lengths = [(0, 12), (60, 140), (190, 260)]
+        for _ in range(150):
+            a, b = (
+                "".join(rng.choice(alphabet) for _ in range(rng.randint(*rng.choice(lengths))))
+                for _ in range(2)
+            )
+            assert levenshtein(a, b) == dp_oracle(a, b)
+        for n in (1, 64, 65, 250):
+            long = "".join(rng.choice(alphabet) for _ in range(n))
+            assert levenshtein("", long) == levenshtein(long, "") == n == dp_oracle("", long)
 
     @given(st.text(alphabet="abcd", max_size=10), st.text(alphabet="abcd", max_size=10))
     def test_symmetry(self, a, b):
@@ -77,15 +89,6 @@ class TestLevenshtein:
     @given(st.text(alphabet="abcd", max_size=10), st.text(alphabet="abcd", max_size=10))
     def test_identity_of_indiscernibles(self, a, b):
         assert (levenshtein(a, b) == 0) == (a == b)
-
-    def test_numpy_fallback_agrees_with_active_kernel(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            a = np.array([rng.randint(97, 102) for _ in range(rng.randint(1, 15))],
-                         dtype=np.int32)
-            b = np.array([rng.randint(97, 102) for _ in range(rng.randint(1, 15))],
-                         dtype=np.int32)
-            assert _lev_kernel_numpy(a, b) == levenshtein_codes(a, b)
 
 
 class TestBertscore:

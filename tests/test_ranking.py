@@ -38,7 +38,7 @@ class TestScoreCombination:
             _meta("s1", "Acme", "Makes instruments for labs"),
             _meta("s2", "Beta", "Sells fresh produce daily"),
         ]
-        stats = score_combination(rows, rows, provider)
+        stats = score_combination(score_pairs(rows, rows, provider), len(rows))
         assert stats.lev_median == 0
         assert abs(stats.bs_median - 1.0) < 1e-9
         assert stats.bs_std < 1e-9
@@ -59,7 +59,7 @@ class TestScoreCombination:
         # title distances {2, 4}: even-length median is the central mean
         assert levenshtein("ax", "by") == 2
         assert levenshtein("abcd", "abwxyz") == 4
-        stats = score_combination(generated, reference, provider)
+        stats = score_combination(score_pairs(generated, reference, provider), 2)
         assert stats.lev_median == 3.0
 
     def test_three_site_hand_computed(self):
@@ -84,7 +84,7 @@ class TestScoreCombination:
             bertscore(g.abstract, r.abstract, provider)[2]
             for g, r in zip(generated, reference)
         ]
-        stats = score_combination(generated, reference, provider)
+        stats = score_combination(pairs, len(generated))
         assert [p.title_levenshtein for p in pairs] == exp_levs
         assert stats.lev_median == statistics.median(exp_levs)
         assert abs(stats.bs_median - statistics.median(exp_f1s)) < 1e-12
@@ -94,18 +94,19 @@ class TestScoreCombination:
         provider = MockEmbeddingProvider()
         generated = [_meta("s1", "A", "text one"), _meta("s9", "X", "text nine")]
         reference = [_meta("s1", "A", "text one", source="human")]
-        stats = score_combination(generated, reference, provider)
+        stats = score_combination(score_pairs(generated, reference, provider), 2)
         assert stats.n == 1
         assert stats.unmatched == 1
 
     def test_no_overlap(self):
         provider = MockEmbeddingProvider()
         with pytest.raises(NoOverlap):
-            score_combination(
+            pairs = score_pairs(
                 [_meta("s1", "A", "t")],
                 [_meta("s2", "A", "t", source="human")],
                 provider,
             )
+            score_combination(pairs, 1)
 
 
 class TestRankCombinations:

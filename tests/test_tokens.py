@@ -27,7 +27,7 @@ PINNED_VOCAB = {
     b"abc": 9,
 }
 
-TOK = TokenizerHandle(vocabulary=PINNED_VOCAB, special_tokens=frozenset(), name="pinned")
+TOK = TokenizerHandle(vocabulary=PINNED_VOCAB, name="pinned")
 
 PRICES = PriceConfig(
     price_per_million_input=Decimal("2.50"),
