@@ -24,7 +24,7 @@ from .metrics import HttpEmbeddingProvider, MockEmbeddingProvider
 from .prompts import VARIANTS
 from .ranking import rank_combinations, score_combination, score_pairs
 from .stats import cochran_q, ingest_grading, mcnemar
-from .tokens import load_vocabulary, reduction_report
+from .tokens import count_tokens, load_vocabulary, reduction_report
 from .urlnorm import normalize_url
 
 
@@ -64,9 +64,9 @@ def _load_sites(out_dir: Path):
         return [SiteDocument.from_json(line) for line in fh if line.strip()]
 
 
-def _site_texts(docs):
-    """Whole-site "before" texts for the token-reduction report."""
-    return [" ".join(p.body_text for p in d.pages) for d in docs]
+def _tokens_before(docs, tok):
+    """Token count of the whole-site "before" texts of the reduction report."""
+    return sum(count_tokens(" ".join(p.body_text for p in d.pages), tok) for d in docs)
 
 
 def _tokenizer(cfg: PipelineConfig):
@@ -215,7 +215,7 @@ def select_cmd(cfg: PipelineConfig, heuristic, all_heuristics):
         if all_heuristics
         else [HeuristicId(heuristic or int(cfg.heuristic))]
     )
-    before = _site_texts(docs)
+    before = _tokens_before(docs, tok)
     cost_rows = []
     total_errors = 0
     for h in which:
@@ -414,7 +414,7 @@ def cost(cfg: PipelineConfig, heuristic):
     """Recompute the token/cost reduction report from stored stage outputs."""
     docs = _load_sites(cfg.output_dir)
     tok = _tokenizer(cfg)
-    before = _site_texts(docs)
+    before = _tokens_before(docs, tok)
     h = HeuristicId(heuristic or int(cfg.heuristic))
     after = [sel.content for _, sel in _read_selections(cfg.output_dir, h)]
     report = reduction_report(before, after, cfg.prices, tok)

@@ -52,6 +52,7 @@ class PipelineConfig:
                 raise ConfigError(f"referenced file not readable: {p}")
 
     def digest(self) -> str:
+        """Short hash of every setting that can change a stage's outputs."""
         blob = json.dumps(
             {
                 "input_dir": str(self.input_dir),
@@ -61,10 +62,19 @@ class PipelineConfig:
                 "model": self.client.model_name,
                 "base_url": self.client.base_url,
                 "temperature": self.client.temperature,
+                "max_retries": self.client.max_retries,
+                "max_in_flight": self.client.max_in_flight,
+                "tokenizer_path": self.tokenizer_path,
+                "filter_rules_path": self.filter_rules_path,
+                "price_per_million_input": self.prices.price_per_million_input,
+                "price_per_million_output": self.prices.price_per_million_output,
                 "min_chars": self.min_chars,
                 "max_content_tokens": self.max_content_tokens,
+                "embedding_base_url": self.embedding_base_url,
+                "embedding_model": self.embedding_model,
             },
             sort_keys=True,
+            default=str,  # Path and Decimal values
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -6,7 +6,6 @@ Three strategies, keyed by stable integer codes:
   3 = shortest URL plus regex filtering of the chosen content
 """
 
-import math
 import re
 from dataclasses import dataclass
 from enum import IntEnum
@@ -14,7 +13,7 @@ from typing import List, Optional
 
 from .errors import EmptySite, InvalidPattern
 from .ingest import PageRecord, SiteDocument
-from .tokens import TokenizerHandle, count_tokens
+from .tokens import TokenizerHandle, truncate
 from .urlnorm import NormalizedUrl
 
 
@@ -100,23 +99,6 @@ def apply_reduction_filters(text: str, rules: Optional[List[FilterRule]] = None)
     return text.strip()
 
 
-def _estimate(text: str, tok: Optional[TokenizerHandle]) -> int:
-    if tok is not None:
-        return count_tokens(text, tok)
-    return math.ceil(len(text) / 4)
-
-
-def _truncate(text: str, max_tokens: int, tok: Optional[TokenizerHandle]) -> str:
-    if max_tokens <= 0:
-        return text
-    if tok is None:
-        return text[: max_tokens * 4]
-    # binary-chop on characters; exact token-boundary cuts are not needed
-    while count_tokens(text, tok) > max_tokens:
-        text = text[: int(len(text) * 0.9)]
-    return text
-
-
 def _shortest_page(pages: List[PageRecord]) -> PageRecord:
     return min(pages, key=lambda p: (len(p.url.url), p.url.url))
 
@@ -127,14 +109,13 @@ def _page_selection(
     tok: Optional[TokenizerHandle],
     max_tokens: int,
 ) -> Selection:
-    original = _estimate(page.body_text, tok)
-    content = _truncate(page.body_text, max_tokens, tok)
+    content, original, reduced = truncate(page.body_text, max_tokens, tok)
     return Selection(
         heuristic=heuristic,
         chosen_url=page.url,
         content=content,
         original_token_estimate=original,
-        reduced_token_estimate=min(original, _estimate(content, tok)),
+        reduced_token_estimate=reduced,
     )
 
 
@@ -178,15 +159,13 @@ def select_shortest_url_filtered(
     """Shortest URL, then regex filters over its content."""
     base = select_shortest_url(site, tok, max_tokens=0)
     filtered = apply_reduction_filters(base.content, rules)
-    filtered = _truncate(filtered, max_tokens, tok)
+    content, _, reduced = truncate(filtered, max_tokens, tok)
     return Selection(
         heuristic=HeuristicId.SHORTEST_URL_FILTERED,
         chosen_url=base.chosen_url,
-        content=filtered,
+        content=content,
         original_token_estimate=base.original_token_estimate,
-        reduced_token_estimate=min(
-            base.original_token_estimate, _estimate(filtered, tok)
-        ),
+        reduced_token_estimate=reduced,
     )
 
 

@@ -7,11 +7,12 @@ decimal with 6 fractional digits; reduction ratios are exact fractions.
 """
 
 import base64
+import heapq
 import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .errors import VocabularyLoadError
 
@@ -48,23 +49,51 @@ def load_vocabulary(path, name: str = "") -> TokenizerHandle:
 
 
 def encode(text: str, tok: TokenizerHandle) -> List[bytes]:
-    """Greedy rank-based BPE merge over the UTF-8 bytes of text."""
+    """Rank-based BPE over the UTF-8 bytes of text.
+
+    Repeatedly merges the adjacent pair whose concatenation has the lowest
+    rank, the leftmost one on a tie, until no pair is in the vocabulary.
+    Parts are a linked list over byte offsets (part i spans
+    data[i:nxt[i]]); candidate pairs wait in a heap keyed by
+    (rank, left start, right end), and an entry whose pair has since
+    changed is skipped when popped. O(n log n) in the byte length.
+    """
     data = text.encode("utf-8")
-    if not data:
-        return []
-    parts = [data[i : i + 1] for i in range(len(data))]
+    n = len(data)
     vocab = tok.vocabulary
-    while len(parts) > 1:
-        best_rank = None
-        best_idx = -1
-        for i in range(len(parts) - 1):
-            rank = vocab.get(parts[i] + parts[i + 1])
-            if rank is not None and (best_rank is None or rank < best_rank):
-                best_rank = rank
-                best_idx = i
-        if best_rank is None:
-            break
-        parts[best_idx : best_idx + 2] = [parts[best_idx] + parts[best_idx + 1]]
+    nxt = list(range(1, n + 1))
+    prv = list(range(-1, n - 1))
+    heap = []
+    for i in range(n - 1):
+        rank = vocab.get(data[i : i + 2])
+        if rank is not None:
+            heap.append((rank, i, i + 2))
+    heapq.heapify(heap)
+    while heap:
+        _rank, i, end = heapq.heappop(heap)
+        j = nxt[i]
+        # stale: part i was merged into its left neighbour (j == -1), or
+        # part i or the part after it has grown since the entry was pushed
+        # (the pair no longer ends at `end`, or part i is now the last part)
+        if j < 0 or j >= n or nxt[j] != end:
+            continue
+        nxt[i] = end
+        nxt[j] = -1
+        if end < n:
+            prv[end] = i
+            rank = vocab.get(data[i : nxt[end]])
+            if rank is not None:
+                heapq.heappush(heap, (rank, i, nxt[end]))
+        left = prv[i]
+        if left >= 0:
+            rank = vocab.get(data[left:end])
+            if rank is not None:
+                heapq.heappush(heap, (rank, left, end))
+    parts = []
+    i = 0
+    while i < n:
+        parts.append(data[i : nxt[i]])
+        i = nxt[i]
     return parts
 
 
@@ -73,6 +102,33 @@ def count_tokens(text: str, tok: Optional[TokenizerHandle]) -> int:
     if tok is None:
         return math.ceil(len(text) / 4)
     return len(encode(text, tok))
+
+
+def truncate(
+    text: str, max_tokens: int, tok: Optional[TokenizerHandle]
+) -> Tuple[str, int, int]:
+    """Cut text to at most max_tokens tokens from one encode of it.
+
+    Returns (prefix, tokens in text, tokens in prefix); max_tokens <= 0
+    keeps all of text. With a vocabulary the prefix is the longest one
+    that ends on a token boundary of text's encoding and on a character
+    boundary. No merge crosses a boundary of the final encoding, so the
+    prefix encodes to exactly the tokens it kept. Without a vocabulary
+    the prefix is the first max_tokens * 4 characters.
+    """
+    if tok is None:
+        prefix = text[: max_tokens * 4] if max_tokens > 0 else text
+        return prefix, count_tokens(text, None), count_tokens(prefix, None)
+    parts = encode(text, tok)
+    if max_tokens <= 0 or len(parts) <= max_tokens:
+        return text, len(parts), len(parts)
+    data = b"".join(parts)
+    kept = max_tokens
+    cut = sum(map(len, parts[:kept]))
+    while cut and data[cut] & 0xC0 == 0x80:  # cut inside a UTF-8 character
+        kept -= 1
+        cut -= len(parts[kept])
+    return data[:cut].decode("utf-8"), len(parts), kept
 
 
 @dataclass(frozen=True)
@@ -101,23 +157,23 @@ def _input_cost(tokens: int, prices: PriceConfig) -> Decimal:
 
 
 def reduction_report(
-    before_texts: List[str],
+    tokens_before: int,
     after_texts: List[str],
     prices: PriceConfig,
     tok: Optional[TokenizerHandle] = None,
 ) -> CostReport:
-    """Aggregate token counts over both corpora into one CostReport."""
+    """Report the drop from tokens_before, counted by the caller under the
+    same tok, to the summed token count of after_texts."""
     if prices.price_per_million_input < 0 or prices.price_per_million_output < 0:
         raise ValueError("prices must be nonnegative")
-    before = sum(count_tokens(t, tok) for t in before_texts)
     after = sum(count_tokens(t, tok) for t in after_texts)
-    degenerate = before == 0
-    ratio = Fraction(0) if degenerate else 1 - Fraction(after, before)
+    degenerate = tokens_before == 0
+    ratio = Fraction(0) if degenerate else 1 - Fraction(after, tokens_before)
     return CostReport(
-        tokens_before=before,
+        tokens_before=tokens_before,
         tokens_after=after,
         reduction_ratio=ratio,
-        cost_before=_input_cost(before, prices),
+        cost_before=_input_cost(tokens_before, prices),
         cost_after=_input_cost(after, prices),
         price_per_million_input=prices.price_per_million_input,
         price_per_million_output=prices.price_per_million_output,

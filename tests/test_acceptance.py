@@ -27,7 +27,7 @@ from warc2meta.metrics import bertscore, levenshtein
 from warc2meta.prompts import WITH_RULES, WITHOUT_RULES
 from warc2meta.ranking import CombinationStats, rank_combinations
 from warc2meta.stats import GradingMatrix, chi_square_survival, cochran_q, mcnemar
-from warc2meta.tokens import PriceConfig, reduction_report
+from warc2meta.tokens import PriceConfig, count_tokens, reduction_report
 from warc2meta.urlnorm import normalize_url
 
 from helpers import MockChatServer, build_warc, html_page, response_record
@@ -184,7 +184,9 @@ def test_criterion_3_token_reduction():
                 body_text=text, http_status=200, char_count=len(text),
             ))
         sites.append(SiteDocument(source_file=f"s{s}.warc", pages=pages))
-    before = [" ".join(p.body_text for p in site.pages) for site in sites]
+    before = sum(
+        count_tokens(" ".join(p.body_text for p in site.pages), None) for site in sites
+    )
     after = [select_about_priority(site).content for site in sites]
     report = reduction_report(before, after, PRICES)
     assert report.reduction_ratio >= Fraction(99, 100), float(report.reduction_ratio)

@@ -5,6 +5,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from warc2meta import cli, tokens
 from warc2meta.cli import main
 
 from helpers import MockChatServer, build_warc, html_page, response_record
@@ -113,6 +114,25 @@ class TestSelectCommand:
             rows = list(csv.DictReader(fh))
         assert [r["heuristic"] for r in rows] == ["1", "2", "3"]
 
+    def test_all_heuristics_count_site_text_once(self, tmp_path, runner, monkeypatch):
+        cfg = _write_config(tmp_path, _make_corpus(tmp_path))
+        runner.invoke(main, ["--config", str(cfg), "ingest"])
+        counted = []
+        real_count = tokens.count_tokens
+
+        def counting(text, tok):
+            counted.append(text)
+            return real_count(text, tok)
+
+        monkeypatch.setattr(tokens, "count_tokens", counting)
+        monkeypatch.setattr(cli, "count_tokens", counting)
+        result = runner.invoke(main, ["--config", str(cfg), "select", "--all"])
+        assert result.exit_code == 0, result.output
+        with open(tmp_path / "out" / "sites.jsonl") as fh:
+            sites = [json.loads(line) for line in fh]
+        for site in sites:
+            whole = " ".join(p["body_text"] for p in site["pages"])
+            assert counted.count(whole) == 1
 
     def test_missing_tokenizer_fails_before_output(self, tmp_path, runner):
         cfg = _write_config(tmp_path, _make_corpus(tmp_path))

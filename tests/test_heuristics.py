@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from warc2meta import tokens
 from warc2meta.errors import EmptySite, InvalidPattern
 from warc2meta.heuristics import (
     DEFAULT_FILTER_RULES,
@@ -7,11 +9,13 @@ from warc2meta.heuristics import (
     HeuristicId,
     apply_reduction_filters,
     load_filter_rules,
+    select,
     select_about_priority,
     select_shortest_url,
     select_shortest_url_filtered,
 )
 from warc2meta.ingest import PageRecord, SiteDocument
+from warc2meta.tokens import TokenizerHandle, count_tokens
 from warc2meta.urlnorm import normalize_url
 
 
@@ -193,3 +197,58 @@ def test_chosen_url_always_in_site():
     urls = {p.url for p in site.pages}
     for fn in (select_about_priority, select_shortest_url, select_shortest_url_filtered):
         assert fn(site).chosen_url in urls
+
+
+# Multi-byte and astral tokens, some of them ending or starting inside a
+# character, so that token boundaries can fall inside a character.
+_MB_TOKENS = [
+    b"ab", b"ab ", " é".encode(), "é".encode(), "漢".encode()[:2], "漢".encode(),
+    "😀".encode()[:2], "😀".encode()[:3], "😀".encode(), b"a" + "é".encode()[:1],
+    "é".encode()[1:] + b"b", "😀".encode()[3:] + b" ", b"\n|",
+]
+MB_TOK = TokenizerHandle(
+    vocabulary={t: rank for rank, t in enumerate(_MB_TOKENS)}, name="multibyte"
+)
+BYTE_TOK = TokenizerHandle(vocabulary={}, name="bytes")  # one token per byte
+
+
+class TestTruncation:
+    @given(
+        body=st.text(alphabet="ab é漢😀\n|xyz", max_size=80),
+        max_tokens=st.integers(min_value=1, max_value=40),
+        heuristic=st.sampled_from(list(HeuristicId)),
+        tok=st.sampled_from([MB_TOK, BYTE_TOK, None]),
+    )
+    def test_prefix_within_budget_and_exact(self, body, max_tokens, heuristic, tok):
+        sel = select(_site(_page("https://a.sg/", body=body)), heuristic,
+                     tok=tok, max_tokens=max_tokens)
+        source = body
+        if heuristic == HeuristicId.SHORTEST_URL_FILTERED:
+            source = apply_reduction_filters(body)
+        assert source.startswith(sel.content)
+        assert count_tokens(sel.content, tok) == sel.reduced_token_estimate
+        assert sel.reduced_token_estimate <= max_tokens
+        assert sel.original_token_estimate == count_tokens(body, tok)
+
+    def test_cut_inside_character_steps_back(self):
+        # 14 byte tokens; token 12 ends on the 3rd of the emoji's 4 bytes,
+        # so the cut steps back over two tokens to the emoji's first byte
+        site = _site(_page("https://a.sg/", body="abcdefghij😀"))
+        sel = select_shortest_url(site, tok=BYTE_TOK, max_tokens=12)
+        assert sel.content == "abcdefghij"
+        assert sel.original_token_estimate == 14
+        assert sel.reduced_token_estimate == 10
+
+    @pytest.mark.parametrize("heuristic,encodes", [(1, 1), (2, 1), (3, 2)])
+    def test_page_encoded_once_per_text(self, heuristic, encodes, monkeypatch):
+        calls = []
+        real_encode = tokens.encode
+
+        def counting(text, tok):
+            calls.append(text)
+            return real_encode(text, tok)
+
+        monkeypatch.setattr(tokens, "encode", counting)
+        site = _site(_page("https://a.sg/", body="ab é漢😀 " * 50))
+        select(site, HeuristicId(heuristic), tok=MB_TOK, max_tokens=20)
+        assert len(calls) == encodes

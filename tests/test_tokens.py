@@ -1,4 +1,5 @@
 import base64
+import itertools
 from decimal import Decimal
 from fractions import Fraction
 
@@ -92,6 +93,47 @@ class TestCountTokens:
         assert count_tokens(a + b, None) >= count_tokens(a, None)
 
 
+# Every rank order of the run tokens: merges of a run leave stale heap
+# entries behind and make equal-rank pairs compete, so the leftmost-first
+# tie-break decides the parts.
+RUN_VOCABS = [
+    {token: rank for rank, token in enumerate(order)}
+    for order in itertools.permutations([b"aa", b"aaa", b"aaaa"])
+]
+
+MULTIBYTE_VOCAB = {
+    token: rank
+    for rank, token in enumerate(
+        [
+            "é".encode(), "😀".encode()[:2], b"a ", "😀".encode()[:3],
+            "😀".encode(), "漢".encode()[:2], b"aa", "é".encode() + b"a",
+            "漢".encode(), " 😀".encode(), b"a" + "漢".encode()[:1],
+            "😀".encode()[3:] + b"a", "éé".encode(), b" a",
+        ]
+    )
+}
+
+
+class TestEncodeOracle:
+    @pytest.mark.parametrize("vocab", RUN_VOCABS)
+    def test_runs(self, vocab):
+        tok = TokenizerHandle(vocabulary=vocab, name="runs")
+        for n in range(1, 40):
+            assert encode("a" * n, tok) == oracle_encode("a" * n, vocab)
+
+    @given(st.text(alphabet="a b", min_size=100, max_size=300),
+           st.sampled_from(RUN_VOCABS))
+    def test_long_runs_with_breaks(self, text, vocab):
+        vocab = {**vocab, b"a ": len(vocab), b" a": len(vocab) + 1}
+        tok = TokenizerHandle(vocabulary=vocab, name="runs")
+        assert encode(text, tok) == oracle_encode(text, vocab)
+
+    @given(st.text(alphabet="aé漢😀 ", min_size=35, max_size=100))
+    def test_multibyte_tokens(self, text):
+        tok = TokenizerHandle(vocabulary=MULTIBYTE_VOCAB, name="multibyte")
+        assert encode(text, tok) == oracle_encode(text, MULTIBYTE_VOCAB)
+
+
 class TestVocabularyLoading:
     def test_rank_table_roundtrip(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -126,7 +168,7 @@ class TestVocabularyLoading:
 
 class TestReductionReport:
     def test_headline_magnitude(self):
-        before = ["x" * 4_000_000]  # 1,000,000 fallback tokens
+        before = count_tokens("x" * 4_000_000, None)  # 1,000,000 fallback tokens
         after = ["x" * 4_000]  # 1,000 tokens
         report = reduction_report(before, after, PRICES)
         assert report.tokens_before == 1_000_000
@@ -134,22 +176,22 @@ class TestReductionReport:
         assert report.reduction_ratio == Fraction(999, 1000)
 
     def test_no_reduction(self):
-        report = reduction_report(["abcd"], ["abcd"], PRICES)
+        report = reduction_report(1, ["abcd"], PRICES)
         assert report.reduction_ratio == 0
 
     def test_empty_before_degenerate(self):
-        report = reduction_report([], ["abcd"], PRICES)
+        report = reduction_report(0, ["abcd"], PRICES)
         assert report.degenerate
         assert report.reduction_ratio == 0
 
     def test_ratio_identity_exact(self):
-        report = reduction_report(["x" * 4000], ["x" * 300], PRICES)
+        report = reduction_report(1000, ["x" * 300], PRICES)
         assert report.reduction_ratio == 1 - Fraction(
             report.tokens_after, report.tokens_before
         )
 
     def test_cost_identity_exact(self):
-        report = reduction_report(["x" * 4_000_000], ["x" * 4_000], PRICES)
+        report = reduction_report(1_000_000, ["x" * 4_000], PRICES)
         for tokens, cost in (
             (report.tokens_before, report.cost_before),
             (report.tokens_after, report.cost_after),
@@ -162,8 +204,8 @@ class TestReductionReport:
     def test_negative_prices_rejected(self):
         bad = PriceConfig(Decimal("-1"), Decimal("0"))
         with pytest.raises(ValueError):
-            reduction_report(["x"], ["x"], bad)
+            reduction_report(1, ["x"], bad)
 
     def test_approximate_flag(self):
-        assert reduction_report(["x"], ["x"], PRICES).approximate
-        assert not reduction_report(["x"], ["x"], PRICES, TOK).approximate
+        assert reduction_report(1, ["x"], PRICES).approximate
+        assert not reduction_report(1, ["x"], PRICES, TOK).approximate
