@@ -1,56 +1,8 @@
-"""warc2meta: WARC archives to candidate catalogue metadata, with evaluation."""
+"""warc2meta: WARC archives to candidate catalogue metadata, with evaluation.
 
-from .client import ClientConfig, GeneratedMetadata, combination_id, run_batch
-from .heuristics import (
-    FilterRule,
-    HeuristicId,
-    Selection,
-    apply_reduction_filters,
-    select,
-    select_about_priority,
-    select_shortest_url,
-    select_shortest_url_filtered,
-)
-from .ingest import (
-    PageRecord,
-    SiteDocument,
-    deduplicate,
-    extract_page,
-    ingest_warc_file,
-    quality_filter,
-)
-from .metrics import (
-    EmbeddingProvider,
-    HttpEmbeddingProvider,
-    MockEmbeddingProvider,
-    bertscore,
-    levenshtein,
-)
-from .prompts import VARIANTS, WITH_RULES, WITHOUT_RULES, PromptVariant, build_prompt
-from .ranking import (
-    CombinationStats,
-    RankedCombination,
-    ScorePair,
-    rank_combinations,
-    score_combination,
-)
-from .stats import (
-    GradingMatrix,
-    TestResult,
-    chi_square_survival,
-    cochran_q,
-    ingest_grading,
-    mcnemar,
-)
-from .tokens import (
-    CostReport,
-    PriceConfig,
-    TokenizerHandle,
-    count_tokens,
-    load_vocabulary,
-    reduction_report,
-)
-from .urlnorm import NormalizedUrl, normalize_url
-from .warc import RawWarcRecord, open_warc_stream
+Import names from the submodules, e.g. `from warc2meta.tokens import
+count_tokens`. The package root loads no module, so each CLI stage
+imports only the layers, and the third-party libraries, it runs.
+"""
 
 __version__ = "0.1.0"

@@ -9,7 +9,6 @@ import csv
 import datetime
 import json
 import sys
-import time
 import uuid
 from pathlib import Path
 
@@ -180,9 +179,14 @@ def _read_selections(out_dir: Path, heuristic: HeuristicId):
 
 
 def _run_select(cfg, docs, heuristic, rules, tok):
-    """Write selections_h<N>.jsonl; return (path, selected contents, errors)."""
+    """Write selections_h<N>.jsonl; return (path, tokens selected, errors).
+
+    The tokens selected are the sum of the selections'
+    reduced_token_estimate, the exact count of each content under tok.
+    """
     rows = []
-    contents = []
+    tokens_after = 0
+    errors = 0
     for doc in docs:
         sid = _site_id(doc.source_file)
         try:
@@ -191,12 +195,13 @@ def _run_select(cfg, docs, heuristic, rules, tok):
             rows.append(
                 json.dumps({"site_id": sid, "error": f"{type(exc).__name__}: {exc}"})
             )
+            errors += 1
             continue
         rows.append(_selection_row(sid, sel))
-        contents.append(sel.content)
+        tokens_after += sel.reduced_token_estimate
     out = cfg.output_dir / f"selections_h{int(heuristic)}.jsonl"
     out.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return out, contents, len(docs) - len(contents)
+    return out, tokens_after, errors
 
 
 @main.command("select")
@@ -416,7 +421,9 @@ def cost(cfg: PipelineConfig, heuristic):
     tok = _tokenizer(cfg)
     before = _tokens_before(docs, tok)
     h = HeuristicId(heuristic or int(cfg.heuristic))
-    after = [sel.content for _, sel in _read_selections(cfg.output_dir, h)]
+    after = sum(
+        count_tokens(sel.content, tok) for _, sel in _read_selections(cfg.output_dir, h)
+    )
     report = reduction_report(before, after, cfg.prices, tok)
     _write_cost_csv(cfg.output_dir / "cost_report.csv", [(h, report)])
     click.echo(

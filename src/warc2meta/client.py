@@ -4,7 +4,11 @@ Requests default to strictly sequential issuance (max_in_flight=1) to
 stay inside API rate limits; a bounded in-flight window enables
 parallelism where limits allow. Batches checkpoint after every
 completed site so an interrupted run resumes without re-requesting.
+requests is imported where a session is opened, so only the stages
+that call the API load it.
 """
+
+from __future__ import annotations
 
 import json
 import os
@@ -13,13 +17,14 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import requests
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ApiError, RateLimited, SchemaViolation
 from .heuristics import HeuristicId, Selection
 from .prompts import PromptVariant, Variant, build_prompt
+
+if TYPE_CHECKING:
+    import requests
 
 
 def combination_id(variant: PromptVariant, heuristic: HeuristicId) -> int:
@@ -156,7 +161,10 @@ def generate_metadata(
     session: Optional[requests.Session] = None,
 ) -> GeneratedMetadata:
     """One chat completion, re-asked with the parse error on schema failures."""
-    session = session or requests.Session()
+    if session is None:
+        import requests
+
+        session = requests.Session()
     messages = build_prompt(variant, selection.content, selection.chosen_url.url)
     last_error: Optional[SchemaViolation] = None
     for _ in range(cfg.max_retries + 1):
@@ -229,6 +237,8 @@ def run_batch(
 
     Per-item failures become error rows; nothing aborts the batch.
     """
+    import requests
+
     done = _load_checkpoint(checkpoint_path)
     lock = threading.Lock()
     ckpt_fh = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else None

@@ -52,7 +52,11 @@ class PipelineConfig:
                 raise ConfigError(f"referenced file not readable: {p}")
 
     def digest(self) -> str:
-        """Short hash of every setting that can change a stage's outputs."""
+        """Short hash of every setting that can change a stage's outputs.
+
+        The referenced tokenizer and filter-rule files must be readable
+        (validate() checks that), since their contents are hashed.
+        """
         blob = json.dumps(
             {
                 "input_dir": str(self.input_dir),
@@ -64,8 +68,8 @@ class PipelineConfig:
                 "temperature": self.client.temperature,
                 "max_retries": self.client.max_retries,
                 "max_in_flight": self.client.max_in_flight,
-                "tokenizer_path": self.tokenizer_path,
-                "filter_rules_path": self.filter_rules_path,
+                "tokenizer_sha256": _file_sha256(self.tokenizer_path),
+                "filter_rules_sha256": _file_sha256(self.filter_rules_path),
                 "price_per_million_input": self.prices.price_per_million_input,
                 "price_per_million_output": self.prices.price_per_million_output,
                 "min_chars": self.min_chars,
@@ -77,6 +81,13 @@ class PipelineConfig:
             default=str,  # Path and Decimal values
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _file_sha256(path: Optional[Path]) -> Optional[str]:
+    """Hash of a referenced file's bytes: its contents, not its name, set the outputs."""
+    if path is None:
+        return None
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def load_config(path) -> PipelineConfig:

@@ -4,16 +4,21 @@ Levenshtein compares NFC-normalized strings case-sensitively over
 Unicode scalar values. The embedding-based score uses greedy matching
 over a token-pair cosine matrix with no IDF weighting and no baseline
 rescaling, so results are directly comparable across providers.
+
+numpy and requests are imported inside the functions that run them, so
+the stages that only compare strings, or none at all, never load them.
 """
+
+from __future__ import annotations
 
 import hashlib
 import unicodedata
-from typing import List, Protocol, Tuple
-
-import numpy as np
-import requests
+from typing import TYPE_CHECKING, List, Protocol, Tuple
 
 from .errors import EmptyText
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -72,6 +77,8 @@ class MockEmbeddingProvider:
 
     def _vector(self, token: str) -> np.ndarray:
         if token not in self._cache:
+            import numpy as np
+
             seed = int.from_bytes(
                 hashlib.sha256(token.encode("utf-8")).digest()[:8], "big"
             )
@@ -93,12 +100,16 @@ class HttpEmbeddingProvider:
     """
 
     def __init__(self, base_url: str, model: str, timeout: float = 60.0):
+        import requests
+
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.timeout = timeout
         self.session = requests.Session()
 
     def embed(self, text: str) -> List[Tuple[str, np.ndarray]]:
+        import numpy as np
+
         resp = self.session.post(
             f"{self.base_url}/embeddings",
             json={"model": self.model, "input": [text]},
@@ -118,6 +129,8 @@ def bertscore(
     candidate: str, reference: str, provider: EmbeddingProvider
 ) -> Tuple[float, float, float]:
     """Greedy-matched (precision, recall, f1) over token cosine similarities."""
+    import numpy as np
+
     cand = provider.embed(candidate)
     ref = provider.embed(reference)
     if not cand or not ref:

@@ -158,23 +158,22 @@ def _input_cost(tokens: int, prices: PriceConfig) -> Decimal:
 
 def reduction_report(
     tokens_before: int,
-    after_texts: List[str],
+    tokens_after: int,
     prices: PriceConfig,
     tok: Optional[TokenizerHandle] = None,
 ) -> CostReport:
-    """Report the drop from tokens_before, counted by the caller under the
-    same tok, to the summed token count of after_texts."""
+    """Report the drop from tokens_before to tokens_after, both counted by
+    the caller under tok; without tok the report is approximate."""
     if prices.price_per_million_input < 0 or prices.price_per_million_output < 0:
         raise ValueError("prices must be nonnegative")
-    after = sum(count_tokens(t, tok) for t in after_texts)
     degenerate = tokens_before == 0
-    ratio = Fraction(0) if degenerate else 1 - Fraction(after, tokens_before)
+    ratio = Fraction(0) if degenerate else 1 - Fraction(tokens_after, tokens_before)
     return CostReport(
         tokens_before=tokens_before,
-        tokens_after=after,
+        tokens_after=tokens_after,
         reduction_ratio=ratio,
         cost_before=_input_cost(tokens_before, prices),
-        cost_after=_input_cost(after, prices),
+        cost_after=_input_cost(tokens_after, prices),
         price_per_million_input=prices.price_per_million_input,
         price_per_million_output=prices.price_per_million_output,
         approximate=tok is None,

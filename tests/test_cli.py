@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -254,3 +258,53 @@ class TestCostCommand:
         result = runner.invoke(main, ["--config", str(cfg), "cost", "--heuristic", "2"])
         assert result.exit_code == 0, result.output
         assert "reduction" in result.output
+
+
+# Runs one CLI stage in this interpreter, then prints which of the heavy
+# third-party libraries the stage loaded.
+_STAGE_SCRIPT = """
+import sys
+from warc2meta.cli import main
+main.main(args=sys.argv[1:], prog_name="warc2meta", standalone_mode=False)
+print(sorted(m for m in ("numpy", "requests") if m in sys.modules))
+"""
+
+
+class TestImportFootprint:
+    def _loaded(self, *args):
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _STAGE_SCRIPT, *map(str, args)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_each_stage_loads_only_what_it_runs(self, tmp_path):
+        grades = tmp_path / "grades.csv"
+        grades.write_text(
+            "item_id,source,grader_id,verdict\n"
+            "i1,Human,g1,pass\ni1,Combo2,g1,fail\n"
+            "i2,Human,g1,pass\ni2,Combo2,g1,pass\n"
+        )
+        with MockChatServer(reply_fn=_echo_reply) as server:
+            cfg = _write_config(tmp_path, _make_corpus(tmp_path), server.base_url)
+            loaded = {
+                "ingest": self._loaded("--config", cfg, "ingest"),
+                "select": self._loaded("--config", cfg, "select", "--all"),
+                "cost": self._loaded("--config", cfg, "cost"),
+                "generate": self._loaded("--config", cfg, "generate", "--all-combinations"),
+                "stats": self._loaded("stats", grades),
+            }
+        reference = tmp_path / "reference.jsonl"
+        reference.write_text((tmp_path / "out" / "generated_combo2.jsonl").read_text())
+        loaded["evaluate"] = self._loaded("--config", cfg, "evaluate", "--reference", reference)
+        assert loaded == {
+            "ingest": "[]",
+            "select": "[]",
+            "cost": "[]",
+            "generate": "['requests']",
+            "stats": "[]",
+            "evaluate": "['numpy']",
+        }

@@ -7,6 +7,14 @@ import pytest
 from warc2meta.config import PipelineConfig
 
 
+@pytest.fixture(autouse=True)
+def referenced_files(tmp_path, monkeypatch):
+    """The rank table and filter rules the settings below name, in the cwd."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ranks.tiktoken").write_text("YWI= 0\n")
+    (tmp_path / "rules.tsv").write_text("footer\tAll rights reserved\t\n")
+
+
 def _config():
     return PipelineConfig(input_dir=Path("crawls"), output_dir=Path("out"))
 
@@ -45,6 +53,17 @@ class TestDigest:
         cfg = _config()
         change(cfg)
         assert cfg.digest() != _config().digest()
+
+    @pytest.mark.parametrize("field, name, rewritten", [
+        ("tokenizer_path", "ranks.tiktoken", "YWI= 0\nYmM= 1\n"),
+        ("filter_rules_path", "rules.tsv", "footer\tCopyright\t\n"),
+    ])
+    def test_file_rewritten_in_place_changes_digest(self, field, name, rewritten):
+        cfg = _config()
+        setattr(cfg, field, Path(name))
+        before = cfg.digest()
+        Path(name).write_text(rewritten)
+        assert cfg.digest() != before
 
     def test_worker_count_leaves_digest(self):
         cfg = _config()

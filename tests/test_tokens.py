@@ -169,29 +169,29 @@ class TestVocabularyLoading:
 class TestReductionReport:
     def test_headline_magnitude(self):
         before = count_tokens("x" * 4_000_000, None)  # 1,000,000 fallback tokens
-        after = ["x" * 4_000]  # 1,000 tokens
+        after = count_tokens("x" * 4_000, None)  # 1,000 fallback tokens
         report = reduction_report(before, after, PRICES)
         assert report.tokens_before == 1_000_000
         assert report.tokens_after == 1_000
         assert report.reduction_ratio == Fraction(999, 1000)
 
     def test_no_reduction(self):
-        report = reduction_report(1, ["abcd"], PRICES)
+        report = reduction_report(1, 1, PRICES)
         assert report.reduction_ratio == 0
 
     def test_empty_before_degenerate(self):
-        report = reduction_report(0, ["abcd"], PRICES)
+        report = reduction_report(0, 1, PRICES)
         assert report.degenerate
         assert report.reduction_ratio == 0
 
     def test_ratio_identity_exact(self):
-        report = reduction_report(1000, ["x" * 300], PRICES)
+        report = reduction_report(1000, 75, PRICES)
         assert report.reduction_ratio == 1 - Fraction(
             report.tokens_after, report.tokens_before
         )
 
     def test_cost_identity_exact(self):
-        report = reduction_report(1_000_000, ["x" * 4_000], PRICES)
+        report = reduction_report(1_000_000, 1_000, PRICES)
         for tokens, cost in (
             (report.tokens_before, report.cost_before),
             (report.tokens_after, report.cost_after),
@@ -204,8 +204,8 @@ class TestReductionReport:
     def test_negative_prices_rejected(self):
         bad = PriceConfig(Decimal("-1"), Decimal("0"))
         with pytest.raises(ValueError):
-            reduction_report(1, ["x"], bad)
+            reduction_report(1, 1, bad)
 
     def test_approximate_flag(self):
-        assert reduction_report(1, ["x"], PRICES).approximate
-        assert not reduction_report(1, ["x"], PRICES, TOK).approximate
+        assert reduction_report(1, 1, PRICES).approximate
+        assert not reduction_report(1, 1, PRICES, TOK).approximate
