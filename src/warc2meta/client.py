@@ -3,25 +3,28 @@
 Requests default to strictly sequential issuance (max_in_flight=1) to
 stay inside API rate limits; a bounded in-flight window enables
 parallelism where limits allow. Batches checkpoint after every
-completed site so an interrupted run resumes without re-requesting.
-requests is imported where a session is opened, so only the stages
-that call the API load it.
+completed site, keyed by the request, so an interrupted run resumes
+without asking again for a reply it already holds. requests is imported
+where a session is opened, so only the stages that call the API load it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ApiError, RateLimited, SchemaViolation
 from .heuristics import HeuristicId, Selection
 from .prompts import PromptVariant, Variant, build_prompt
+from .store import dumps, jsonl_writer, read_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -41,28 +44,13 @@ class GeneratedMetadata:
     model_name: Optional[str] = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "site_id": self.site_id,
-                "source": self.source,
-                "title": self.title,
-                "abstract": self.abstract,
-                "model_name": self.model_name,
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        )
+        return dumps(vars(self))
 
     @classmethod
-    def from_json(cls, line: str) -> "GeneratedMetadata":
-        obj = json.loads(line)
-        return cls(
-            title=obj["title"],
-            abstract=obj["abstract"],
-            source=obj["source"],
-            site_id=obj["site_id"],
-            model_name=obj.get("model_name"),
-        )
+    def from_json(cls, obj) -> "GeneratedMetadata":
+        """From a parsed generated row."""
+        return cls(obj["title"], obj["abstract"], obj["source"], obj["site_id"],
+                   obj.get("model_name"))
 
 
 @dataclass(frozen=True)
@@ -195,36 +183,30 @@ def generate_metadata(
     raise last_error
 
 
+def request_key(variant: PromptVariant, selection: Selection, cfg: ClientConfig) -> str:
+    """sha256 of the chat request for a selection: messages, model, temperature."""
+    messages = build_prompt(variant, selection.content, selection.chosen_url.url)
+    blob = dumps([messages, cfg.model_name, cfg.temperature])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 @dataclass
 class BatchRow:
     site_id: str
     result: Optional[GeneratedMetadata] = None
     error: Optional[str] = None
+    key: Optional[str] = None  # request_key of result
 
-    def to_json(self) -> str:
+    def to_json(self, checkpoint: bool = False) -> str:
+        """The generated row; a checkpoint row adds the request key."""
         obj = {"site_id": self.site_id}
         if self.result is not None:
-            obj.update(json.loads(self.result.to_json()))
+            obj.update(vars(self.result))
         if self.error is not None:
             obj["error"] = self.error
-        return json.dumps(obj, ensure_ascii=False, sort_keys=True)
-
-
-def _load_checkpoint(path) -> Dict[str, BatchRow]:
-    done = {}
-    if path is None or not os.path.exists(path):
-        return done
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            row = BatchRow(site_id=obj["site_id"], error=obj.get("error"))
-            if "title" in obj:
-                row.result = GeneratedMetadata.from_json(line)
-            done[row.site_id] = row
-    return done
+        if checkpoint and self.key is not None:
+            obj["key"] = self.key
+        return dumps(obj)
 
 
 def run_batch(
@@ -235,41 +217,38 @@ def run_batch(
 ) -> List[BatchRow]:
     """Generate metadata for (site_id, selection) pairs, preserving order.
 
-    Per-item failures become error rows; nothing aborts the batch.
+    Per-item failures become error rows; nothing aborts the batch. Each
+    row is appended to the checkpoint as it completes. A checkpointed
+    reply is served only while its site's request_key is unchanged; a
+    changed request, an error row or a row without a key is asked again.
     """
     import requests
 
-    done = _load_checkpoint(checkpoint_path)
+    done = {}
+    if checkpoint_path is not None and os.path.exists(checkpoint_path):
+        # only replies carry a key; error rows and unkeyed rows are left out
+        done = {o["site_id"]: o for o in read_jsonl(checkpoint_path) if "key" in o}
     lock = threading.Lock()
-    ckpt_fh = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else None
+    ckpt = jsonl_writer(checkpoint_path, append=True) if checkpoint_path else nullcontext()
+    with ckpt as write:
 
-    def work(item) -> BatchRow:
-        site_id, selection = item
-        if site_id in done:
-            return done[site_id]
-        session = requests.Session()
-        try:
-            row = BatchRow(
-                site_id=site_id,
-                result=generate_metadata(selection, variant, cfg, site_id, session),
-            )
-        except Exception as exc:
-            row = BatchRow(site_id=site_id, error=f"{type(exc).__name__}: {exc}")
-        finally:
-            session.close()
-        if ckpt_fh is not None:
-            with lock:
-                ckpt_fh.write(row.to_json() + "\n")
-                ckpt_fh.flush()
-        return row
+        def work(item) -> BatchRow:
+            site_id, selection = item
+            try:
+                hit = done.get(site_id)
+                if hit and hit["key"] == request_key(variant, selection, cfg):
+                    return BatchRow(site_id, GeneratedMetadata.from_json(hit))
+                with requests.Session() as session:
+                    result = generate_metadata(selection, variant, cfg, site_id, session)
+                row = BatchRow(site_id, result, key=request_key(variant, selection, cfg))
+            except Exception as exc:
+                row = BatchRow(site_id=site_id, error=f"{type(exc).__name__}: {exc}")
+            if write is not None:
+                with lock:
+                    write(row.to_json(checkpoint=True))
+            return row
 
-    try:
         if cfg.max_in_flight == 1:
-            rows = [work(item) for item in items]
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-                rows = list(pool.map(work, items))
-    finally:
-        if ckpt_fh is not None:
-            ckpt_fh.close()
-    return rows
+            return [work(item) for item in items]
+        with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
+            return list(pool.map(work, items))

@@ -13,8 +13,9 @@ from typing import List, Optional
 
 from .errors import EmptySite, InvalidPattern
 from .ingest import PageRecord, SiteDocument
+from .store import dumps
 from .tokens import TokenizerHandle, truncate
-from .urlnorm import NormalizedUrl
+from .urlnorm import NormalizedUrl, normalize_url
 
 
 class HeuristicId(IntEnum):
@@ -37,6 +38,17 @@ class Selection:
     content: str
     original_token_estimate: int
     reduced_token_estimate: int
+
+    def to_json(self, site_id: str) -> str:
+        """site_id's row in the selections of this heuristic."""
+        return dumps(dict(vars(self), site_id=site_id, chosen_url=self.chosen_url.url))
+
+    @classmethod
+    def from_json(cls, obj) -> "Selection":
+        """From a parsed selection row that is not an error row."""
+        return cls(HeuristicId(obj["heuristic"]), normalize_url(obj["chosen_url"]),
+                   obj["content"], obj["original_token_estimate"],
+                   obj["reduced_token_estimate"])
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from html.parser import HTMLParser
 from typing import List, Optional
 
 from .errors import InvalidUrl
+from .store import dumps
 from .urlnorm import NormalizedUrl, normalize_url
 from .warc import RawWarcRecord, open_warc_stream
 
@@ -46,7 +47,7 @@ class SiteDocument:
     undecodable_count: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(
+        return dumps(
             {
                 "source_file": self.source_file,
                 "page_count": len(self.pages),
@@ -64,14 +65,13 @@ class SiteDocument:
                     }
                     for p in self.pages
                 ],
-            },
-            ensure_ascii=False,
-            sort_keys=True,
+            }
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "SiteDocument":
-        obj = json.loads(line)
+    def from_json(cls, row) -> "SiteDocument":
+        """From a site row, as text or parsed."""
+        obj = json.loads(row) if isinstance(row, str) else row
         pages = [
             PageRecord(
                 url=normalize_url(p["url"]),

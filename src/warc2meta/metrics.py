@@ -92,6 +92,22 @@ class MockEmbeddingProvider:
         return [(t, self._vector(t)) for t in tokens]
 
 
+class EmbeddingMemo:
+    """A provider that embeds each distinct text once, through the one it wraps."""
+
+    def __init__(self, provider: EmbeddingProvider):
+        self.provider = provider
+        self.memo = {}  # text -> embedding
+        self.hits = 0  # embeddings served from the memo
+
+    def embed(self, text: str) -> List[Tuple[str, np.ndarray]]:
+        if text in self.memo:
+            self.hits += 1
+        else:
+            self.memo[text] = self.provider.embed(text)
+        return self.memo[text]
+
+
 class HttpEmbeddingProvider:
     """Client for an embeddings endpoint that returns per-token vectors.
 

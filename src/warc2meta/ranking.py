@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from .client import GeneratedMetadata, combination_id
-from .errors import InsufficientCombinations, NoOverlap
+from .errors import EmptyText, InsufficientCombinations, NoOverlap
 from .heuristics import HeuristicId
 from .metrics import EmbeddingProvider, bertscore, levenshtein
 from .prompts import PromptVariant
@@ -54,15 +54,19 @@ def score_pairs(
     reference: Sequence[GeneratedMetadata],
     provider: EmbeddingProvider,
 ) -> List[ScorePair]:
-    """Inner-join generated and reference rows on site_id and score each pair."""
+    """Inner-join generated and reference rows on site_id and score each pair;
+    a pair with a text that embeds to no token cannot be scored and is left out."""
     ref_by_id: Dict[str, GeneratedMetadata] = {r.site_id: r for r in reference}
     pairs = []
     for gen in generated:
         ref = ref_by_id.get(gen.site_id)
         if ref is None:
             continue
-        _, _, title_f1 = bertscore(gen.title, ref.title, provider)
-        _, _, abstract_f1 = bertscore(gen.abstract, ref.abstract, provider)
+        try:
+            _, _, title_f1 = bertscore(gen.title, ref.title, provider)
+            _, _, abstract_f1 = bertscore(gen.abstract, ref.abstract, provider)
+        except EmptyText:
+            continue
         pairs.append(
             ScorePair(
                 site_id=gen.site_id,

@@ -1,0 +1,105 @@
+"""The output directory: each artefact's file name, reader and writer.
+
+Stages hand each other files in one directory (`output_dir`, `out/` by
+default), so any stage can be inspected and rerun on its own. No other
+module names these files:
+
+    file                        written by     read by
+    sites.jsonl                 ingest         select, cost
+    selections_h<N>.jsonl       select         generate, cost
+    cost_report.csv             select, cost
+    checkpoint_combo<N>.jsonl   generate       generate (resume)
+    generated_combo<N>.jsonl    generate       evaluate
+    scores_per_site.csv         evaluate
+    ranked_summary.csv          evaluate
+    manifest_<stage>.json       ingest, select, generate, evaluate
+
+A JSONL row is one JSON object, keys sorted, non-ASCII kept. The row
+codecs live with their dataclasses, `to_json` and `from_json`.
+"""
+
+import csv
+import datetime
+import json
+import uuid
+from contextlib import contextmanager
+from pathlib import Path
+
+from .errors import ConfigError
+
+
+SITES = "sites.jsonl"
+COST_REPORT = "cost_report.csv"
+SCORES = "scores_per_site.csv"
+RANKED_SUMMARY = "ranked_summary.csv"
+
+
+def selections(heuristic) -> str:
+    return f"selections_h{int(heuristic)}.jsonl"
+
+
+def checkpoint(combo: int) -> str:
+    return f"checkpoint_combo{combo}.jsonl"
+
+
+def generated(combo: int) -> str:
+    return f"generated_combo{combo}.jsonl"
+
+
+def dumps(obj) -> str:
+    """One JSONL row."""
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+
+
+def read_jsonl(path, after=None):
+    """Yield the object of each non-blank line, parsed once, as it is read.
+
+    A missing file is a ConfigError; `after` names the stage that writes it.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"no {path}" + (f"; run `{after}` first" if after else ""))
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)
+
+
+@contextmanager
+def jsonl_writer(path, append=False):
+    """A write(row) for one JSONL file. Each row is flushed as it is
+    written, so an interrupted run keeps every row it finished."""
+    with open(path, "a" if append else "w", encoding="utf-8") as fh:
+
+        def write(row: str):
+            fh.write(row + "\n")
+            fh.flush()
+
+        yield write
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def now() -> str:
+    """A manifest timestamp: UTC, ISO 8601."""
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
+def write_manifest(out_dir, stage: str, config_digest: str, counts, started: str):
+    """manifest_<stage>.json: a fresh run id, start and end times, the
+    config digest and the stage's counts."""
+    manifest = {
+        "run_id": uuid.uuid4().hex,
+        "stage": stage,
+        "started_at": started,
+        "finished_at": now(),
+        "config_digest": config_digest,
+        "counts": counts,
+    }
+    path = Path(out_dir) / f"manifest_{stage}.json"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))

@@ -198,6 +198,80 @@ class TestGenerateEvaluate:
             assert runner.invoke(main, args).exit_code == 0
             assert len(server.requests) == first  # checkpoint prevented re-requests
 
+    def test_generate_asks_again_after_reselect(self, tmp_path, runner):
+        def content_reply(body):
+            url, _, content = body["messages"][1]["content"].partition("\n")
+            return {"title": f"Title {url}", "abstract": content}
+
+        with MockChatServer(reply_fn=content_reply) as server:
+            cfg = self._pipeline_to_selections(tmp_path, runner, server.base_url)
+            args = ["--config", str(cfg), "generate", "--heuristic", "2",
+                    "--prompt", "rules"]
+            assert runner.invoke(main, args).exit_code == 0
+            generated = tmp_path / "out" / "generated_combo2.jsonl"
+            before = generated.read_text()
+            sent = len(server.requests)
+            raw = yaml.safe_load(cfg.read_text())
+            raw["max_content_tokens"] = 5
+            cfg.write_text(yaml.safe_dump(raw))
+            reselect = ["--config", str(cfg), "select", "--heuristic", "2"]
+            assert runner.invoke(main, reselect).exit_code == 0
+            assert runner.invoke(main, args).exit_code == 0
+            assert len(server.requests) == sent + 3  # every site's content changed
+        rows = [json.loads(line) for line in generated.read_text().splitlines()]
+        assert generated.read_text() != before
+        assert all(len(r["abstract"]) <= 20 for r in rows)  # 5 tokens of ~4 chars
+
+    def _generate_all(self, tmp_path, runner):
+        with MockChatServer(reply_fn=_echo_reply) as server:
+            cfg = self._pipeline_to_selections(tmp_path, runner, server.base_url)
+            args = ["--config", str(cfg), "generate", "--all-combinations"]
+            assert runner.invoke(main, args).exit_code == 0
+        return cfg, tmp_path / "out"
+
+    def test_evaluate_isolates_unscorable_pairs(self, tmp_path, runner):
+        cfg, out = self._generate_all(tmp_path, runner)
+        reference = tmp_path / "reference.jsonl"
+        with open(reference, "w") as fh:
+            for line in (out / "generated_combo2.jsonl").read_text().splitlines():
+                row = dict(json.loads(line), source="human")
+                if row["site_id"] == "site0":
+                    row["abstract"] = " "  # embeds to no token: bertscore raises EmptyText
+                fh.write(json.dumps(row) + "\n")
+        # combination 0 keeps only site0, so no pair of it can be scored
+        combo0 = out / "generated_combo0.jsonl"
+        combo0.write_text(
+            "".join(l + "\n" for l in combo0.read_text().splitlines() if '"site0"' in l)
+        )
+        result = runner.invoke(
+            main, ["--config", str(cfg), "evaluate", "--reference", str(reference)]
+        )
+        assert result.exit_code == 0, result.output
+        counts = json.loads((out / "manifest_evaluate.json").read_text())["counts"]
+        assert counts["combinations"] == 5
+        assert counts["no_overlap"] == 1
+        assert counts["unscored"] == 6  # site0 in each of the six combinations
+        with open(out / "ranked_summary.csv") as fh:
+            ranked = sorted(int(r["combination"]) for r in csv.DictReader(fh))
+        assert ranked == [1, 2, 3, 4, 5]
+        with open(out / "scores_per_site.csv") as fh:
+            scored = {r["site_id"] for r in csv.DictReader(fh)}
+        assert scored == {"site1", "site2"}
+
+    def test_evaluate_reports_pipeline_error_without_traceback(self, tmp_path, runner):
+        cfg, out = self._generate_all(tmp_path, runner)
+        reference = tmp_path / "reference.jsonl"
+        reference.write_text(json.dumps({
+            "site_id": "elsewhere", "source": "human", "title": "T", "abstract": "A",
+        }) + "\n")
+        result = runner.invoke(
+            main, ["--config", str(cfg), "evaluate", "--reference", str(reference)]
+        )
+        # every combination is skipped for no overlap, which leaves none to rank
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a ClickException, not a crash
+        assert "Error: InsufficientCombinations" in result.output
+
     def test_evaluate_missing_reference(self, tmp_path, runner):
         cfg = _write_config(tmp_path, _make_corpus(tmp_path))
         result = runner.invoke(

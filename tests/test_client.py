@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 
 import pytest
@@ -170,6 +171,70 @@ class TestRunBatch:
         assert [r.site_id for r in rows] == ["s0", "s1", "s2"]
         lines = [json.loads(l) for l in ckpt.read_text().splitlines()]
         assert len(lines) == 3
+
+    def test_concurrent_checkpoint_resume(self, tmp_path):
+        ckpt = tmp_path / "ckpt.jsonl"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MockChatServer(reply_fn=self._echo_fn) as server:
+                cfg = _cfg(server.base_url, max_in_flight=8)
+                run_batch(self._items(24), WITH_RULES, cfg, checkpoint_path=ckpt)
+                rows = run_batch(self._items(24), WITH_RULES, cfg, checkpoint_path=ckpt)
+                assert len(server.requests) == 24
+        finally:
+            sys.setswitchinterval(interval)
+        lines = [json.loads(l) for l in ckpt.read_text().splitlines()]  # no torn row
+        assert sorted(l["site_id"] for l in lines) == sorted(f"s{i}" for i in range(24))
+        assert [r.result.title for r in rows] == [f"Title for site {i} content" for i in range(24)]
+
+    def test_checkpoint_changed_content_requested_again(self, tmp_path):
+        ckpt = tmp_path / "ckpt.jsonl"
+        with MockChatServer(reply_fn=self._echo_fn) as server:
+            cfg = _cfg(server.base_url)
+            run_batch(self._items(2), WITH_RULES, cfg, checkpoint_path=ckpt)
+            changed = [("s0", _selection(content="site 0 new content")), self._items(2)[1]]
+            rows = run_batch(changed, WITH_RULES, cfg, checkpoint_path=ckpt)
+            assert len(server.requests) == 3  # only the changed site is asked again
+            # another model or temperature changes every request
+            rows_t = run_batch(changed, WITH_RULES, _cfg(server.base_url, temperature=0.5),
+                               checkpoint_path=ckpt)
+            assert len(server.requests) == 5
+        assert rows[0].result.title == "Title for site 0 new content"
+        assert rows[1].result.title == "Title for site 1 content"
+        assert [r.result.title for r in rows_t] == [r.result.title for r in rows]
+
+    def test_checkpoint_retries_failed_rows(self, tmp_path):
+        ckpt = tmp_path / "ckpt.jsonl"
+        down = {"site 1 content"}
+
+        def fn(body):
+            if body["messages"][1]["content"].splitlines()[1] in down:
+                return 500
+            return self._echo_fn(body)
+
+        with MockChatServer(reply_fn=fn) as server:
+            cfg = _cfg(server.base_url, max_retries=0)
+            first = run_batch(self._items(), WITH_RULES, cfg, checkpoint_path=ckpt)
+            assert first[1].error.startswith("ApiError: API error 500")
+            down.clear()  # the server recovers
+            rows = run_batch(self._items(), WITH_RULES, cfg, checkpoint_path=ckpt)
+            assert len(server.requests) == 4  # the failed site only, once
+        assert all(r.result is not None for r in rows)
+        assert rows[1].result.title == "Title for site 1 content"
+
+    def test_checkpoint_row_without_key_requested_again(self, tmp_path):
+        # rows written before checkpoints carried a request key
+        ckpt = tmp_path / "ckpt.jsonl"
+        ckpt.write_text(json.dumps({
+            "site_id": "s0", "source": "combo2", "title": "Old", "abstract": "Old reply",
+            "model_name": "test-model",
+        }) + "\n")
+        with MockChatServer(reply_fn=self._echo_fn) as server:
+            rows = run_batch(self._items(1), WITH_RULES, _cfg(server.base_url),
+                             checkpoint_path=ckpt)
+            assert len(server.requests) == 1
+        assert rows[0].result.title == "Title for site 0 content"
 
     def test_deterministic_output(self):
         with MockChatServer(reply_fn=self._echo_fn) as server:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from warc2meta.errors import EmptyText
-from warc2meta.metrics import MockEmbeddingProvider, bertscore, levenshtein
+from warc2meta.metrics import EmbeddingMemo, MockEmbeddingProvider, bertscore, levenshtein
 
 
 def dp_oracle(a: str, b: str) -> int:
@@ -143,3 +143,22 @@ class TestBertscore:
     def test_mock_vectors_unit_norm(self):
         for _, v in MockEmbeddingProvider().embed("a few test tokens"):
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+class TestEmbeddingMemo:
+    def test_each_distinct_text_embedded_once(self):
+        seen = []
+
+        class Counting(MockEmbeddingProvider):
+            def embed(self, text):
+                seen.append(text)
+                return super().embed(text)
+
+        memo = EmbeddingMemo(Counting())
+        first = bertscore("alpha beta", "gamma", memo)
+        again = bertscore("alpha beta", "gamma delta", memo)
+        assert seen == ["alpha beta", "gamma", "gamma delta"]
+        assert memo.hits == 1 and len(memo.memo) == 3
+        plain = MockEmbeddingProvider()
+        assert first == bertscore("alpha beta", "gamma", plain)
+        assert again == bertscore("alpha beta", "gamma delta", plain)
