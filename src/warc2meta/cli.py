@@ -65,9 +65,8 @@ class _Pipeline(click.Group):
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="YAML pipeline configuration.")
 @click.option("--output", type=click.Path(), default=None, help="Output directory.")
-@click.option("--workers", type=int, default=None, help="Worker pool size.")
 @click.pass_context
-def main(ctx, config_path, output, workers):
+def main(ctx, config_path, output):
     """Convert WARC archives into candidate catalogue metadata and evaluate it."""
     if config_path:
         cfg = load_config(config_path)
@@ -75,8 +74,6 @@ def main(ctx, config_path, output, workers):
         cfg = PipelineConfig(input_dir=Path("."), output_dir=Path("out"))
     if output:
         cfg.output_dir = Path(output)
-    if workers:
-        cfg.worker_count = workers
     cfg.validate()
     ctx.obj = cfg
 
@@ -96,7 +93,7 @@ def ingest(cfg: PipelineConfig, input_dir):
     if not paths:
         raise click.ClickException(f"NoInput: no WARC files in {cfg.input_dir}")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    docs, errors = ingest_many(paths, cfg.worker_count, cfg.min_chars)
+    docs, errors = ingest_many(paths, cfg.min_chars)
     sites = cfg.output_dir / store.SITES
     with store.jsonl_writer(sites) as write:
         for doc in docs:

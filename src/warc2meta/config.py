@@ -38,15 +38,12 @@ class PipelineConfig:
         )
     )
     filter_rules_path: Optional[Path] = None
-    worker_count: int = 4
     min_chars: int = 30
     max_content_tokens: int = 8000
     embedding_base_url: Optional[str] = None
     embedding_model: Optional[str] = None
 
     def validate(self):
-        if self.worker_count < 1:
-            raise ConfigError("worker_count must be >= 1")
         for p in (self.tokenizer_path, self.filter_rules_path):
             if p is not None and not Path(p).is_file():
                 raise ConfigError(f"referenced file not readable: {p}")
@@ -131,7 +128,6 @@ def load_config(path) -> PipelineConfig:
             filter_rules_path=Path(raw["filter_rules_path"])
             if raw.get("filter_rules_path")
             else None,
-            worker_count=int(raw.get("worker_count", 4)),
             min_chars=int(raw.get("min_chars", 30)),
             max_content_tokens=int(raw.get("max_content_tokens", 8000)),
             embedding_base_url=raw.get("embedding_base_url"),

@@ -7,9 +7,10 @@ with the most body text.
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from html.parser import HTMLParser
+from functools import lru_cache
+from html import unescape
+from itertools import compress
 from typing import List, Optional
 
 from .errors import InvalidUrl
@@ -25,7 +26,6 @@ _META_CHARSET_RE = re.compile(
     rb"""<meta[^>]+charset\s*=\s*["']?\s*([a-zA-Z0-9_\-]+)""", re.I
 )
 _CHARSET_PARAM_RE = re.compile(r"charset\s*=\s*([a-zA-Z0-9_\-]+)", re.I)
-_SKIPPED_ELEMENTS = frozenset({"script", "style", "noscript", "template"})
 
 
 @dataclass(frozen=True)
@@ -92,42 +92,127 @@ class SiteDocument:
         )
 
 
-class _TextExtractor(HTMLParser):
-    """Collects visible text and the first <title>, skipping script-like elements."""
+# html.parser's grammar where it decides what is text: the tag names that
+# change what is kept (ASCII case-insensitive, as it lowercases names), a
+# tag name, and the attributes after it (quoted, bare or no value).
+_SPECIAL = r"(?ai:script|style|noscript|template|title)"
+_TAG_NAME = r"[a-zA-Z][^\t\n\r\f />\x00]*"
+_WHOLE = r"(?![^\t\n\r\f />\x00])"  # the tag name ends here
+_ATTRS = (r"""(?:\s|/(?!>))*(?:(?<=['"\s/])[^\s/>][^\s/=>]*"""
+          r"""(?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*))?(?:\s|/(?!>))*)*""")
+# _atomic(group, pattern) is matched in a lookahead, then again by
+# reference, so the engine cannot backtrack into it for another reading.
+_atomic = "(?=(?P<{0}>{1}))(?P={0})".format
+# Markup that runs to a close of its own, as (opener, close): comments, and
+# marked sections by keyword.
+_OPENERS = (
+    (r"!--", r"--\s*>"),
+    (r"!\[(?ai:temp|cdata|ignore|include|rcdata)(?![-_.a-zA-Z0-9])", r"\]\s*\]\s*>"),
+    (r"!\[(?ai:if|else|endif)(?![-_.a-zA-Z0-9])", r"\]\s*>"),
+)
 
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.chunks = []
-        self.title_chunks = []
-        self._skip_depth = 0
-        self._in_title = False
-        self._title_done = False
 
-    def handle_starttag(self, tag, attrs):
-        if tag in _SKIPPED_ELEMENTS:
-            self._skip_depth += 1
-        elif tag == "title" and not self._title_done:
-            self._in_title = True
+@lru_cache(maxsize=None)
+def _scanner(openers):
+    """The scan regex for a page whose `openers` may still find their close."""
+    # Dropped: other start and end tags, closed comments and marked
+    # sections, processing instructions and declarations.
+    dropped = (
+        rf"(?!{_SPECIAL}{_WHOLE}){_atomic('tag', _TAG_NAME + _ATTRS)}/?>",
+        rf"/(?!\s*{_SPECIAL}\s*>|{_SPECIAL}[\t\n\r\f /\x00])[^>]*>",
+        *(rf"{opener}(?s:.*?){close}" for opener, close in openers),
+        r"\?[^>]*>", r"!(?!--|\[)[^>]*>",
+    )
+    # Captured in `sp` for the scan loop, in this group order: the special
+    # end and start tags (script and style take their raw text through their
+    # end tag); a start tag cut short, which html.parser keeps as raw text
+    # (`junk`); an opener with no close after it, taken with the rest of
+    # the page; and any other unterminated construct, which is text through
+    # the next '>', or the rest of the page when no '>' is left.
+    kept = (
+        rf"/(?:\s+(?={_SPECIAL}\s*>))?(?P<end>{_SPECIAL})(?:\s*>|[\t\n\r\f /\x00][^>]*>)",
+        _atomic("start", rf"(?P<name>(?P<raw>(?ai:script|style))|{_SPECIAL}){_WHOLE}{_ATTRS}")
+        + r"(?P<close>/)?>(?(close)|(?(raw)(?:(?P<rawtext>(?s:.*?))</\s*(?ai:(?P=raw))\s*>|(?s:.*))))",
+        _atomic("junk", _TAG_NAME + _ATTRS) + "(?=[^>/=a-zA-Z])",
+        rf"(?P<opener>{'|'.join(opener for opener, _ in openers) or '(?!)'})(?s:.*)",
+        r"(?=[a-zA-Z/!?])(?:[^>]*>|(?s:.*))",
+    )
+    return re.compile(rf"<(?:{'|'.join(dropped)}|(?P<sp>{'|'.join(kept)}))")
 
-    def handle_endtag(self, tag):
-        if tag in _SKIPPED_ELEMENTS and self._skip_depth > 0:
-            self._skip_depth -= 1
-        elif tag == "title" and self._in_title:
-            self._in_title = False
-            self._title_done = True
 
-    def handle_data(self, data):
-        if self._in_title:
-            self.title_chunks.append(data)
-        elif self._skip_depth == 0:
-            self.chunks.append(data)
+_SP = _scanner(_OPENERS).groupindex["sp"]
+_GROUPS = _scanner(_OPENERS).groups + 1  # split() yields a text run, then every group
+# After a page's last '>' no markup can close, and html.parser reads the
+# rest as text, but for a start tag's name cut short by "\x00".
+_TAIL_RE = re.compile(r"(<[a-zA-Z][^\t\n\r\f />\x00]*)(?=(\x00)?)")
+
+
+def extract_text(page: str) -> tuple[str, str]:
+    """(title, body text) of an HTML page, read as html.parser reads it.
+
+    Text inside script, style, noscript and template is dropped; the first
+    <title> is the title, a later one's text is body text. Whitespace is
+    collapsed.
+    """
+    # each text run between tags is unescaped on its own
+    join = (lambda runs: "".join(map(unescape, runs))) if "&" in page else "".join
+    title, body = [], []
+    depth, in_title, title_done = 0, False, False
+    openers = _OPENERS
+    while page:
+        parts, page, start = _scanner(openers).split(page), "", 0
+        last = len(parts) - 1
+        # each kept markup's `sp` entry, then one past the page's last text run
+        for i in (*compress(range(_SP, last, _GROUPS), parts[_SP::_GROUPS]), last + _SP):
+            at = i - _SP  # the text run before this markup
+            sink = title if in_title else None if depth else body
+            if sink is not None:
+                sink.append(join(parts[start:at + 1:_GROUPS]))
+            if at == last:
+                break
+            start = at + _GROUPS
+            end, _, name, raw, close, rawtext, junk, opener = parts[i + 1:start]
+            if end:
+                if end.lower() != "title":
+                    depth -= depth > 0
+                elif in_title:
+                    in_title, title_done = False, True
+            elif raw:
+                if in_title and rawtext is not None:
+                    title.append(rawtext)
+            elif name:
+                if name.lower() != "title":
+                    depth += not close
+                elif not title_done:
+                    in_title, title_done = not close, bool(close)
+            elif opener:
+                # No close of this kind follows, so no later opener of it
+                # closes either: rescan the rest without the kind, or each
+                # one would read to the page's end again.
+                openers = tuple(o for o in openers if not re.fullmatch(o[0], opener))
+                page = "<" + parts[i]
+                break
+            elif sink is not None:
+                text = "<" + parts[i]
+                sink.append(text if junk else unescape(text) if text[-1] == ">"
+                            else _tail_text(text))
+    return _collapse("".join(title)), _collapse("".join(body))
+
+
+def _tail_text(tail: str) -> str:
+    parts = _TAIL_RE.split(tail)  # text, tag name, "\x00" or None, text, ...
+    out = [unescape(parts[0])]
+    for name, nul, text in zip(*[iter(parts[1:])] * 3):
+        # a name ending in a quote lets "\x00" begin an attribute instead
+        out += name if nul and name[-1] not in "'\"" else unescape(name), unescape(text)
+    return "".join(out)
 
 
 def _collapse(text: str) -> str:
     return " ".join(text.split())
 
 
-def _decode_body(payload: bytes, content_type: Optional[str]) -> Optional[str]:
+def _decode_body(payload: bytes, content_type: Optional[str]) -> str:
     encodings = []
     if content_type:
         m = _CHARSET_PARAM_RE.search(content_type)
@@ -141,10 +226,7 @@ def _decode_body(payload: bytes, content_type: Optional[str]) -> Optional[str]:
             return payload.decode(enc)
         except (UnicodeDecodeError, LookupError):
             continue
-    try:
-        return payload.decode("utf-8", errors="replace")
-    except Exception:
-        return None
+    return payload.decode("utf-8", errors="replace")
 
 
 def _is_html(record: RawWarcRecord) -> bool:
@@ -153,27 +235,18 @@ def _is_html(record: RawWarcRecord) -> bool:
 
 
 def extract_page(record: RawWarcRecord) -> Optional[PageRecord]:
-    """Turn an HTML record into a PageRecord; None for non-HTML or undecodable."""
+    """Turn an HTML record into a PageRecord; None for non-HTML or a bad URL."""
     if not _is_html(record):
-        return None
-    body = _decode_body(record.payload, record.content_type)
-    if body is None:
         return None
     try:
         url = normalize_url(record.target_uri)
     except InvalidUrl:
         return None
-    parser = _TextExtractor()
-    try:
-        parser.feed(body)
-        parser.close()
-    except Exception:
-        return None
-    body_text = _collapse("".join(parser.chunks))
+    title, body_text = extract_text(_decode_body(record.payload, record.content_type))
     return PageRecord(
         url=url,
         raw_url=record.target_uri,
-        page_title=_collapse("".join(parser.title_chunks)),
+        page_title=title,
         body_text=body_text,
         http_status=record.http_status,
         char_count=len(body_text),
@@ -195,16 +268,12 @@ def quality_filter(page: PageRecord, min_chars: int = DEFAULT_MIN_CHARS) -> Opti
 
 def deduplicate(pages: List[PageRecord]) -> List[PageRecord]:
     """Keep the longest-body page per dedup_key; first-occurrence key order."""
-    best = {}
-    order = []
+    best = {}  # a replaced value keeps its key's place
     for page in pages:
         key = page.url.dedup_key
-        if key not in best:
+        if key not in best or page.char_count > best[key].char_count:
             best[key] = page
-            order.append(key)
-        elif page.char_count > best[key].char_count:
-            best[key] = page
-    return [best[k] for k in order]
+    return list(best.values())
 
 
 def ingest_warc_file(path, min_chars: int = DEFAULT_MIN_CHARS) -> SiteDocument:
@@ -232,19 +301,13 @@ def ingest_warc_file(path, min_chars: int = DEFAULT_MIN_CHARS) -> SiteDocument:
     )
 
 
-def ingest_many(paths, workers: int = 4, min_chars: int = DEFAULT_MIN_CHARS):
-    """Ingest WARC files in a bounded worker pool.
-
-    Returns (documents, errors) where errors is a list of (path, exception).
-    Output order matches input order.
-    """
+def ingest_many(paths, min_chars: int = DEFAULT_MIN_CHARS):
+    """Ingest WARC files in input order: (documents, [(path, exception)])."""
     docs = []
     errors = []
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [(p, pool.submit(ingest_warc_file, p, min_chars)) for p in paths]
-        for path, fut in futures:
-            try:
-                docs.append(fut.result())
-            except Exception as exc:
-                errors.append((path, exc))
+    for path in paths:
+        try:
+            docs.append(ingest_warc_file(path, min_chars))
+        except Exception as exc:
+            errors.append((path, exc))
     return docs, errors

@@ -30,7 +30,6 @@ class RawWarcRecord:
     http_status: Optional[int]
     content_type: Optional[str]
     payload: bytes
-    payload_offset: int
 
 
 def _read_headers(stream) -> dict:
@@ -90,7 +89,6 @@ def _iter_records(stream) -> Iterator[RawWarcRecord]:
         rec_type = headers.get("warc-type")
         if rec_type is None:
             raise MalformedWarcHeader("missing WARC-Type")
-        offset = stream.tell()
         payload = stream.read(length)
         if len(payload) < length:
             raise TruncatedRecord(
@@ -112,7 +110,6 @@ def _iter_records(stream) -> Iterator[RawWarcRecord]:
             http_status=status,
             content_type=content_type,
             payload=body,
-            payload_offset=offset,
         )
 
 

@@ -106,7 +106,7 @@ def test_criterion_1_parser_correctness(tmp_path):
     paths = sorted(d.iterdir())
     assert len(paths) >= 10
     started = time.monotonic()
-    docs, errors = ingest_many(paths, workers=4)
+    docs, errors = ingest_many(paths)
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"parsing took {elapsed:.2f}s"
 
@@ -124,7 +124,7 @@ def test_criterion_1_parser_correctness(tmp_path):
         assert doc.rejected_count == rejected, name
         assert doc.duplicate_count == dupes, name
     # determinism: a second pass produces byte-identical documents
-    docs2, _ = ingest_many(paths, workers=4)
+    docs2, _ = ingest_many(paths)
     assert [d.to_json() for d in docs] == [d.to_json() for d in docs2]
     _ok(1, f"({len(paths)} files in {elapsed:.2f}s)")
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from warc2meta.config import PipelineConfig
+from warc2meta.config import PipelineConfig, load_config
 
 
 @pytest.fixture(autouse=True)
@@ -65,7 +65,8 @@ class TestDigest:
         Path(name).write_text(rewritten)
         assert cfg.digest() != before
 
-    def test_worker_count_leaves_digest(self):
-        cfg = _config()
-        cfg.worker_count = 7
-        assert cfg.digest() == _config().digest()
+    def test_worker_count_key_ignored(self):
+        """A config naming the removed ingest pool size still loads, to the same digest."""
+        Path("old.yaml").write_text("input_dir: crawls\noutput_dir: out\nworker_count: 2\n")
+        Path("new.yaml").write_text("input_dir: crawls\noutput_dir: out\n")
+        assert load_config("old.yaml").digest() == load_config("new.yaml").digest()

@@ -1,7 +1,13 @@
+import time
+
+import pytest
+from hypothesis import example, given, reject, settings, strategies as st
+
 from warc2meta.ingest import (
     PageRecord,
     deduplicate,
     extract_page,
+    extract_text,
     ingest_warc_file,
     quality_filter,
 )
@@ -9,6 +15,7 @@ from warc2meta.urlnorm import normalize_url
 from warc2meta.warc import RawWarcRecord
 
 from helpers import build_warc, html_page, response_record
+from html_oracle import oracle_text
 
 
 def _record(content_type="text/html", body=b"", uri="https://a.sg/", status=200):
@@ -18,7 +25,6 @@ def _record(content_type="text/html", body=b"", uri="https://a.sg/", status=200)
         http_status=status,
         content_type=content_type,
         payload=body,
-        payload_offset=0,
     )
 
 
@@ -75,6 +81,104 @@ class TestExtractPage:
                     body=html_page("X", "xhtml body"))
         )
         assert page is not None
+
+
+# html.parser's reading of edge cases: (page, title, body text)
+EDGE_CASES = [
+    # each text run between tags is unescaped on its own
+    ("<p>&am<b></b>p;x</p>", "", "&amp;x"),
+    ("<p>&#65<i></i>6; &l<b>t;</p>", "", "A6; &lt;"),
+    ("<p>a<!-- never closed <b>c</b> d</p>", "", "a<!-- never closed <b>c d"),
+    ("<p>a<![CDATA[a>b]]>c</p>", "", "ac"),
+    ("<noscript><noscript>x</noscript>y</noscript>z", "", "z"),
+    ("<P>Upper</P> <DiV>Mixed</dIv><SCRIPT>x()</ScRiPt> kept", "", "Upper Mixed kept"),
+    ("a < b and <3 hearts", "", "a < b and <3 hearts"),
+    ('<a title="x>y">link</a>', "", "link"),
+    ("<p>before<script>never closed", "", "before"),
+    ("<p>before<noscript>never closed", "", "before"),
+    ("<title>A<script>b&amp;</script>C</title>body", "Ab&amp;C", "body"),
+    ("<title>One</title><title>Two</title>", "One", "Two"),
+    # unclosed comments and sections are text through the next '>', and a
+    # later markup of another kind is still read
+    ("a<!-- x > b <!-- y > c", "", "a<!-- x > b <!-- y > c"),
+    ("<![CDATA[ x > <!-- c --> y", "", "<![CDATA[ x > y"),
+    # after the last '>', all is text; a tag name cut short by NUL stays
+    # unescaped, unless it ends in a quote
+    ("a <x <x&lt;\x00b", "", "a <x <x&lt;\x00b"),
+    ("<p>a</p> <x&amp;'\x00b", "", "a <x&'\x00b"),
+    ("<title>t</x <!-- c", "t</x <!-- c", ""),
+]
+
+_TAG_NAMES = ("script", "style", "noscript", "template", "title", "p", "scriptx")
+_TEXT = st.one_of(
+    st.text(alphabet="ab &;#x1<>=/'\"-!?[] \t\n\xa0\x00", max_size=6),
+    st.sampled_from(["&amp;", "&am", "p;", "&#65", "6;", "&lt", "t;", "&"]),
+)
+_NAME = st.builds(
+    lambda name, upper: "".join(c.upper() if u else c for c, u in zip(name, upper)),
+    st.sampled_from(_TAG_NAMES), st.lists(st.booleans(), min_size=8, max_size=8),
+)
+_ATTR = st.builds(
+    "{}{}{}".format,
+    st.sampled_from([" href", " title", "  x", "/y", "\tz", ' "q', "&a"]),
+    st.sampled_from(["", "=", " = ", "=="]),
+    st.builds("{}{}{}".format, st.sampled_from(["", '"', "'"]), _TEXT,
+              st.sampled_from(["", '"', "'"])),
+)
+_START = st.builds(lambda name, attrs, close: f"<{name}{''.join(attrs)}{close}",
+                   _NAME, st.lists(_ATTR, max_size=2),
+                   st.sampled_from([">", ">", "/>", " />", "", "\x00>"]))
+_END = st.builds("</{}{}{}".format, st.sampled_from(["", " "]), _NAME,
+                 st.sampled_from([">", ">", " >", " x>", "/>", ""]))
+_MARKUP = st.sampled_from([
+    "<!-- c -->", "<!-- c -- >", "<!--", "<!---->", "<!-- <script> -->", "<![CDATA[a>b]]>",
+    "<![CDATA[", "<![if !IE]>", "<![endif]>", "<!DOCTYPE html>", "<!x>", "<?php x ?>",
+    "<?", "</>", "</ 3>", "<", "<3", "<b>", "<title>", "</title>", "<script>", "</script>",
+    "<noscript>", "</noscript>", "&am", "p;", "x", " ",
+])
+_PAGES = st.lists(st.one_of(_MARKUP, _TEXT, _START, _END), max_size=12).map("".join)
+
+
+def _edge_case_examples(test):
+    """Every EDGE_CASES page as an explicit example of the property."""
+    for html, _, _ in EDGE_CASES:
+        test = example(html)(test)
+    return test
+
+
+class TestExtractionOracle:
+    @pytest.mark.parametrize("html, title, body", EDGE_CASES)
+    def test_edge_case(self, html, title, body):
+        page = extract_page(_record(body=html.encode("utf-8")))
+        assert (page.page_title, page.body_text) == (title, body)
+        assert oracle_text(html) == (title, body)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_PAGES)
+    @_edge_case_examples
+    def test_matches_html_parser(self, html):
+        try:
+            want = oracle_text(html)
+        except AssertionError:
+            reject()
+        page = extract_page(_record(body=html.encode("utf-8")))
+        assert (page.page_title, page.body_text) == want
+
+    @pytest.mark.parametrize("unit", [
+        "<!-- x ", "<!-- x > ", "<![CDATA[ x > ", "<![if x > ", "<x", "<x ", "</a ",
+        "<a b='x ", "<x&amp;", "<? x ", "<!x ",
+    ])
+    def test_unclosed_markup_takes_linear_time(self, unit):
+        # html.parser reads from each of these to the page's end, which is
+        # quadratic in their number; a linear scan takes milliseconds here
+        started = time.perf_counter()
+        extract_text(unit * 10_000)
+        assert time.perf_counter() - started < 1.0
+
+    def test_unknown_marked_section_kept_as_text(self):
+        # html.parser 3.11 raises on this section, which dropped the whole page
+        html = "<p>a<![foo]>b</p>"
+        assert extract_page(_record(body=html.encode("utf-8"))).body_text == "a<![foo]>b"
 
 
 class TestQualityFilter:
