@@ -4,6 +4,8 @@ standalone stats and cost reporting.
 Stage outputs are JSONL/CSV files under the output directory (see
 `store`), so every stage can be inspected and rerun independently. A
 pipeline error ends a command with its type and message, not a traceback.
+Each command imports the layers it runs when it runs, so a stage process
+loads no other stage's modules or libraries.
 """
 
 import sys
@@ -12,22 +14,19 @@ from pathlib import Path
 import click
 
 from . import store
-from .client import GeneratedMetadata, combination_id, run_batch
 from .config import PipelineConfig, load_config
 from .errors import NoOverlap, Warc2MetaError
-from .heuristics import HeuristicId, Selection, load_filter_rules, select
-from .ingest import SiteDocument, ingest_many
-from .metrics import EmbeddingMemo, HttpEmbeddingProvider, MockEmbeddingProvider
-from .prompts import VARIANTS
-from .ranking import rank_combinations, score_combination, score_pairs
-from .stats import cochran_q, ingest_grading, mcnemar
-from .tokens import count_tokens, load_vocabulary, reduction_report
+from .heuristics import HeuristicId
 
 
-# combination_id order: heuristic-major, with-rules before without
-ALL_COMBINATIONS = [
-    (v, h) for h in HeuristicId for v in (VARIANTS["rules"], VARIANTS["norules"])
-]
+def _all_combinations():
+    """Every (prompt variant, heuristic) pair in combination_id order:
+    heuristic-major, with-rules before without."""
+    from .prompts import VARIANTS
+
+    return [(v, h) for h in HeuristicId for v in (VARIANTS["rules"], VARIANTS["norules"])]
+
+
 COST_HEADER = ["heuristic", "tokens_before", "tokens_after", "reduction_ratio",
                "cost_before", "cost_after", "approximate"]
 
@@ -42,6 +41,8 @@ def _site_id(source_file: str) -> str:
 
 def _tokens_before(docs, tok):
     """Token count of the whole-site "before" texts of the reduction report."""
+    from .tokens import count_tokens
+
     return sum(count_tokens(" ".join(p.body_text for p in d.pages), tok) for d in docs)
 
 
@@ -84,6 +85,8 @@ def main(ctx, config_path, output):
 @click.pass_obj
 def ingest(cfg: PipelineConfig, input_dir):
     """Extract, filter, and deduplicate pages: one store row per WARC file."""
+    from .ingest import ingest_many
+
     started = store.now()
     if input_dir:
         cfg.input_dir = Path(input_dir)
@@ -120,6 +123,8 @@ def _run_select(cfg, docs, heuristic, rules, tok):
     The tokens selected are the sum of the selections'
     reduced_token_estimate, the exact count of each content under tok.
     """
+    from .heuristics import select
+
     path = cfg.output_dir / store.selections(heuristic)
     tokens_after = errors = 0
     with store.jsonl_writer(path) as write:
@@ -144,6 +149,10 @@ def _run_select(cfg, docs, heuristic, rules, tok):
 @click.pass_obj
 def select_cmd(cfg: PipelineConfig, heuristic, all_heuristics):
     """Collapse each site to one content block and report token costs."""
+    from .heuristics import load_filter_rules
+    from .ingest import SiteDocument
+    from .tokens import load_vocabulary, reduction_report
+
     started = store.now()
     rows = store.read_jsonl(cfg.output_dir / store.SITES, after="ingest")
     docs = [SiteDocument.from_json(row) for row in rows]
@@ -174,9 +183,13 @@ def select_cmd(cfg: PipelineConfig, heuristic, all_heuristics):
 @click.pass_obj
 def generate(cfg: PipelineConfig, heuristic, prompt_name, all_combinations):
     """Call the chat model over selections; resumable via checkpoints."""
+    from .client import combination_id, run_batch
+    from .heuristics import Selection
+    from .prompts import VARIANTS
+
     started = store.now()
     if all_combinations:
-        combos = ALL_COMBINATIONS
+        combos = _all_combinations()
     else:
         variant = VARIANTS[prompt_name or cfg.prompt_variant]
         combos = [(variant, HeuristicId(heuristic or int(cfg.heuristic)))]
@@ -210,6 +223,10 @@ def evaluate(cfg: PipelineConfig, reference_path):
     A pair with a text that embeds to no token is left out (`unscored`),
     and so is a combination with no scored pair (`no_overlap`).
     """
+    from .client import GeneratedMetadata, combination_id
+    from .metrics import EmbeddingMemo, HttpEmbeddingProvider, MockEmbeddingProvider
+    from .ranking import rank_combinations, score_combination, score_pairs
+
     started = store.now()
     reference = [GeneratedMetadata.from_json(r) for r in store.read_jsonl(reference_path)
                  if "title" in r and "error" not in r]
@@ -222,7 +239,7 @@ def evaluate(cfg: PipelineConfig, reference_path):
     all_stats = []
     score_rows = []
     unscored = no_overlap = 0
-    for variant, h in ALL_COMBINATIONS:
+    for variant, h in _all_combinations():
         combo = combination_id(variant, h)
         path = cfg.output_dir / store.generated(combo)
         if not path.is_file():
@@ -280,6 +297,8 @@ def evaluate(cfg: PipelineConfig, reference_path):
 @click.option("--alpha", type=float, default=0.05)
 def stats(grading_csv, test_name, label_a, label_b, correction, exact, alpha):
     """Run Cochran's Q or McNemar's test on a grading CSV."""
+    from .stats import cochran_q, ingest_grading, mcnemar
+
     matrix = ingest_grading(grading_csv)
     if test_name == "cochran":
         result = cochran_q(matrix, alpha=alpha)
@@ -298,6 +317,9 @@ def stats(grading_csv, test_name, label_a, label_b, correction, exact, alpha):
 @click.pass_obj
 def cost(cfg: PipelineConfig, heuristic):
     """Recompute the token/cost reduction report from stored stage outputs."""
+    from .ingest import SiteDocument
+    from .tokens import count_tokens, load_vocabulary, reduction_report
+
     sites = store.read_jsonl(cfg.output_dir / store.SITES, after="ingest")
     tok = load_vocabulary(cfg.tokenizer_path) if cfg.tokenizer_path else None
     before = _tokens_before((SiteDocument.from_json(row) for row in sites), tok)

@@ -2,10 +2,12 @@
 
 Requests default to strictly sequential issuance (max_in_flight=1) to
 stay inside API rate limits; a bounded in-flight window enables
-parallelism where limits allow. Batches checkpoint after every
-completed site, keyed by the request, so an interrupted run resumes
-without asking again for a reply it already holds. requests is imported
-where a session is opened, so only the stages that call the API load it.
+parallelism where limits allow. Each site gets one connection (see
+`transport`), reused only for its own 429 retries and schema re-asks.
+Batches checkpoint after every completed site, keyed by the request, so
+an interrupted run resumes without asking again for a reply it already
+holds; a checkpoint that ends a run with more than one row for a site
+keeps only the last.
 """
 
 from __future__ import annotations
@@ -16,18 +18,18 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from .config import ClientConfig
 from .errors import ApiError, RateLimited, SchemaViolation
 from .heuristics import HeuristicId, Selection
 from .prompts import PromptVariant, Variant, build_prompt
-from .store import dumps, jsonl_writer, read_jsonl
+from .store import compact_jsonl, dumps, jsonl_writer, read_jsonl
 
 if TYPE_CHECKING:
-    import requests
+    from .transport import Connection
 
 
 def combination_id(variant: PromptVariant, heuristic: HeuristicId) -> int:
@@ -51,27 +53,6 @@ class GeneratedMetadata:
         """From a parsed generated row."""
         return cls(obj["title"], obj["abstract"], obj["source"], obj["site_id"],
                    obj.get("model_name"))
-
-
-@dataclass(frozen=True)
-class ClientConfig:
-    base_url: str
-    model_name: str
-    api_key_source: str = "WARC2META_API_KEY"
-    temperature: float = 0.0
-    max_in_flight: int = 1
-    max_retries: int = 3
-    retry_backoff: Tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    timeout: float = 60.0
-
-    def __post_init__(self):
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError("temperature must be in [0, 2]")
-
-    def api_key(self) -> str:
-        return os.environ.get(self.api_key_source, "")
 
 
 _JSON_BLOB_RE = re.compile(r"\{.*\}", re.S)
@@ -101,85 +82,71 @@ def _parse_reply(content: str) -> Dict[str, str]:
     return {"title": title, "abstract": abstract}
 
 
-def _post_chat(
-    messages: List[Dict[str, str]], cfg: ClientConfig, session: requests.Session
-) -> str:
+def _post_chat(messages: List[Dict[str, str]], cfg: ClientConfig, conn: Connection) -> str:
     body = {
         "model": cfg.model_name,
         "messages": messages,
         "temperature": cfg.temperature,
         "response_format": {"type": "json_object"},
     }
-    headers = {"Content-Type": "application/json"}
     key = cfg.api_key()
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
+    headers = {"Authorization": f"Bearer {key}"} if key else {}
     attempts = 0
     while True:
-        resp = session.post(
-            cfg.base_url.rstrip("/") + "/chat/completions",
-            json=body,
-            headers=headers,
-            timeout=cfg.timeout,
-        )
-        if resp.status_code == 429:
+        status, reply_headers, data = conn.post("/chat/completions", body, headers)
+        if status == 429:
             if attempts >= cfg.max_retries:
                 raise RateLimited(f"429 after {attempts} retries")
             try:
-                delay = float(resp.headers.get("Retry-After"))
+                delay = float(reply_headers.get("Retry-After"))
             except (TypeError, ValueError):  # absent or not a number of seconds
                 delay = cfg.retry_backoff[min(attempts, len(cfg.retry_backoff) - 1)]
             time.sleep(delay)
             attempts += 1
             continue
-        if resp.status_code != 200:
-            raise ApiError(resp.status_code, resp.text)
-        payload = resp.json()
+        if status != 200:
+            raise ApiError(status, data.decode("utf-8", "replace"))
         try:
-            return payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ApiError(resp.status_code, f"malformed completion body: {exc}")
+            return json.loads(data)["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise ApiError(status, f"malformed completion body: {exc}")
 
 
 def generate_metadata(
-    selection: Selection,
-    variant: PromptVariant,
-    cfg: ClientConfig,
-    site_id: str,
-    session: Optional[requests.Session] = None,
+    selection: Selection, variant: PromptVariant, cfg: ClientConfig, site_id: str
 ) -> GeneratedMetadata:
-    """One chat completion, re-asked with the parse error on schema failures."""
-    if session is None:
-        import requests
+    """One chat completion on one connection, re-asked with the parse
+    error on schema failures."""
+    from .transport import Connection
 
-        session = requests.Session()
     messages = build_prompt(variant, selection.content, selection.chosen_url.url)
     last_error: Optional[SchemaViolation] = None
-    for _ in range(cfg.max_retries + 1):
-        reply = _post_chat(messages, cfg, session)
-        try:
-            parsed = _parse_reply(reply)
-        except SchemaViolation as exc:
-            last_error = exc
-            messages = messages + [
-                {"role": "assistant", "content": reply},
-                {
-                    "role": "user",
-                    "content": (
-                        f"Your previous reply was not valid: {exc}. "
-                        "Return only the JSON object "
-                        "{'title': ..., 'abstract': ...}."
-                    ),
-                },
-            ]
-            continue
-        return GeneratedMetadata(
-            title=parsed["title"],
-            abstract=parsed["abstract"],
-            source=f"combo{combination_id(variant, selection.heuristic)}",
-            site_id=site_id,
-            model_name=cfg.model_name,
-        )
+    with Connection(cfg.base_url, cfg.timeout) as conn:
+        for _ in range(cfg.max_retries + 1):
+            reply = _post_chat(messages, cfg, conn)
+            try:
+                parsed = _parse_reply(reply)
+            except SchemaViolation as exc:
+                last_error = exc
+                messages = messages + [
+                    {"role": "assistant", "content": reply},
+                    {
+                        "role": "user",
+                        "content": (
+                            f"Your previous reply was not valid: {exc}. "
+                            "Return only the JSON object "
+                            "{'title': ..., 'abstract': ...}."
+                        ),
+                    },
+                ]
+                continue
+            return GeneratedMetadata(
+                title=parsed["title"],
+                abstract=parsed["abstract"],
+                source=f"combo{combination_id(variant, selection.heuristic)}",
+                site_id=site_id,
+                model_name=cfg.model_name,
+            )
     raise last_error
 
 
@@ -221,9 +188,8 @@ def run_batch(
     row is appended to the checkpoint as it completes. A checkpointed
     reply is served only while its site's request_key is unchanged; a
     changed request, an error row or a row without a key is asked again.
+    The checkpoint ends the run with one row per site, the last.
     """
-    import requests
-
     done = {}
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         # only replies carry a key; error rows and unkeyed rows are left out
@@ -238,8 +204,7 @@ def run_batch(
                 hit = done.get(site_id)
                 if hit and hit["key"] == request_key(variant, selection, cfg):
                     return BatchRow(site_id, GeneratedMetadata.from_json(hit))
-                with requests.Session() as session:
-                    result = generate_metadata(selection, variant, cfg, site_id, session)
+                result = generate_metadata(selection, variant, cfg, site_id)
                 row = BatchRow(site_id, result, key=request_key(variant, selection, cfg))
             except Exception as exc:
                 row = BatchRow(site_id=site_id, error=f"{type(exc).__name__}: {exc}")
@@ -249,6 +214,12 @@ def run_batch(
             return row
 
         if cfg.max_in_flight == 1:
-            return [work(item) for item in items]
-        with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-            return list(pool.map(work, items))
+            rows = [work(item) for item in items]
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
+                rows = list(pool.map(work, items))
+    if checkpoint_path is not None:
+        compact_jsonl(checkpoint_path)
+    return rows

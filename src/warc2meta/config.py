@@ -6,17 +6,41 @@ the environment variable named by api_key_source.
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
+from urllib.parse import urlsplit
 
 import yaml
 
-from .client import ClientConfig
 from .errors import ConfigError
 from .heuristics import HeuristicId
 from .tokens import PriceConfig
+
+
+@dataclass(frozen=True)
+class ClientConfig:
+    """Chat endpoint settings; `client.py` makes the calls."""
+
+    base_url: str
+    model_name: str
+    api_key_source: str = "WARC2META_API_KEY"
+    temperature: float = 0.0
+    max_in_flight: int = 1
+    max_retries: int = 3
+    retry_backoff: Tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
+    timeout: float = 60.0
+
+    def __post_init__(self):
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
+        if not 0.0 <= self.temperature <= 2.0:
+            raise ValueError("temperature must be in [0, 2]")
+
+    def api_key(self) -> str:
+        return os.environ.get(self.api_key_source, "")
 
 
 @dataclass
@@ -87,6 +111,17 @@ def _file_sha256(path: Optional[Path]) -> Optional[str]:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _check_http_url(name: str, url) -> None:
+    try:
+        parts = urlsplit(url)
+        ok = parts.scheme in ("http", "https") and bool(parts.hostname)
+        parts.port  # raises on a port that is not a number in range
+    except (TypeError, AttributeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be an http or https URL with a host, got {url!r}")
+
+
 def load_config(path) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -137,4 +172,7 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     if cfg.prompt_variant not in ("rules", "norules"):
         raise ConfigError(f"prompt_variant must be rules|norules, got {cfg.prompt_variant}")
+    _check_http_url("client.base_url", cfg.client.base_url)
+    if cfg.embedding_base_url is not None:
+        _check_http_url("embedding_base_url", cfg.embedding_base_url)
     return cfg

@@ -5,17 +5,19 @@ Unicode scalar values. The embedding-based score uses greedy matching
 over a token-pair cosine matrix with no IDF weighting and no baseline
 rescaling, so results are directly comparable across providers.
 
-numpy and requests are imported inside the functions that run them, so
-the stages that only compare strings, or none at all, never load them.
+numpy and the HTTP transport are imported inside the functions that
+run them, so the stages that only compare strings, or none at all,
+never load them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import unicodedata
 from typing import TYPE_CHECKING, List, Protocol, Tuple
 
-from .errors import EmptyText
+from .errors import ApiError, EmptyText
 
 if TYPE_CHECKING:
     import numpy as np
@@ -113,28 +115,29 @@ class HttpEmbeddingProvider:
 
     Wire format: POST {base_url}/embeddings with {"model": ..., "input":
     [text]}; the response carries data[i].tokens and data[i].embeddings.
+    One connection (see `transport`) serves every call. A reply that is
+    not 2xx, or not that shape, raises ApiError.
     """
 
     def __init__(self, base_url: str, model: str, timeout: float = 60.0):
-        import requests
+        from .transport import Connection
 
-        self.base_url = base_url.rstrip("/")
         self.model = model
-        self.timeout = timeout
-        self.session = requests.Session()
+        self.conn = Connection(base_url, timeout)
 
     def embed(self, text: str) -> List[Tuple[str, np.ndarray]]:
         import numpy as np
 
-        resp = self.session.post(
-            f"{self.base_url}/embeddings",
-            json={"model": self.model, "input": [text]},
-            timeout=self.timeout,
-        )
-        resp.raise_for_status()
-        entry = resp.json()["data"][0]
+        status, _, data = self.conn.post("/embeddings", {"model": self.model, "input": [text]})
+        if not 200 <= status < 300:
+            raise ApiError(status, data.decode("utf-8", "replace"))
+        try:
+            entry = json.loads(data)["data"][0]
+            pairs = list(zip(entry["tokens"], entry["embeddings"]))
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise ApiError(status, f"malformed embeddings body: {exc}")
         out = []
-        for token, vec in zip(entry["tokens"], entry["embeddings"]):
+        for token, vec in pairs:
             v = np.asarray(vec, dtype=np.float64)
             norm = np.linalg.norm(v)
             out.append((token, v / norm if norm > 0 else v))

@@ -21,6 +21,7 @@ codecs live with their dataclasses, `to_json` and `from_json`.
 import csv
 import datetime
 import json
+import os
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
@@ -76,6 +77,23 @@ def jsonl_writer(path, append=False):
             fh.flush()
 
         yield write
+
+
+def compact_jsonl(path):
+    """Keep each site's last row, in the order sites first appear.
+
+    The file is rewritten, through a temporary file and os.replace, only
+    when some site has more than one row.
+    """
+    path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh if line.strip()]
+    last = {json.loads(line)["site_id"]: line for line in lines}
+    if len(last) == len(lines):
+        return
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text("".join(last.values()), encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def write_csv(path, header, rows):

@@ -63,24 +63,37 @@ class MockChatServer:
 
     `script` is a list of responses; each entry is either a dict
     {"title": ..., "abstract": ...} (wrapped into a completion), a raw
-    string (returned as the assistant message verbatim), or an int HTTP
-    status for an error reply. When the script runs out, the last entry
-    repeats. Tracks request bodies and the concurrent-connection
-    high-water mark.
+    string (returned as the assistant message verbatim), bytes (sent
+    as the whole 200 reply body), or an int HTTP status for an error
+    reply. When the script runs out, the last entry repeats. Tracks
+    request bodies, headers and targets, client connections and the
+    concurrent-connection high-water mark. With keep_alive the server
+    speaks HTTP/1.1 and keeps each connection open for the client to
+    reuse; otherwise it closes it after one reply.
     """
 
-    def __init__(self, script=None, reply_fn=None):
+    def __init__(self, script=None, reply_fn=None, keep_alive=False):
         self.script = list(script or [])
         self.reply_fn = reply_fn
         self.requests = []
+        self.headers = []  # one dict per request
+        self.paths = []  # each request line's target
+        self.connections = 0
         self.in_flight = 0
         self.high_water = 0
         self._lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
             def log_message(self, *args):
                 pass
+
+            def setup(self):
+                super().setup()
+                with outer._lock:
+                    outer.connections += 1
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
@@ -90,6 +103,8 @@ class MockChatServer:
                 # response, or a sequential client looks overlapped.
                 with outer._lock:
                     outer.requests.append(body)
+                    outer.headers.append(dict(self.headers))
+                    outer.paths.append(self.path)
                     outer.in_flight += 1
                     outer.high_water = max(outer.high_water, outer.in_flight)
                 try:
@@ -101,15 +116,16 @@ class MockChatServer:
                     self.send_response(entry)
                     if entry == 429:
                         self.send_header("Retry-After", "0")
+                    self.send_header("Content-Length", "2")
                     self.end_headers()
                     self.wfile.write(b"{}")
                     return
-                if isinstance(entry, dict):
-                    content = json.dumps(entry)
+                if isinstance(entry, bytes):
+                    data = entry
                 else:
-                    content = entry
-                reply = {"choices": [{"message": {"content": content}}]}
-                data = json.dumps(reply).encode()
+                    content = json.dumps(entry) if isinstance(entry, dict) else entry
+                    reply = {"choices": [{"message": {"content": content}}]}
+                    data = json.dumps(reply).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))

@@ -128,8 +128,8 @@ class TestSelectCommand:
             counted.append(text)
             return real_count(text, tok)
 
+        # cli imports count_tokens when a command runs, so this patch reaches it too
         monkeypatch.setattr(tokens, "count_tokens", counting)
-        monkeypatch.setattr(cli, "count_tokens", counting)
         result = runner.invoke(main, ["--config", str(cfg), "select", "--all"])
         assert result.exit_code == 0, result.output
         with open(tmp_path / "out" / "sites.jsonl") as fh:
@@ -137,6 +137,13 @@ class TestSelectCommand:
         for site in sites:
             whole = " ".join(p["body_text"] for p in site["pages"])
             assert counted.count(whole) == 1
+
+    def test_non_http_base_url_fails_before_output(self, tmp_path, runner):
+        cfg = _write_config(tmp_path, _make_corpus(tmp_path), "ftp://127.0.0.1/v1")
+        result = runner.invoke(main, ["--config", str(cfg), "ingest"])
+        assert result.exit_code == 1
+        assert "Error: ConfigError: client.base_url must be an http or https URL" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_missing_tokenizer_fails_before_output(self, tmp_path, runner):
         cfg = _write_config(tmp_path, _make_corpus(tmp_path))
@@ -340,7 +347,9 @@ _STAGE_SCRIPT = """
 import sys
 from warc2meta.cli import main
 main.main(args=sys.argv[1:], prog_name="warc2meta", standalone_mode=False)
-print(sorted(m for m in ("numpy", "requests") if m in sys.modules))
+watched = ("requests", "numpy", "concurrent.futures", "warc2meta.client",
+           "warc2meta.metrics", "warc2meta.ranking", "warc2meta.stats")
+print(sorted(m for m in watched if m in sys.modules))
 """
 
 
@@ -378,7 +387,7 @@ class TestImportFootprint:
             "ingest": "[]",
             "select": "[]",
             "cost": "[]",
-            "generate": "['requests']",
-            "stats": "[]",
-            "evaluate": "['numpy']",
+            "generate": "['warc2meta.client']",
+            "stats": "['warc2meta.stats']",
+            "evaluate": "['numpy', 'warc2meta.client', 'warc2meta.metrics', 'warc2meta.ranking']",
         }

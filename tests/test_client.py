@@ -1,4 +1,6 @@
 import json
+import os
+import socket
 import sys
 import threading
 
@@ -236,6 +238,33 @@ class TestRunBatch:
             assert len(server.requests) == 1
         assert rows[0].result.title == "Title for site 0 content"
 
+    def test_checkpoint_keeps_last_row_per_site(self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "ckpt.jsonl"
+        replaced = []
+        real_replace = os.replace
+
+        def replace(*args):
+            replaced.append(args)
+            real_replace(*args)
+
+        monkeypatch.setattr(os, "replace", replace)
+
+        def fn(body):  # site 1 always fails
+            if body["messages"][1]["content"].splitlines()[1] == "site 1 content":
+                return 500
+            return self._echo_fn(body)
+
+        with MockChatServer(reply_fn=fn) as server:
+            cfg = _cfg(server.base_url, max_retries=0)
+            run_batch(self._items(), WITH_RULES, cfg, checkpoint_path=ckpt)
+            assert replaced == []  # a fresh run writes no site twice
+            run_batch(self._items(), WITH_RULES, cfg, checkpoint_path=ckpt)
+            assert len(server.requests) == 4
+        rows = [json.loads(line) for line in ckpt.read_text().splitlines()]
+        assert [r["site_id"] for r in rows] == ["s0", "s1", "s2"]
+        assert rows[1]["error"].startswith("ApiError: API error 500")
+        assert len(replaced) == 1
+
     def test_deterministic_output(self):
         with MockChatServer(reply_fn=self._echo_fn) as server:
             cfg = _cfg(server.base_url)
@@ -257,3 +286,63 @@ class TestClientConfig:
         cfg = ClientConfig(base_url="x", model_name="m")
         monkeypatch.setenv("WARC2META_API_KEY", "sekrit")
         assert cfg.api_key() == "sekrit"
+
+
+def _closed_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestWire:
+    """What the client sends and how it reads replies, seen from the server."""
+
+    def test_bearer_token_only_when_key_set(self, monkeypatch):
+        reply = {"title": "T", "abstract": "A"}
+        monkeypatch.delenv("WARC2META_API_KEY", raising=False)
+        with MockChatServer(script=[reply]) as server:
+            generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url), "s1")
+            monkeypatch.setenv("WARC2META_API_KEY", "sekrit")
+            generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url), "s1")
+            without, with_key = server.headers
+        assert "Authorization" not in without
+        assert with_key["Authorization"] == "Bearer sekrit"
+        assert with_key["Content-Type"] == "application/json"
+        assert server.paths == ["/chat/completions"] * 2
+
+    def test_non_json_body_is_api_error(self):
+        with MockChatServer(script=[b"<html>bad gateway</html>"]) as server:
+            with pytest.raises(ApiError, match="malformed completion body"):
+                generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url), "s1")
+
+    def test_closed_port_gives_one_error_row_per_site(self):
+        items = [(f"s{i}", _selection(content=f"site {i} content")) for i in range(3)]
+        rows = run_batch(items, WITH_RULES, _cfg(f"http://127.0.0.1:{_closed_port()}/v1"))
+        assert [r.site_id for r in rows] == ["s0", "s1", "s2"]
+        assert all(r.result is None and r.error.startswith("ConnectionRefusedError: ")
+                   for r in rows)
+
+    def test_http_proxy_from_environment(self, monkeypatch):
+        for name in ("HTTP_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        reply = {"title": "T", "abstract": "A"}
+        with MockChatServer(script=[reply]) as server:
+            monkeypatch.setenv("http_proxy", server.base_url)
+            meta = generate_metadata(
+                _selection(), WITH_RULES, _cfg("http://warc2meta-proxy.invalid/v1"), "s1"
+            )
+        assert meta.title == "T"
+        assert server.paths == ["http://warc2meta-proxy.invalid/v1/chat/completions"]
+        assert server.headers[0]["Host"] == "warc2meta-proxy.invalid"
+
+    def test_one_connection_per_row_reused_for_its_retries(self):
+        # row 1: a 429, then a reply that breaks the schema, then a valid one
+        script = [429, "no json here", {"title": "T", "abstract": "A"}]
+        with MockChatServer(script=script, keep_alive=True) as server:
+            rows = run_batch(self._items(2), WITH_RULES, _cfg(server.base_url))
+            assert len(server.requests) == 4
+            assert server.connections == 2
+        assert all(r.result is not None for r in rows)
+
+    def _items(self, n):
+        return [(f"s{i}", _selection(content=f"site {i} content")) for i in range(n)]

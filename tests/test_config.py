@@ -3,8 +3,10 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+import yaml
 
 from warc2meta.config import PipelineConfig, load_config
+from warc2meta.errors import ConfigError
 
 
 @pytest.fixture(autouse=True)
@@ -70,3 +72,30 @@ class TestDigest:
         Path("old.yaml").write_text("input_dir: crawls\noutput_dir: out\nworker_count: 2\n")
         Path("new.yaml").write_text("input_dir: crawls\noutput_dir: out\n")
         assert load_config("old.yaml").digest() == load_config("new.yaml").digest()
+
+
+class TestEndpointUrls:
+    """Endpoint URLs are checked when the config loads, before any stage runs."""
+
+    @pytest.mark.parametrize("url", [
+        "ftp://api.example.com/v1",
+        "api.example.com/v1",
+        "http:///v1",
+        "https://api.example.com:port/v1",
+        7,
+    ])
+    @pytest.mark.parametrize("key", ["base_url", "embedding_base_url"])
+    def test_not_http_url_rejected(self, url, key):
+        raw = {"client": {"base_url": url}} if key == "base_url" else {key: url}
+        Path("cfg.yaml").write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match=key):
+            load_config("cfg.yaml")
+
+    def test_http_and_https_accepted(self):
+        Path("cfg.yaml").write_text(yaml.safe_dump({
+            "client": {"base_url": "http://127.0.0.1:8000/v1"},
+            "embedding_base_url": "https://[::1]:8443/v1",
+        }))
+        cfg = load_config("cfg.yaml")
+        assert cfg.client.base_url == "http://127.0.0.1:8000/v1"
+        assert cfg.embedding_base_url == "https://[::1]:8443/v1"

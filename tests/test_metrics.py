@@ -1,11 +1,20 @@
+import json
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from warc2meta.errors import EmptyText
-from warc2meta.metrics import EmbeddingMemo, MockEmbeddingProvider, bertscore, levenshtein
+from warc2meta.errors import ApiError, EmptyText
+from warc2meta.metrics import (
+    EmbeddingMemo,
+    HttpEmbeddingProvider,
+    MockEmbeddingProvider,
+    bertscore,
+    levenshtein,
+)
+
+from helpers import MockChatServer
 
 
 def dp_oracle(a: str, b: str) -> int:
@@ -162,3 +171,24 @@ class TestEmbeddingMemo:
         plain = MockEmbeddingProvider()
         assert first == bertscore("alpha beta", "gamma", plain)
         assert again == bertscore("alpha beta", "gamma delta", plain)
+
+
+class TestHttpEmbeddingProvider:
+    def test_vectors_unit_normalised(self):
+        reply = {"data": [{"tokens": ["acme", "corp", "pad"],
+                           "embeddings": [[3.0, 4.0], [0.0, 2.5], [0.0, 0.0]]}]}
+        with MockChatServer(script=[json.dumps(reply).encode()]) as server:
+            out = HttpEmbeddingProvider(server.base_url + "/v1", "embed-small").embed("acme corp")
+            assert server.requests == [{"model": "embed-small", "input": ["acme corp"]}]
+            assert server.paths == ["/v1/embeddings"]
+        assert [t for t, _ in out] == ["acme", "corp", "pad"]
+        np.testing.assert_allclose(out[0][1], [0.6, 0.8])
+        np.testing.assert_allclose(out[1][1], [0.0, 1.0])
+        np.testing.assert_array_equal(out[2][1], [0.0, 0.0])  # a zero vector stays zero
+
+    @pytest.mark.parametrize("entry", [503, 404, b"not json", b'{"data": []}'])
+    def test_error_or_malformed_reply_raises(self, entry):
+        with MockChatServer(script=[entry]) as server:
+            provider = HttpEmbeddingProvider(server.base_url, "embed-small")
+            with pytest.raises(ApiError):
+                provider.embed("acme corp")
