@@ -16,12 +16,12 @@ import click
 from . import store
 from .config import PipelineConfig, load_config
 from .errors import NoOverlap, Warc2MetaError
-from .heuristics import HeuristicId
 
 
 def _all_combinations():
     """Every (prompt variant, heuristic) pair in combination_id order:
     heuristic-major, with-rules before without."""
+    from .heuristics import HeuristicId
     from .prompts import VARIANTS
 
     return [(v, h) for h in HeuristicId for v in (VARIANTS["rules"], VARIANTS["norules"])]
@@ -39,17 +39,18 @@ def _site_id(source_file: str) -> str:
     return name
 
 
-def _tokens_before(docs, tok):
-    """Token count of the whole-site "before" texts of the reduction report."""
-    from .tokens import count_tokens
+def _write_cost_report(cfg, docs, tok, afters):
+    """Write the cost report, a row per heuristic of afters ({heuristic: tokens
+    selected}) against the whole sites of docs; return the reports by heuristic."""
+    from .tokens import count_tokens, reduction_report
 
-    return sum(count_tokens(" ".join(p.body_text for p in d.pages), tok) for d in docs)
-
-
-def _cost_row(heuristic, rep):
-    return [int(heuristic), rep.tokens_before, rep.tokens_after,
-            f"{float(rep.reduction_ratio):.6f}", str(rep.cost_before),
-            str(rep.cost_after), int(rep.approximate)]
+    before = sum(count_tokens(" ".join(p.body_text for p in d.pages), tok) for d in docs)
+    reports = {h: reduction_report(before, after, cfg.prices, tok) for h, after in afters.items()}
+    rows = [[int(h), rep.tokens_before, rep.tokens_after, f"{float(rep.reduction_ratio):.6f}",
+             str(rep.cost_before), str(rep.cost_after), int(rep.approximate)]
+            for h, rep in reports.items()]
+    store.write_csv(cfg.output_dir / store.COST_REPORT, COST_HEADER, rows)
+    return reports
 
 
 class _Pipeline(click.Group):
@@ -69,14 +70,7 @@ class _Pipeline(click.Group):
 @click.pass_context
 def main(ctx, config_path, output):
     """Convert WARC archives into candidate catalogue metadata and evaluate it."""
-    if config_path:
-        cfg = load_config(config_path)
-    else:
-        cfg = PipelineConfig(input_dir=Path("."), output_dir=Path("out"))
-    if output:
-        cfg.output_dir = Path(output)
-    cfg.validate()
-    ctx.obj = cfg
+    ctx.obj = load_config(config_path, output)
 
 
 @main.command()
@@ -118,11 +112,8 @@ def ingest(cfg: PipelineConfig, input_dir):
 
 
 def _run_select(cfg, docs, heuristic, rules, tok):
-    """Write the heuristic's selections; return (path, tokens selected, errors).
-
-    The tokens selected are the sum of the selections'
-    reduced_token_estimate, the exact count of each content under tok.
-    """
+    """Write the heuristic's selections; return (path, tokens selected, errors),
+    the tokens selected summed from the selections' reduced_token_estimate."""
     from .heuristics import select
 
     path = cfg.output_dir / store.selections(heuristic)
@@ -149,27 +140,25 @@ def _run_select(cfg, docs, heuristic, rules, tok):
 @click.pass_obj
 def select_cmd(cfg: PipelineConfig, heuristic, all_heuristics):
     """Collapse each site to one content block and report token costs."""
-    from .heuristics import load_filter_rules
+    from .heuristics import HeuristicId, load_filter_rules
     from .ingest import SiteDocument
-    from .tokens import load_vocabulary, reduction_report
+    from .tokens import load_vocabulary
 
     started = store.now()
     rows = store.read_jsonl(cfg.output_dir / store.SITES, after="ingest")
     docs = [SiteDocument.from_json(row) for row in rows]
     rules = load_filter_rules(cfg.filter_rules_path) if cfg.filter_rules_path else None
     tok = load_vocabulary(cfg.tokenizer_path) if cfg.tokenizer_path else None
-    which = [HeuristicId(heuristic or int(cfg.heuristic))]
+    which = [HeuristicId(heuristic or cfg.heuristic)]
     if all_heuristics:
         which = list(HeuristicId)
-    before = _tokens_before(docs, tok)
-    cost_rows = []
+    afters = {}
     total_errors = 0
     for h in which:
-        out, after, errors = _run_select(cfg, docs, h, rules, tok)
+        out, afters[h], errors = _run_select(cfg, docs, h, rules, tok)
         total_errors += errors
-        cost_rows.append(_cost_row(h, reduction_report(before, after, cfg.prices, tok)))
         click.echo(f"heuristic {int(h)} -> {out}")
-    store.write_csv(cfg.output_dir / store.COST_REPORT, COST_HEADER, cost_rows)
+    _write_cost_report(cfg, docs, tok, afters)
     counts = {"sites": len(docs), "heuristics": len(which), "errors": total_errors}
     store.write_manifest(cfg.output_dir, "select", cfg.digest(), counts, started)
 
@@ -184,7 +173,7 @@ def select_cmd(cfg: PipelineConfig, heuristic, all_heuristics):
 def generate(cfg: PipelineConfig, heuristic, prompt_name, all_combinations):
     """Call the chat model over selections; resumable via checkpoints."""
     from .client import combination_id, run_batch
-    from .heuristics import Selection
+    from .heuristics import HeuristicId, Selection
     from .prompts import VARIANTS
 
     started = store.now()
@@ -192,7 +181,7 @@ def generate(cfg: PipelineConfig, heuristic, prompt_name, all_combinations):
         combos = _all_combinations()
     else:
         variant = VARIANTS[prompt_name or cfg.prompt_variant]
-        combos = [(variant, HeuristicId(heuristic or int(cfg.heuristic)))]
+        combos = [(variant, HeuristicId(heuristic or cfg.heuristic))]
     generated_total = 0
     error_total = 0
     for variant, h in combos:
@@ -316,18 +305,18 @@ def stats(grading_csv, test_name, label_a, label_b, correction, exact, alpha):
 @click.option("--heuristic", type=click.IntRange(1, 3), default=None)
 @click.pass_obj
 def cost(cfg: PipelineConfig, heuristic):
-    """Recompute the token/cost reduction report from stored stage outputs."""
+    """Recompute the cost report from the stored sites and selections."""
+    from .heuristics import HeuristicId
     from .ingest import SiteDocument
-    from .tokens import count_tokens, load_vocabulary, reduction_report
+    from .tokens import load_vocabulary
 
     sites = store.read_jsonl(cfg.output_dir / store.SITES, after="ingest")
     tok = load_vocabulary(cfg.tokenizer_path) if cfg.tokenizer_path else None
-    before = _tokens_before((SiteDocument.from_json(row) for row in sites), tok)
-    h = HeuristicId(heuristic or int(cfg.heuristic))
+    docs = [SiteDocument.from_json(row) for row in sites]
+    h = HeuristicId(heuristic or cfg.heuristic)
     rows = store.read_jsonl(cfg.output_dir / store.selections(h), after="select")
-    after = sum(count_tokens(r["content"], tok) for r in rows if "error" not in r)
-    report = reduction_report(before, after, cfg.prices, tok)
-    store.write_csv(cfg.output_dir / store.COST_REPORT, COST_HEADER, [_cost_row(h, report)])
+    after = sum(r["reduced_token_estimate"] for r in rows if "error" not in r)
+    report = _write_cost_report(cfg, docs, tok, {h: after})[h]
     click.echo(
         f"heuristic {int(h)}: {report.tokens_before} -> {report.tokens_after} tokens "
         f"(reduction {float(report.reduction_ratio):.4%})"

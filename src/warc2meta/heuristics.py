@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import List, Optional
 
+from .config import PipelineConfig
 from .errors import EmptySite, InvalidPattern
 from .ingest import PageRecord, SiteDocument
 from .store import dumps
@@ -27,8 +28,6 @@ class HeuristicId(IntEnum):
 DEFAULT_ABOUT_TOKENS = frozenset(
     {"about", "about-us", "aboutus", "about_us", "who-we-are"}
 )
-
-DEFAULT_MAX_CONTENT_TOKENS = 8000
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def _page_selection(
 def select_shortest_url(
     site: SiteDocument,
     tok: Optional[TokenizerHandle] = None,
-    max_tokens: int = DEFAULT_MAX_CONTENT_TOKENS,
+    max_tokens: int = PipelineConfig.max_content_tokens,
 ) -> Selection:
     """Pick the page with the shortest normalized URL (ties: lexicographic)."""
     if not site.pages:
@@ -152,7 +151,7 @@ def select_about_priority(
     site: SiteDocument,
     about_tokens=DEFAULT_ABOUT_TOKENS,
     tok: Optional[TokenizerHandle] = None,
-    max_tokens: int = DEFAULT_MAX_CONTENT_TOKENS,
+    max_tokens: int = PipelineConfig.max_content_tokens,
 ) -> Selection:
     """Prefer an About page; fall back to the shortest URL when none exists."""
     if not site.pages:
@@ -166,7 +165,7 @@ def select_shortest_url_filtered(
     site: SiteDocument,
     rules: Optional[List[FilterRule]] = None,
     tok: Optional[TokenizerHandle] = None,
-    max_tokens: int = DEFAULT_MAX_CONTENT_TOKENS,
+    max_tokens: int = PipelineConfig.max_content_tokens,
 ) -> Selection:
     """Shortest URL, then regex filters over its content."""
     base = select_shortest_url(site, tok, max_tokens=0)
@@ -186,7 +185,7 @@ def select(
     heuristic: HeuristicId,
     rules: Optional[List[FilterRule]] = None,
     tok: Optional[TokenizerHandle] = None,
-    max_tokens: int = DEFAULT_MAX_CONTENT_TOKENS,
+    max_tokens: int = PipelineConfig.max_content_tokens,
 ) -> Selection:
     """Dispatch by heuristic code."""
     if heuristic == HeuristicId.ABOUT_PRIORITY:

@@ -13,13 +13,13 @@ from html import unescape
 from itertools import compress
 from typing import List, Optional
 
+from .config import PipelineConfig
 from .errors import InvalidUrl
 from .store import dumps
 from .urlnorm import NormalizedUrl, normalize_url
 from .warc import RawWarcRecord, open_warc_stream
 
 HTML_CONTENT_TYPES = ("text/html", "application/xhtml+xml")
-DEFAULT_MIN_CHARS = 30
 REJECT_MARKERS = ("404", "page not found", "lorem ipsum")
 
 _META_CHARSET_RE = re.compile(
@@ -253,7 +253,7 @@ def extract_page(record: RawWarcRecord) -> Optional[PageRecord]:
     )
 
 
-def quality_filter(page: PageRecord, min_chars: int = DEFAULT_MIN_CHARS) -> Optional[str]:
+def quality_filter(page: PageRecord, min_chars: int = PipelineConfig.min_chars) -> Optional[str]:
     """Return a rejection reason, or None to keep the page."""
     if page.http_status is not None and page.http_status >= 400:
         return "status"
@@ -276,7 +276,7 @@ def deduplicate(pages: List[PageRecord]) -> List[PageRecord]:
     return list(best.values())
 
 
-def ingest_warc_file(path, min_chars: int = DEFAULT_MIN_CHARS) -> SiteDocument:
+def ingest_warc_file(path, min_chars: int = PipelineConfig.min_chars) -> SiteDocument:
     """Stream one WARC file into a deduplicated, quality-filtered SiteDocument."""
     kept = []
     rejected = 0
@@ -301,7 +301,7 @@ def ingest_warc_file(path, min_chars: int = DEFAULT_MIN_CHARS) -> SiteDocument:
     )
 
 
-def ingest_many(paths, min_chars: int = DEFAULT_MIN_CHARS):
+def ingest_many(paths, min_chars: int = PipelineConfig.min_chars):
     """Ingest WARC files in input order: (documents, [(path, exception)])."""
     docs = []
     errors = []

@@ -17,6 +17,7 @@ import json
 import unicodedata
 from typing import TYPE_CHECKING, List, Protocol, Tuple
 
+from .config import ClientConfig
 from .errors import ApiError, EmptyText
 
 if TYPE_CHECKING:
@@ -119,7 +120,7 @@ class HttpEmbeddingProvider:
     not 2xx, or not that shape, raises ApiError.
     """
 
-    def __init__(self, base_url: str, model: str, timeout: float = 60.0):
+    def __init__(self, base_url: str, model: str, timeout: float = ClientConfig.timeout):
         from .transport import Connection
 
         self.model = model

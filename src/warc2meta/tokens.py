@@ -14,6 +14,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .config import PriceConfig
 from .errors import VocabularyLoadError
 
 _CENTS = Decimal("0.000001")
@@ -129,12 +130,6 @@ def truncate(
         kept -= 1
         cut -= len(parts[kept])
     return data[:cut].decode("utf-8"), len(parts), kept
-
-
-@dataclass(frozen=True)
-class PriceConfig:
-    price_per_million_input: Decimal
-    price_per_million_output: Decimal
 
 
 @dataclass(frozen=True)

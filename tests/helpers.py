@@ -133,7 +133,9 @@ class MockChatServer:
                 self.wfile.write(data)
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # shutdown() waits for serve_forever's next poll: keep it short
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.01,),
+                                       daemon=True)
 
     def _next_entry(self, body):
         if self.reply_fn is not None:

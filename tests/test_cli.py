@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import os
@@ -340,6 +341,36 @@ class TestCostCommand:
         assert result.exit_code == 0, result.output
         assert "reduction" in result.output
 
+    @pytest.mark.parametrize("heuristic", [1, 2, 3])
+    @pytest.mark.parametrize("rank_table", [False, True], ids=["estimate", "bpe"])
+    def test_cost_writes_the_select_row(self, tmp_path, runner, monkeypatch, heuristic,
+                                        rank_table):
+        """cost reads the selections' stored token counts, not their contents."""
+        cfg = _write_config(tmp_path, _make_corpus(tmp_path))
+        raw = yaml.safe_load(cfg.read_text())
+        raw["max_content_tokens"] = 40  # every selection is truncated
+        if rank_table:
+            merges = [b"pa", b"ge", b"page", b"ab", b"ou", b"out", b"si", b"te", b" p", b"en"]
+            table = tmp_path / "ranks.tiktoken"
+            table.write_text("".join(f"{base64.b64encode(t).decode()} {rank}\n"
+                                     for rank, t in enumerate(merges)))
+            raw["tokenizer_path"] = str(table)
+        cfg.write_text(yaml.safe_dump(raw))
+        args = ["--config", str(cfg)]
+        report = tmp_path / "out" / "cost_report.csv"
+        assert runner.invoke(main, args + ["ingest"]).exit_code == 0
+        assert runner.invoke(main, args + ["select", "--heuristic", str(heuristic)]).exit_code == 0
+        selected = report.read_text()
+        report.unlink()
+        counted = []
+        real_count = tokens.count_tokens
+        monkeypatch.setattr(tokens, "count_tokens",
+                            lambda text, tok: counted.append(text) or real_count(text, tok))
+        result = runner.invoke(main, args + ["cost", "--heuristic", str(heuristic)])
+        assert result.exit_code == 0, result.output
+        assert report.read_text() == selected
+        assert len(counted) == 3  # each whole site, once
+
 
 # Runs one CLI stage in this interpreter, then prints which of the heavy
 # third-party libraries the stage loaded.
@@ -348,7 +379,8 @@ import sys
 from warc2meta.cli import main
 main.main(args=sys.argv[1:], prog_name="warc2meta", standalone_mode=False)
 watched = ("requests", "numpy", "concurrent.futures", "warc2meta.client",
-           "warc2meta.metrics", "warc2meta.ranking", "warc2meta.stats")
+           "warc2meta.heuristics", "warc2meta.ingest", "warc2meta.metrics",
+           "warc2meta.ranking", "warc2meta.stats", "warc2meta.tokens")
 print(sorted(m for m in watched if m in sys.modules))
 """
 
@@ -383,11 +415,13 @@ class TestImportFootprint:
         reference = tmp_path / "reference.jsonl"
         reference.write_text((tmp_path / "out" / "generated_combo2.jsonl").read_text())
         loaded["evaluate"] = self._loaded("--config", cfg, "evaluate", "--reference", reference)
+        select_layer = "'warc2meta.heuristics', 'warc2meta.ingest', 'warc2meta.tokens'"
         assert loaded == {
-            "ingest": "[]",
-            "select": "[]",
-            "cost": "[]",
-            "generate": "['warc2meta.client']",
+            "ingest": "['warc2meta.ingest']",
+            "select": f"[{select_layer}]",
+            "cost": f"[{select_layer}]",
+            "generate": f"['warc2meta.client', {select_layer}]",
             "stats": "['warc2meta.stats']",
-            "evaluate": "['numpy', 'warc2meta.client', 'warc2meta.metrics', 'warc2meta.ranking']",
+            "evaluate": "['numpy', 'warc2meta.client', 'warc2meta.heuristics', 'warc2meta.ingest',"
+                        " 'warc2meta.metrics', 'warc2meta.ranking', 'warc2meta.tokens']",
         }
