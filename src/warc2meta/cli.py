@@ -78,8 +78,9 @@ def main(ctx, config_path, output):
               help="Directory holding *.warc / *.warc.gz files.")
 @click.pass_obj
 def ingest(cfg: PipelineConfig, input_dir):
-    """Extract, filter, and deduplicate pages: one store row per WARC file."""
-    from .ingest import ingest_many
+    """Extract, filter, and deduplicate pages: one store row per WARC file,
+    written as each file is done."""
+    from .ingest import PAGE_COUNTS, ingest_many
 
     started = store.now()
     if input_dir:
@@ -90,24 +91,21 @@ def ingest(cfg: PipelineConfig, input_dir):
     if not paths:
         raise click.ClickException(f"NoInput: no WARC files in {cfg.input_dir}")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    docs, errors = ingest_many(paths, cfg.min_chars)
+    counts = {"files": len(paths), **dict.fromkeys(("ingested", "failed", *PAGE_COUNTS), 0)}
     sites = cfg.output_dir / store.SITES
     with store.jsonl_writer(sites) as write:
-        for doc in docs:
-            write(doc.to_json())
-    for path, exc in errors:
-        click.echo(f"error: {path}: {type(exc).__name__}: {exc}", err=True)
-    counts = {
-        "files": len(paths),
-        "ingested": len(docs),
-        "failed": len(errors),
-        "pages_kept": sum(len(d.pages) for d in docs),
-        "pages_rejected": sum(d.rejected_count for d in docs),
-        "pages_duplicate": sum(d.duplicate_count for d in docs),
-    }
+        for path, result in zip(paths, ingest_many(paths, cfg.min_chars)):
+            if result.row is None:
+                counts["failed"] += 1
+                click.echo(f"error: {path}: {result.error}", err=True)
+                continue
+            write(result.row)
+            counts["ingested"] += 1
+            for key, n in result.counts.items():
+                counts[key] += n
     store.write_manifest(cfg.output_dir, "ingest", cfg.digest(), counts, started)
-    click.echo(f"ingested {len(docs)}/{len(paths)} files -> {sites}")
-    if docs == [] and errors:
+    click.echo(f"ingested {counts['ingested']}/{len(paths)} files -> {sites}")
+    if counts["ingested"] == 0 and counts["failed"]:
         sys.exit(1)
 
 

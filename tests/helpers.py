@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -56,6 +57,48 @@ def build_warc(path, records, gzipped=False):
         data = b"".join(records)
     path.write_bytes(data)
     return path
+
+
+_WORDS = ("archive catalogue museum library record collection heritage digital "
+          "service project research public history national gallery café").split()
+
+
+def warc_corpus(root, n_files, pages=30, seed=0):
+    """Write n_files WARC files under root; return their paths, in sorted order.
+
+    Every fourth file is a broken one, in turn truncated, bad gzip and empty;
+    the others hold `pages` HTML pages of about 4 KB of seeded random words,
+    then a 404 page, a shorter copy of the first page and a page with no
+    usable URL. The files are named *.warc, whatever they hold, so that the
+    CLI's input order is this order.
+    """
+    rng = random.Random(seed)
+    root.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for i in range(n_files):
+        kind = ("truncated", "bad-gzip", "empty")[i // 4 % 3] if i % 4 == 3 else "ok"
+        path = root / f"{i:04d}-{kind}.warc"
+        records = [
+            response_record(f"https://site{i}.sg/p{j}", body=html_page(
+                f"Site {i} page {j}", " ".join(rng.choices(_WORDS, k=500))))
+            for j in range(pages)
+        ] + [
+            response_record(f"https://site{i}.sg/gone", status=404,
+                            body=html_page("Gone", "not here " * 20)),
+            response_record(f"https://www.site{i}.sg/p0", body=html_page("Copy", "copy " * 20)),
+            response_record("no-host", body=html_page("Lost", "no address " * 20)),
+        ]
+        if kind == "truncated":
+            build_warc(path, records + [
+                response_record(f"https://site{i}.sg/cut", body=b"x", declared_length=99_999)])
+        elif kind == "bad-gzip":
+            data = bytearray(b"".join(gzip.compress(r) for r in records))
+            data[len(data) // 2:len(data) // 2 + 64] = bytes(64)
+            path.write_bytes(data)
+        else:
+            build_warc(path, records if kind == "ok" else [])
+        paths.append(path)
+    return paths
 
 
 class MockChatServer:

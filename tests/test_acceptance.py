@@ -29,6 +29,7 @@ from warc2meta.ranking import CombinationStats, rank_combinations
 from warc2meta.stats import GradingMatrix, chi_square_survival, cochran_q, mcnemar
 from warc2meta.tokens import PriceConfig, count_tokens, reduction_report
 from warc2meta.urlnorm import normalize_url
+from warc2meta.warc import open_warc_stream
 
 from helpers import MockChatServer, build_warc, html_page, response_record
 from test_metrics import FixedProvider, dp_oracle
@@ -42,7 +43,7 @@ def _ok(n, detail=""):
 
 
 def _fixture_corpus(root):
-    """Twelve files covering the parser's edge cases, with expected outcomes."""
+    """Thirteen files covering the parser's edge cases, with expected outcomes."""
     d = root / "corpus"
     d.mkdir()
     expect = {}  # name -> (pages, rejected, duplicates) or "error"
@@ -79,6 +80,10 @@ def _fixture_corpus(root):
                         body=b"\x89PNG fake bytes"),
         response_record("https://f.sg/", body=body(7)),
     ], expected=(1, 0, 0))
+    site("bad_url.warc", [
+        response_record("no-host/page", body=body(10)),
+        response_record("https://k.sg/", body=body(11)),
+    ], expected=(1, 0, 0))
     site("requests_only.warc", [
         __import__("helpers").warc_record(
             "request", "https://g.sg/", b"GET / HTTP/1.1\r\n\r\n",
@@ -101,12 +106,19 @@ def _fixture_corpus(root):
     return d, expect
 
 
+def _ingest_all(paths):
+    """ingest_many's results as (documents, [(path, error line)])."""
+    results = list(ingest_many(paths))
+    docs = [SiteDocument.from_json(r.row) for r in results if r.row is not None]
+    return docs, [(p, r.error) for p, r in zip(paths, results) if r.row is None]
+
+
 def test_criterion_1_parser_correctness(tmp_path):
     d, expect = _fixture_corpus(tmp_path)
     paths = sorted(d.iterdir())
     assert len(paths) >= 10
     started = time.monotonic()
-    docs, errors = ingest_many(paths)
+    docs, errors = _ingest_all(paths)
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"parsing took {elapsed:.2f}s"
 
@@ -124,9 +136,25 @@ def test_criterion_1_parser_correctness(tmp_path):
         assert doc.rejected_count == rejected, name
         assert doc.duplicate_count == dupes, name
     # determinism: a second pass produces byte-identical documents
-    docs2, _ = ingest_many(paths)
+    docs2, _ = _ingest_all(paths)
     assert [d.to_json() for d in docs] == [d.to_json() for d in docs2]
     _ok(1, f"({len(paths)} files in {elapsed:.2f}s)")
+
+
+def test_ingest_manifest_accounts_for_every_html_record(tmp_path):
+    d, expect = _fixture_corpus(tmp_path)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["--output", str(out), "ingest", "--input", str(d)])
+    assert result.exit_code == 0, result.output
+    counts = json.loads((out / "manifest_ingest.json").read_text())["counts"]
+    html = 0
+    for name, expected in expect.items():
+        if expected != "error":
+            html += sum((r.content_type or "").startswith("text/html")
+                        for r in open_warc_stream(d / name))
+    assert counts["pages_undecodable"] == 1
+    assert (counts["pages_kept"] + counts["pages_rejected"] + counts["pages_duplicate"]
+            + counts["pages_undecodable"]) == html
 
 
 def _synthetic_sites(n_sites=112, pages_per_site=50):

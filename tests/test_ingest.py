@@ -1,20 +1,28 @@
+import os
+import subprocess
+import sys
 import time
+from concurrent import futures
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
+from warc2meta import ingest
 from warc2meta.ingest import (
     PageRecord,
+    SiteDocument,
     deduplicate,
     extract_page,
     extract_text,
+    ingest_many,
     ingest_warc_file,
     quality_filter,
 )
 from warc2meta.urlnorm import normalize_url
 from warc2meta.warc import RawWarcRecord
 
-from helpers import build_warc, html_page, response_record
+from helpers import build_warc, html_page, response_record, warc_corpus
 from html_oracle import oracle_text
 
 
@@ -181,6 +189,21 @@ class TestExtractionOracle:
         assert extract_page(_record(body=html.encode("utf-8"))).body_text == "a<![foo]>b"
 
 
+def _python(*args):
+    """Run a fresh interpreter that imports this warc2meta; text output."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ingest.__file__).parents[1]))
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_import_compiles_no_scanner():
+    # select, generate and evaluate import ingest for its types only
+    proc = _python("-c", "import warc2meta.heuristics, warc2meta.ingest as m;"
+                   " n = m._scanner.cache_info().currsize; m.extract_text('<p>x</p>');"
+                   " print(n, m._scanner.cache_info().currsize)")
+    assert proc.stdout.split() == ["0", "1"], proc.stderr
+
+
 class TestQualityFilter:
     def test_status_404(self):
         assert quality_filter(_page(status=404)) == "status"
@@ -286,8 +309,6 @@ class TestIngestWarcFile:
         assert ingest_warc_file(path).to_json() == ingest_warc_file(path).to_json()
 
     def test_json_roundtrip(self, tmp_path):
-        from warc2meta.ingest import SiteDocument
-
         records = [
             response_record("https://a.sg/", body=html_page("A", "round trip body " * 5)),
         ]
@@ -295,3 +316,79 @@ class TestIngestWarcFile:
         doc = ingest_warc_file(path)
         again = SiteDocument.from_json(doc.to_json())
         assert again.to_json() == doc.to_json()
+
+
+def _direct(path):
+    """A file's (site row, error line), from ingest_warc_file called here."""
+    try:
+        return ingest_warc_file(path).to_json(), None
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+class TestIngestMany:
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        paths = warc_corpus(tmp_path_factory.mktemp("pool") / "warcs", 12)
+        assert sum(p.stat().st_size for p in paths) >= ingest.POOL_MIN_BYTES
+        return paths
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker counts of the process pools started while the test runs."""
+        started = []
+
+        class Pool(futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", Pool)
+        return started
+
+    def test_pool_gives_the_per_file_results_in_input_order(self, corpus, pools):
+        results = list(ingest_many(corpus))
+        assert [(r.row, r.error) for r in results] == [_direct(p) for p in corpus]
+        assert {r.error.split(":")[0] for r in results if r.error} == {
+            "TruncatedRecord", "GzipError"}
+        for r in results:
+            if r.row is not None:
+                doc = SiteDocument.from_json(r.row)
+                assert r.counts == {
+                    "pages_kept": len(doc.pages), "pages_rejected": doc.rejected_count,
+                    "pages_duplicate": doc.duplicate_count,
+                    "pages_undecodable": doc.undecodable_count,
+                }
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert pools == ([min(cores, len(corpus))] if cores >= 2 else [])
+
+    def test_cli_streams_the_same_rows_and_errors(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        proc = _python("-m", "warc2meta.cli", "--output", out, "ingest", "--input", corpus[0].parent)
+        assert proc.returncode == 0, proc.stderr
+        rows, errors = zip(*map(_direct, corpus))
+        assert (out / "sites.jsonl").read_text() == "".join(
+            f"{row}\n" for row in rows if row is not None)
+        assert proc.stderr == "".join(
+            f"error: {path}: {error}\n" for path, error in zip(corpus, errors) if error)
+        # one line: a forked worker must not write the parent's output again
+        ingested = sum(row is not None for row in rows)
+        assert proc.stdout == f"ingested {ingested}/{len(corpus)} files -> {out / 'sites.jsonl'}\n"
+
+    def test_workers_do_not_repeat_buffered_output(self, corpus):
+        proc = _python("-c", "import sys; from warc2meta.ingest import ingest_many;"
+                       " print('before', end=''); list(ingest_many(sys.argv[1:]))", *corpus)
+        assert (proc.returncode, proc.stdout) == (0, "before"), proc.stderr
+
+    def test_pool_runs_with_public_names_wrapped(self, corpus, monkeypatch):
+        # a tracer rebinds public names to closures, which cannot be pickled
+        orig = ingest.ingest_warc_file
+        monkeypatch.setattr(ingest, "ingest_warc_file", lambda *args: orig(*args))
+        assert [(r.row, r.error) for r in ingest_many(corpus)] == [_direct(p) for p in corpus]
+
+    @pytest.mark.parametrize("files", [3, 1])
+    def test_small_batches_run_inline(self, corpus, pools, files):
+        paths = corpus[:files]
+        assert sum(p.stat().st_size for p in paths) < ingest.POOL_MIN_BYTES
+        assert [(r.row, r.error) for r in ingest_many(paths)] == [_direct(p) for p in paths]
+        assert pools == []
