@@ -21,8 +21,7 @@ from .errors import NoOverlap, Warc2MetaError
 def _all_combinations():
     """Every (prompt variant, heuristic) pair in combination_id order:
     heuristic-major, with-rules before without."""
-    from .heuristics import HeuristicId
-    from .prompts import VARIANTS
+    from .prompts import HeuristicId, VARIANTS
 
     return [(v, h) for h in HeuristicId for v in (VARIANTS["rules"], VARIANTS["norules"])]
 

@@ -24,11 +24,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .config import ClientConfig
 from .errors import ApiError, RateLimited, SchemaViolation
-from .heuristics import HeuristicId, Selection
 from .prompts import PromptVariant, Variant, build_prompt
 from .store import compact_jsonl, dumps, jsonl_writer, read_jsonl
 
 if TYPE_CHECKING:
+    from .heuristics import HeuristicId, Selection
     from .transport import Connection
 
 

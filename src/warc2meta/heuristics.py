@@ -6,23 +6,21 @@ Three strategies, keyed by stable integer codes:
   3 = shortest URL plus regex filtering of the chosen content
 """
 
+from __future__ import annotations
+
 import re
 from dataclasses import dataclass
-from enum import IntEnum
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .config import PipelineConfig
 from .errors import EmptySite, InvalidPattern
-from .ingest import PageRecord, SiteDocument
+from .prompts import HeuristicId
 from .store import dumps
-from .tokens import TokenizerHandle, truncate
 from .urlnorm import NormalizedUrl, normalize_url
 
-
-class HeuristicId(IntEnum):
-    ABOUT_PRIORITY = 1
-    SHORTEST_URL = 2
-    SHORTEST_URL_FILTERED = 3
+if TYPE_CHECKING:  # generate reads selections without loading ingest or tokens
+    from .ingest import PageRecord, SiteDocument
+    from .tokens import TokenizerHandle
 
 
 DEFAULT_ABOUT_TOKENS = frozenset(
@@ -120,6 +118,8 @@ def _page_selection(
     tok: Optional[TokenizerHandle],
     max_tokens: int,
 ) -> Selection:
+    from .tokens import truncate
+
     content, original, reduced = truncate(page.body_text, max_tokens, tok)
     return Selection(
         heuristic=heuristic,
@@ -168,6 +168,8 @@ def select_shortest_url_filtered(
     max_tokens: int = PipelineConfig.max_content_tokens,
 ) -> Selection:
     """Shortest URL, then regex filters over its content."""
+    from .tokens import truncate
+
     base = select_shortest_url(site, tok, max_tokens=0)
     filtered = apply_reduction_filters(base.content, rules)
     content, _, reduced = truncate(filtered, max_tokens, tok)

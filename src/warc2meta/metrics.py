@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import unicodedata
 from typing import TYPE_CHECKING, List, Protocol, Tuple
 
@@ -22,6 +23,8 @@ from .errors import ApiError, EmptyText
 
 if TYPE_CHECKING:
     import numpy as np
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # numpy: a 2nd BLAS thread only spins here
 
 
 def levenshtein(a: str, b: str) -> int:

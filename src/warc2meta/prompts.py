@@ -5,7 +5,7 @@ tests; edit with care.
 """
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from typing import Dict, List
 
 from .errors import EmptyContent
@@ -32,6 +32,12 @@ This is the website of (company’s name) which offers (services). The website c
 This is a website of (Name of person), (role). This website contains information on (work experience, profile, education, research works, projects, publications, professional development, skills, portfolio).
 
 - For others, create a summary."""
+
+
+class HeuristicId(IntEnum):  # defined here, not in heuristics: evaluate loads no select layer
+    ABOUT_PRIORITY = 1
+    SHORTEST_URL = 2
+    SHORTEST_URL_FILTERED = 3
 
 
 class Variant(Enum):

@@ -14,9 +14,8 @@ from typing import Dict, List, Sequence
 
 from .client import GeneratedMetadata, combination_id
 from .errors import EmptyText, InsufficientCombinations, NoOverlap
-from .heuristics import HeuristicId
 from .metrics import EmbeddingProvider, bertscore, levenshtein
-from .prompts import PromptVariant
+from .prompts import HeuristicId, PromptVariant
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ import csv
 import datetime
 import json
 import os
-import uuid
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -112,7 +111,7 @@ def write_manifest(out_dir, stage: str, config_digest: str, counts, started: str
     """manifest_<stage>.json: a fresh run id, start and end times, the
     config digest and the stage's counts."""
     manifest = {
-        "run_id": uuid.uuid4().hex,
+        "run_id": os.urandom(16).hex(),
         "stage": stage,
         "started_at": started,
         "finished_at": now(),

@@ -12,10 +12,11 @@ import base64
 import functools
 import http.client
 import json
+import os
 import select
 import ssl
+import sys
 from urllib.parse import unquote, urlsplit
-from urllib.request import getproxies, proxy_bypass
 
 
 @functools.lru_cache(maxsize=None)
@@ -24,7 +25,13 @@ def _tls_context():
 
 
 def _proxy(url):
-    """The environment's proxy for url, split, or None to go direct."""
+    """The environment's proxy for url, split, or None to go direct. urllib.request
+    loads only where one can apply: a `*_proxy` variable is set, or on macOS/Windows."""
+    if sys.platform not in ("darwin", "win32") and not any(
+            name.lower().endswith("_proxy") for name in os.environ):
+        return None
+    from urllib.request import getproxies, proxy_bypass
+
     proxy = getproxies().get(url.scheme)
     if not proxy or proxy_bypass(url.netloc):
         return None

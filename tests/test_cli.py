@@ -372,29 +372,50 @@ class TestCostCommand:
         assert len(counted) == 3  # each whole site, once
 
 
-# Runs one CLI stage in this interpreter, then prints which of the heavy
-# third-party libraries the stage loaded.
+# Runs one CLI stage in this interpreter, then prints its OPENBLAS_NUM_THREADS
+# and which of the heavy modules the stage loaded.
 _STAGE_SCRIPT = """
-import sys
+import os, sys
 from warc2meta.cli import main
 main.main(args=sys.argv[1:], prog_name="warc2meta", standalone_mode=False)
-watched = ("requests", "numpy", "concurrent.futures", "warc2meta.client",
+watched = ("requests", "numpy", "concurrent.futures", "urllib.request", "warc2meta.client",
            "warc2meta.heuristics", "warc2meta.ingest", "warc2meta.metrics",
-           "warc2meta.ranking", "warc2meta.stats", "warc2meta.tokens")
+           "warc2meta.ranking", "warc2meta.stats", "warc2meta.tokens", "warc2meta.warc")
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
 print(sorted(m for m in watched if m in sys.modules))
 """
 
 
+def _run_stage(*args, **env):
+    """(modules loaded, OPENBLAS_NUM_THREADS at exit) of one stage run in a
+    fresh interpreter, whose environment has no proxy or BLAS variable but env's."""
+    base = {k: v for k, v in os.environ.items()
+            if not k.lower().endswith("_proxy") and k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _STAGE_SCRIPT, *map(str, args)],
+        capture_output=True, text=True, env={**base, "PYTHONPATH": src, **env}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    blas, loaded = proc.stdout.splitlines()[-2:]
+    return loaded, blas
+
+
+def _generated_outputs(tmp_path, server):
+    """A config whose output directory holds every combination's generated
+    rows, and a reference file of combination 2's rows."""
+    cfg = _write_config(tmp_path, _make_corpus(tmp_path), server.base_url)
+    for args in (["ingest"], ["select", "--all"], ["generate", "--all-combinations"]):
+        result = CliRunner().invoke(main, ["--config", str(cfg), *args])
+        assert result.exit_code == 0, result.output
+    reference = tmp_path / "reference.jsonl"
+    reference.write_text((tmp_path / "out" / "generated_combo2.jsonl").read_text())
+    return cfg, reference
+
+
 class TestImportFootprint:
-    def _loaded(self, *args):
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", _STAGE_SCRIPT, *map(str, args)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()[-1]
+    def _loaded(self, *args, **env):
+        return _run_stage(*args, **env)[0]
 
     def test_each_stage_loads_only_what_it_runs(self, tmp_path):
         grades = tmp_path / "grades.csv"
@@ -415,13 +436,41 @@ class TestImportFootprint:
         reference = tmp_path / "reference.jsonl"
         reference.write_text((tmp_path / "out" / "generated_combo2.jsonl").read_text())
         loaded["evaluate"] = self._loaded("--config", cfg, "evaluate", "--reference", reference)
-        select_layer = "'warc2meta.heuristics', 'warc2meta.ingest', 'warc2meta.tokens'"
+        select_layer = ("'warc2meta.heuristics', 'warc2meta.ingest', 'warc2meta.tokens',"
+                        " 'warc2meta.warc'")
         assert loaded == {
-            "ingest": "['warc2meta.ingest']",
+            "ingest": "['warc2meta.ingest', 'warc2meta.warc']",
             "select": f"[{select_layer}]",
             "cost": f"[{select_layer}]",
-            "generate": f"['warc2meta.client', {select_layer}]",
+            "generate": "['warc2meta.client', 'warc2meta.heuristics']",
             "stats": "['warc2meta.stats']",
-            "evaluate": "['numpy', 'warc2meta.client', 'warc2meta.heuristics', 'warc2meta.ingest',"
-                        " 'warc2meta.metrics', 'warc2meta.ranking', 'warc2meta.tokens']",
+            "evaluate": "['numpy', 'warc2meta.client', 'warc2meta.metrics', 'warc2meta.ranking']",
         }
+
+    def test_generate_loads_urllib_request_when_a_proxy_is_set(self, tmp_path):
+        with MockChatServer(reply_fn=_echo_reply) as server:
+            cfg, reference = _generated_outputs(tmp_path, server)
+            (tmp_path / "out" / "checkpoint_combo2.jsonl").unlink()  # so each row is asked
+            (tmp_path / "out" / "generated_combo2.jsonl").unlink()
+            loaded = self._loaded("--config", cfg, "generate", http_proxy=server.base_url)
+        assert loaded == "['urllib.request', 'warc2meta.client', 'warc2meta.heuristics']"
+        assert (tmp_path / "out" / "generated_combo2.jsonl").read_text() == reference.read_text()
+        # an absolute-form target: the request went through the proxy
+        assert server.paths[-3:] == [f"{server.base_url}/chat/completions"] * 3
+
+
+class TestBlasThreads:
+    def test_one_blas_thread_unless_the_caller_set_the_count(self, tmp_path):
+        with MockChatServer(reply_fn=_echo_reply) as server:
+            cfg, reference = _generated_outputs(tmp_path, server)
+        args = ("--config", cfg, "evaluate", "--reference", reference)
+        out = tmp_path / "out"
+        runs = []
+        for env in ({}, {"OPENBLAS_NUM_THREADS": "4"}):
+            loaded, blas = _run_stage(*args, **env)
+            assert "'numpy'" in loaded
+            runs.append((blas, (out / "scores_per_site.csv").read_bytes(),
+                         (out / "ranked_summary.csv").read_bytes()))
+        assert [blas for blas, *_ in runs] == ["1", "4"]
+        assert runs[0][1:] == runs[1][1:]
+        assert runs[0][1].count(b"\n") > 1  # scores were written
