@@ -38,12 +38,20 @@ def _site_id(source_file: str) -> str:
     return name
 
 
-def _write_cost_report(cfg, docs, tok, afters):
-    """Write the cost report, a row per heuristic of afters ({heuristic: tokens
-    selected}) against the whole sites of docs; return the reports by heuristic."""
-    from .tokens import count_tokens, reduction_report
+def _site_tokens(row, tok) -> int:
+    """Tokens in the whole site of a parsed sites.jsonl row: its pages' texts
+    joined by spaces."""
+    from .tokens import count_tokens
 
-    before = sum(count_tokens(" ".join(p.body_text for p in d.pages), tok) for d in docs)
+    return count_tokens(" ".join(p["body_text"] for p in row["pages"]), tok)
+
+
+def _write_cost_report(cfg, before, tok, afters):
+    """Write the cost report, a row per heuristic of afters ({heuristic: tokens
+    selected}) against before, the tokens in every whole site; return the
+    reports by heuristic."""
+    from .tokens import reduction_report
+
     reports = {h: reduction_report(before, after, cfg.prices, tok) for h, after in afters.items()}
     rows = [[int(h), rep.tokens_before, rep.tokens_after, f"{float(rep.reduction_ratio):.6f}",
              str(rep.cost_before), str(rep.cost_after), int(rep.approximate)]
@@ -108,55 +116,52 @@ def ingest(cfg: PipelineConfig, input_dir):
         sys.exit(1)
 
 
-def _run_select(cfg, docs, heuristic, rules, tok):
-    """Write the heuristic's selections; return (path, tokens selected, errors),
-    the tokens selected summed from the selections' reduced_token_estimate."""
-    from .heuristics import select
-
-    path = cfg.output_dir / store.selections(heuristic)
-    tokens_after = errors = 0
-    with store.jsonl_writer(path) as write:
-        for doc in docs:
-            sid = _site_id(doc.source_file)
-            try:
-                sel = select(doc, heuristic, rules, tok, cfg.max_content_tokens)
-            except Warc2MetaError as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                write(store.dumps({"site_id": sid, "error": error}))
-                errors += 1
-                continue
-            write(sel.to_json(sid))
-            tokens_after += sel.reduced_token_estimate
-    return path, tokens_after, errors
-
-
 @main.command("select")
 @click.option("--heuristic", type=click.IntRange(1, 3), default=None,
               help="Heuristic code 1|2|3; default from config.")
 @click.option("--all", "all_heuristics", is_flag=True, help="Run all three heuristics.")
 @click.pass_obj
 def select_cmd(cfg: PipelineConfig, heuristic, all_heuristics):
-    """Collapse each site to one content block and report token costs."""
-    from .heuristics import HeuristicId, load_filter_rules
+    """Collapse each site to one content block and report token costs.
+
+    Sites are read one at a time, and each goes through every requested
+    heuristic before the next is read. A site's selection error is written
+    as its row, in place of a selection.
+    """
+    from contextlib import ExitStack
+
+    from .heuristics import HeuristicId, load_filter_rules, select
     from .ingest import SiteDocument
     from .tokens import load_vocabulary
 
     started = store.now()
     rows = store.read_jsonl(cfg.output_dir / store.SITES, after="ingest")
-    docs = [SiteDocument.from_json(row) for row in rows]
     rules = load_filter_rules(cfg.filter_rules_path) if cfg.filter_rules_path else None
     tok = load_vocabulary(cfg.tokenizer_path) if cfg.tokenizer_path else None
-    which = [HeuristicId(heuristic or cfg.heuristic)]
-    if all_heuristics:
-        which = list(HeuristicId)
-    afters = {}
-    total_errors = 0
+    which = list(HeuristicId) if all_heuristics else [HeuristicId(heuristic or cfg.heuristic)]
+    paths = {h: cfg.output_dir / store.selections(h) for h in which}
+    afters = dict.fromkeys(which, 0)
+    before = sites = errors = 0
+    with ExitStack() as stack:
+        writers = {h: stack.enter_context(store.jsonl_writer(paths[h])) for h in which}
+        for row in rows:
+            sites += 1
+            before += _site_tokens(row, tok)
+            doc = SiteDocument.from_json(row)
+            sid = _site_id(doc.source_file)
+            for h, write in writers.items():
+                try:
+                    sel = select(doc, h, rules, tok, cfg.max_content_tokens)
+                except Warc2MetaError as exc:
+                    write(store.dumps({"site_id": sid, "error": f"{type(exc).__name__}: {exc}"}))
+                    errors += 1
+                    continue
+                write(sel.to_json(sid))
+                afters[h] += sel.reduced_token_estimate
     for h in which:
-        out, afters[h], errors = _run_select(cfg, docs, h, rules, tok)
-        total_errors += errors
-        click.echo(f"heuristic {int(h)} -> {out}")
-    _write_cost_report(cfg, docs, tok, afters)
-    counts = {"sites": len(docs), "heuristics": len(which), "errors": total_errors}
+        click.echo(f"heuristic {int(h)} -> {paths[h]}")
+    _write_cost_report(cfg, before, tok, afters)
+    counts = {"sites": sites, "heuristics": len(which), "errors": errors}
     store.write_manifest(cfg.output_dir, "select", cfg.digest(), counts, started)
 
 
@@ -303,17 +308,16 @@ def stats(grading_csv, test_name, label_a, label_b, correction, exact, alpha):
 @click.pass_obj
 def cost(cfg: PipelineConfig, heuristic):
     """Recompute the cost report from the stored sites and selections."""
-    from .heuristics import HeuristicId
-    from .ingest import SiteDocument
+    from .prompts import HeuristicId
     from .tokens import load_vocabulary
 
-    sites = store.read_jsonl(cfg.output_dir / store.SITES, after="ingest")
-    tok = load_vocabulary(cfg.tokenizer_path) if cfg.tokenizer_path else None
-    docs = [SiteDocument.from_json(row) for row in sites]
     h = HeuristicId(heuristic or cfg.heuristic)
-    rows = store.read_jsonl(cfg.output_dir / store.selections(h), after="select")
-    after = sum(r["reduced_token_estimate"] for r in rows if "error" not in r)
-    report = _write_cost_report(cfg, docs, tok, {h: after})[h]
+    sites = store.read_jsonl(cfg.output_dir / store.SITES, after="ingest")
+    selected = store.read_jsonl(cfg.output_dir / store.selections(h), after="select")
+    tok = load_vocabulary(cfg.tokenizer_path) if cfg.tokenizer_path else None
+    before = sum(_site_tokens(row, tok) for row in sites)
+    after = sum(r["reduced_token_estimate"] for r in selected if "error" not in r)
+    report = _write_cost_report(cfg, before, tok, {h: after})[h]
     click.echo(
         f"heuristic {int(h)}: {report.tokens_before} -> {report.tokens_after} tokens "
         f"(reduction {float(report.reduction_ratio):.4%})"

@@ -1,6 +1,6 @@
 """Page-selection heuristics that collapse a site to one content block.
 
-Three strategies, keyed by stable integer codes:
+One `select`, with three strategies keyed by stable integer codes:
   1 = prefer the About page, falling back to the shortest URL
   2 = shortest URL
   3 = shortest URL plus regex filtering of the chosen content
@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # generate reads selections without loading ingest or tokens
     from .tokens import TokenizerHandle
 
 
-DEFAULT_ABOUT_TOKENS = frozenset(
+ABOUT_TOKENS = frozenset(
     {"about", "about-us", "aboutus", "about_us", "who-we-are"}
 )
 
@@ -108,78 +108,8 @@ def apply_reduction_filters(text: str, rules: Optional[List[FilterRule]] = None)
     return text.strip()
 
 
-def _shortest_page(pages: List[PageRecord]) -> PageRecord:
-    return min(pages, key=lambda p: (len(p.url.url), p.url.url))
-
-
-def _page_selection(
-    page: PageRecord,
-    heuristic: HeuristicId,
-    tok: Optional[TokenizerHandle],
-    max_tokens: int,
-) -> Selection:
-    from .tokens import truncate
-
-    content, original, reduced = truncate(page.body_text, max_tokens, tok)
-    return Selection(
-        heuristic=heuristic,
-        chosen_url=page.url,
-        content=content,
-        original_token_estimate=original,
-        reduced_token_estimate=reduced,
-    )
-
-
-def select_shortest_url(
-    site: SiteDocument,
-    tok: Optional[TokenizerHandle] = None,
-    max_tokens: int = PipelineConfig.max_content_tokens,
-) -> Selection:
-    """Pick the page with the shortest normalized URL (ties: lexicographic)."""
-    if not site.pages:
-        raise EmptySite(site.source_file)
-    page = _shortest_page(site.pages)
-    return _page_selection(page, HeuristicId.SHORTEST_URL, tok, max_tokens)
-
-
-def _is_about_page(page: PageRecord, about_tokens) -> bool:
-    segments = [s.lower() for s in page.url.path.split("/") if s]
-    return any(seg in about_tokens for seg in segments)
-
-
-def select_about_priority(
-    site: SiteDocument,
-    about_tokens=DEFAULT_ABOUT_TOKENS,
-    tok: Optional[TokenizerHandle] = None,
-    max_tokens: int = PipelineConfig.max_content_tokens,
-) -> Selection:
-    """Prefer an About page; fall back to the shortest URL when none exists."""
-    if not site.pages:
-        raise EmptySite(site.source_file)
-    candidates = [p for p in site.pages if _is_about_page(p, about_tokens)]
-    page = _shortest_page(candidates or site.pages)
-    return _page_selection(page, HeuristicId.ABOUT_PRIORITY, tok, max_tokens)
-
-
-def select_shortest_url_filtered(
-    site: SiteDocument,
-    rules: Optional[List[FilterRule]] = None,
-    tok: Optional[TokenizerHandle] = None,
-    max_tokens: int = PipelineConfig.max_content_tokens,
-) -> Selection:
-    """Shortest URL, then regex filters over its content."""
-    from .tokens import truncate
-
-    base = select_shortest_url(site, tok, max_tokens=0)
-    filtered = apply_reduction_filters(base.content, rules)
-    content, _, reduced = truncate(filtered, max_tokens, tok)
-    return Selection(
-        heuristic=HeuristicId.SHORTEST_URL_FILTERED,
-        chosen_url=base.chosen_url,
-        content=content,
-        original_token_estimate=base.original_token_estimate,
-        reduced_token_estimate=reduced,
-    )
+def _is_about_page(page: PageRecord) -> bool:
+    return any(seg.lower() in ABOUT_TOKENS for seg in page.url.path.split("/") if seg)
 
 
 def select(
@@ -189,11 +119,21 @@ def select(
     tok: Optional[TokenizerHandle] = None,
     max_tokens: int = PipelineConfig.max_content_tokens,
 ) -> Selection:
-    """Dispatch by heuristic code."""
+    """Pick the page with the shortest normalized URL (ties: lexicographic),
+    among the About pages under heuristic 1 when the site has one, and cut
+    its text to max_tokens. Heuristic 3 cuts the text after the filter
+    rules, and still counts the unfiltered page as original_token_estimate."""
+    from .tokens import truncate
+
+    heuristic = HeuristicId(heuristic)
+    if not site.pages:
+        raise EmptySite(site.source_file)
+    about = []
     if heuristic == HeuristicId.ABOUT_PRIORITY:
-        return select_about_priority(site, tok=tok, max_tokens=max_tokens)
-    if heuristic == HeuristicId.SHORTEST_URL:
-        return select_shortest_url(site, tok=tok, max_tokens=max_tokens)
+        about = [p for p in site.pages if _is_about_page(p)]
+    page = min(about or site.pages, key=lambda p: (len(p.url.url), p.url.url))
+    content, original, reduced = truncate(page.body_text, max_tokens, tok)
     if heuristic == HeuristicId.SHORTEST_URL_FILTERED:
-        return select_shortest_url_filtered(site, rules, tok, max_tokens)
-    raise ValueError(f"unknown heuristic {heuristic!r}")
+        filtered = apply_reduction_filters(page.body_text, rules)
+        content, _, reduced = truncate(filtered, max_tokens, tok)
+    return Selection(heuristic, page.url, content, original, reduced)

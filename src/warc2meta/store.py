@@ -52,13 +52,18 @@ def dumps(obj) -> str:
 
 
 def read_jsonl(path, after=None):
-    """Yield the object of each non-blank line, parsed once, as it is read.
+    """The object of each non-blank line, parsed once, as it is read.
 
-    A missing file is a ConfigError; `after` names the stage that writes it.
+    A missing file is a ConfigError, raised by this call, before any row
+    is read; `after` names the stage that writes it.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"no {path}" + (f"; run `{after}` first" if after else ""))
+    return _rows(path)
+
+
+def _rows(path):
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if line.strip():

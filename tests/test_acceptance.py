@@ -16,12 +16,7 @@ import yaml
 from click.testing import CliRunner
 
 from warc2meta.cli import main
-from warc2meta.heuristics import (
-    HeuristicId,
-    select_about_priority,
-    select_shortest_url,
-    select_shortest_url_filtered,
-)
+from warc2meta.heuristics import HeuristicId, select
 from warc2meta.ingest import PageRecord, SiteDocument, ingest_many
 from warc2meta.metrics import bertscore, levenshtein
 from warc2meta.prompts import WITH_RULES, WITHOUT_RULES
@@ -181,14 +176,11 @@ def _synthetic_sites(n_sites=112, pages_per_site=50):
 def test_criterion_2_heuristic_timing():
     sites = _synthetic_sites()
     timings = {}
-    for name, fn in (
-        ("about_priority", select_about_priority),
-        ("shortest_url", select_shortest_url),
-        ("shortest_url_filtered", select_shortest_url_filtered),
-    ):
+    for heuristic in HeuristicId:
+        name = heuristic.name.lower()
         started = time.monotonic()
         for site in sites:
-            fn(site)
+            select(site, heuristic)
         timings[name] = time.monotonic() - started
         assert timings[name] < 15.0, f"{name} took {timings[name]:.2f}s on 112 files"
     _ok(2, "(" + ", ".join(f"{k}={v:.2f}s" for k, v in timings.items()) + ")")
@@ -215,7 +207,8 @@ def test_criterion_3_token_reduction():
     before = sum(
         count_tokens(" ".join(p.body_text for p in site.pages), None) for site in sites
     )
-    after = sum(count_tokens(select_about_priority(site).content, None) for site in sites)
+    after = sum(count_tokens(select(site, HeuristicId.ABOUT_PRIORITY).content, None)
+                for site in sites)
     report = reduction_report(before, after, PRICES)
     assert report.reduction_ratio >= Fraction(99, 100), float(report.reduction_ratio)
     # arithmetic identities, exact

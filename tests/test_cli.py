@@ -158,6 +158,43 @@ class TestSelectCommand:
         assert str(missing) in result.output
         assert list((tmp_path / "out").glob("selections_h*.jsonl")) == []
 
+    def test_missing_sites_fails_before_output(self, tmp_path, runner):
+        cfg = _write_config(tmp_path, _make_corpus(tmp_path))
+        out = tmp_path / "out"
+        out.mkdir()
+        seeded = out / "selections_h2.jsonl"
+        seeded.write_text('{"site_id": "kept"}\n')
+        result = runner.invoke(main, ["--config", str(cfg), "select"])
+        assert result.exit_code != 0
+        assert "Error: ConfigError: no " in result.output
+        assert "run `ingest` first" in result.output
+        assert seeded.read_text() == '{"site_id": "kept"}\n'
+
+    def test_all_heuristics_match_single_runs(self, tmp_path, runner):
+        """The three interleaved writers of --all write what three runs of one write."""
+        warc_dir = _make_corpus(tmp_path)
+        build_warc(warc_dir / "empty.warc", [response_record("https://gone.sg/", status=404)])
+        cfg = _write_config(tmp_path, warc_dir)
+        args = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert runner.invoke(main, args + ["ingest"]).exit_code == 0
+
+        def report_rows():
+            with open(out / "cost_report.csv") as fh:
+                return list(csv.reader(fh))
+
+        single, single_rows = {}, []
+        for h in (1, 2, 3):
+            assert runner.invoke(main, args + ["select", "--heuristic", str(h)]).exit_code == 0
+            single[h] = (out / f"selections_h{h}.jsonl").read_bytes()
+            header, *rows = report_rows()
+            single_rows += rows
+        result = runner.invoke(main, args + ["select", "--all"])
+        assert result.exit_code == 0, result.output
+        for h in (1, 2, 3):
+            assert (out / f"selections_h{h}.jsonl").read_bytes() == single[h]
+        assert report_rows() == [header, *single_rows]
+
 
 class TestGenerateEvaluate:
     def _pipeline_to_selections(self, tmp_path, runner, base_url):
@@ -436,12 +473,11 @@ class TestImportFootprint:
         reference = tmp_path / "reference.jsonl"
         reference.write_text((tmp_path / "out" / "generated_combo2.jsonl").read_text())
         loaded["evaluate"] = self._loaded("--config", cfg, "evaluate", "--reference", reference)
-        select_layer = ("'warc2meta.heuristics', 'warc2meta.ingest', 'warc2meta.tokens',"
-                        " 'warc2meta.warc'")
         assert loaded == {
             "ingest": "['warc2meta.ingest', 'warc2meta.warc']",
-            "select": f"[{select_layer}]",
-            "cost": f"[{select_layer}]",
+            "select": ("['warc2meta.heuristics', 'warc2meta.ingest', 'warc2meta.tokens',"
+                       " 'warc2meta.warc']"),
+            "cost": "['warc2meta.tokens']",
             "generate": "['warc2meta.client', 'warc2meta.heuristics']",
             "stats": "['warc2meta.stats']",
             "evaluate": "['numpy', 'warc2meta.client', 'warc2meta.metrics', 'warc2meta.ranking']",

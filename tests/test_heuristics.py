@@ -10,9 +10,6 @@ from warc2meta.heuristics import (
     apply_reduction_filters,
     load_filter_rules,
     select,
-    select_about_priority,
-    select_shortest_url,
-    select_shortest_url_filtered,
 )
 from warc2meta.ingest import PageRecord, SiteDocument
 from warc2meta.tokens import TokenizerHandle, count_tokens
@@ -40,36 +37,36 @@ def _site(*urls_or_pages):
 class TestAboutPriority:
     def test_about_wins(self):
         site = _site("https://a.sg/", "https://a.sg/about", "https://a.sg/products")
-        sel = select_about_priority(site)
+        sel = select(site, HeuristicId.ABOUT_PRIORITY)
         assert sel.chosen_url.path == "/about"
         assert sel.heuristic == HeuristicId.ABOUT_PRIORITY
 
     def test_fallback_to_shortest(self):
         site = _site("https://a.sg/", "https://a.sg/products")
-        sel = select_about_priority(site)
+        sel = select(site, HeuristicId.ABOUT_PRIORITY)
         assert sel.chosen_url.path == "/"
 
     def test_shortest_among_about_matches(self):
         site = _site("https://a.sg/about", "https://a.sg/about-us")
-        assert select_about_priority(site).chosen_url.path == "/about"
+        assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url.path == "/about"
 
     def test_about_token_variants(self):
         for token in ("about", "about-us", "aboutus", "about_us", "who-we-are"):
             site = _site("https://a.sg/x", f"https://a.sg/{token}")
-            assert select_about_priority(site).chosen_url.path == f"/{token}"
+            assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url.path == f"/{token}"
 
     def test_case_insensitive_segment_match(self):
         site = _site("https://a.sg/xyz", "https://a.sg/About")
-        assert select_about_priority(site).chosen_url.path == "/About"
+        assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url.path == "/About"
 
     def test_empty_site(self):
         with pytest.raises(EmptySite):
-            select_about_priority(_site())
+            select(_site(), HeuristicId.ABOUT_PRIORITY)
 
     def test_matches_shortest_when_no_about(self):
         site = _site("https://a.sg/pq", "https://a.sg/longer-path")
-        a = select_about_priority(site)
-        s = select_shortest_url(site)
+        a = select(site, HeuristicId.ABOUT_PRIORITY)
+        s = select(site, HeuristicId.SHORTEST_URL)
         assert a.chosen_url == s.chosen_url
         assert a.content == s.content
 
@@ -77,27 +74,27 @@ class TestAboutPriority:
 class TestShortestUrl:
     def test_strict_length_order(self):
         site = _site("https://a.sg/", "https://a.sg/x")
-        assert select_shortest_url(site).chosen_url.url == "https://a.sg/"
+        assert select(site, HeuristicId.SHORTEST_URL).chosen_url.url == "https://a.sg/"
 
     def test_lexicographic_tie_break(self):
         site = _site("https://a.sg/b", "https://a.sg/a")
-        assert select_shortest_url(site).chosen_url.path == "/a"
+        assert select(site, HeuristicId.SHORTEST_URL).chosen_url.path == "/a"
 
     def test_single_page(self):
         page = _page("https://a.sg/only")
-        sel = select_shortest_url(_site(page))
+        sel = select(_site(page), HeuristicId.SHORTEST_URL)
         assert sel.chosen_url == page.url
         assert sel.content == page.body_text
 
     def test_token_estimates(self):
         site = _site(_page("https://a.sg/", body="x" * 400))
-        sel = select_shortest_url(site)
+        sel = select(site, HeuristicId.SHORTEST_URL)
         assert sel.original_token_estimate == 100
         assert sel.reduced_token_estimate == 100
 
     def test_content_cap(self):
         site = _site(_page("https://a.sg/", body="x" * 100_000))
-        sel = select_shortest_url(site)
+        sel = select(site, HeuristicId.SHORTEST_URL)
         assert sel.reduced_token_estimate <= 8000
         assert sel.reduced_token_estimate < sel.original_token_estimate
 
@@ -176,27 +173,27 @@ class TestShortestUrlFiltered:
         noisy = "Home | Shop | Cart\n" * 10 + "We build precision instruments for laboratories"
         site = _site(_page("https://a.sg/", body=noisy),
                      _page("https://a.sg/longer"))
-        sel = select_shortest_url_filtered(site)
-        base = select_shortest_url(site)
+        sel = select(site, HeuristicId.SHORTEST_URL_FILTERED)
+        base = select(site, HeuristicId.SHORTEST_URL)
         assert sel.chosen_url == base.chosen_url
         assert sel.reduced_token_estimate < sel.original_token_estimate
 
     def test_minimal_content_fixed_point(self):
         body = "already minimal content with enough words here"
         site = _site(_page("https://a.sg/", body=body))
-        sel = select_shortest_url_filtered(site)
+        sel = select(site, HeuristicId.SHORTEST_URL_FILTERED)
         assert sel.reduced_token_estimate == sel.original_token_estimate
 
     def test_empty_site(self):
         with pytest.raises(EmptySite):
-            select_shortest_url_filtered(_site())
+            select(_site(), HeuristicId.SHORTEST_URL_FILTERED)
 
 
 def test_chosen_url_always_in_site():
     site = _site("https://a.sg/", "https://a.sg/about", "https://a.sg/contact-us")
     urls = {p.url for p in site.pages}
-    for fn in (select_about_priority, select_shortest_url, select_shortest_url_filtered):
-        assert fn(site).chosen_url in urls
+    for heuristic in HeuristicId:
+        assert select(site, heuristic).chosen_url in urls
 
 
 # Multi-byte and astral tokens, some of them ending or starting inside a
@@ -234,7 +231,7 @@ class TestTruncation:
         # 14 byte tokens; token 12 ends on the 3rd of the emoji's 4 bytes,
         # so the cut steps back over two tokens to the emoji's first byte
         site = _site(_page("https://a.sg/", body="abcdefghij😀"))
-        sel = select_shortest_url(site, tok=BYTE_TOK, max_tokens=12)
+        sel = select(site, HeuristicId.SHORTEST_URL, tok=BYTE_TOK, max_tokens=12)
         assert sel.content == "abcdefghij"
         assert sel.original_token_estimate == 14
         assert sel.reduced_token_estimate == 10
