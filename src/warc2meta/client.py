@@ -99,7 +99,9 @@ def _post_chat(messages: List[Dict[str, str]], cfg: ClientConfig, conn: Connecti
                 raise RateLimited(f"429 after {attempts} retries")
             try:
                 delay = float(reply_headers.get("Retry-After"))
-            except (TypeError, ValueError):  # absent or not a number of seconds
+                if not 0 <= delay < float("inf"):
+                    raise ValueError(delay)
+            except (TypeError, ValueError):  # absent, or not a finite number of seconds >= 0
                 delay = cfg.retry_backoff[min(attempts, len(cfg.retry_backoff) - 1)]
             time.sleep(delay)
             attempts += 1

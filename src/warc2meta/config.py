@@ -2,14 +2,17 @@
 
 A YAML config file names the fields, the client's and the prices' under
 `client:` and `prices:`; a key left out or empty takes its default, and an
-unknown key is ignored. Secrets never live in the file: the client reads
-its bearer token from the environment variable named by api_key_source.
+unknown key is ignored. The file is read here, without PyYAML, in the
+subset of YAML that README documents. Secrets never live in the file: the
+client reads its bearer token from the environment variable named by
+api_key_source.
 """
 
 import dataclasses
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -147,20 +150,95 @@ def _build(cls, raw, name: str):
         raise ConfigError(f"{name}: {exc}") from None
 
 
+# The YAML a config file may use, which yaml.safe_load reads the same way:
+# block mappings and sequences, one-line scalars, [] of scalars, and {}.
+_ESCAPE = (r"\\(?:[0abtnvfre \"/\\N_LP]|x[0-9A-Fa-f]{2}|u[0-9A-Fa-f]{4}"
+           r"|U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4})")
+_QUOTED = rf"""'(?:[^']|'')*'|"(?:[^"\\]|{_ESCAPE})*\""""
+_PLAIN = r"""(?:[^-?:,\[\]{}#&*!|>'"%@` ]|[-?:](?=[^ ]))(?:[^: ]|:(?=[^ ])| +(?=[^ #:]|:[^ ]))*"""
+_ITEM = _QUOTED + r"""|[^-?:,\[\]{}#&*!|>'"%@` ](?:[^?:,\[\]{}# ]| +(?=[^?:,\[\]{}# ]))*"""
+_VALUE = rf"({_QUOTED}|{_PLAIN})(?: +#.*| *)"
+_FLOW = rf"(\[ *(?:(?:{_ITEM}) *(?:,|(?=\])) *)*\]|\{{ *\}})(?: +#.*| *)"
+_KEY = rf"({_QUOTED}|{_PLAIN}) *:(?: +|$)"
+_DASH = r"-(?: +|$)"
+_ESCAPES = dict(zip('0abtnvfre "/\\N_LP', '\0\a\b\t\n\v\f\r\x1b "/\\\x85\xa0\u2028\u2029'))
+# How YAML 1.1 types a plain scalar (https://yaml.org/type/): null, a decimal
+# int and a dotted float are read; a plain scalar of any other type is refused.
+_TYPED = r"""(?x)(?P<none>~|null|Null|NULL)|(?P<int>[-+]?(?:0|[1-9][0-9]*))
+  |(?P<float>[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?)
+  |(?P<other>[yY]es|YES|[nN]o|NO|[tT]rue|TRUE|[fF]alse|FALSE|[oO]n|ON|[oO]ff|OFF|<<|=
+  |[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)|\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?|[-+]?(?:0b[0-1_]+
+  |0[0-7_]+|0x[0-9a-fA-F_]+|0|[1-9][0-9_]*(?::[0-5]?[0-9])*|[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*
+  |[0-9][0-9_]*\.[0-9_]*(?:[eE][-+][0-9]+)?)|[0-9]{4}-(?:[0-9][0-9]-[0-9][0-9]|[0-9][0-9]?-
+  [0-9][0-9]?(?:[Tt]|\ +)[0-9][0-9]?:[0-9][0-9]:[0-9][0-9](?:\.[0-9]*)?
+  (?:\ *(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?))"""
+
+
+def _read_yaml(text: str, path):
+    """What yaml.safe_load gives for text, which must keep to the subset
+    above; anything else is a ConfigError naming the line."""
+    def fail(n, why="not in the YAML subset a config file may use (see README)"):
+        raise ConfigError(f"{path}: line {n}: {why}")
+
+    bad = re.search(r"[\x00-\x09\x0b-\x1f\x7f-\x9f\u2028\u2029\ufffe\uffff]|^(?:---|\.\.\.)",
+                    text, re.M)
+    if bad:
+        fail(text.count("\n", 0, bad.start()) + 1, "a tab, control character or document marker")
+    lines = [[n, len(line) - len(body), body] for n, line in enumerate(text.split("\n"), 1)
+             if (body := line.lstrip(" "))[:1] not in ("", "#")]  # [number, indent, text]
+
+    def scalar(n, token):
+        if token[0] in "[{":
+            return [scalar(n, t) for t in re.findall(_ITEM, token[1:-1])] if token[0] == "[" else {}
+        if token[0] in "'\"":
+            return token[1:-1].replace("''", "'") if token[0] == "'" else re.sub(
+                r"\\(?:x(..)|u(.{4})|U(.{8})|(.))", lambda m: _ESCAPES[m[4]] if m[4]
+                else chr(int(m[m.lastindex], 16)), token[1:-1])
+        m = re.fullmatch(_TYPED, token)
+        if m and m["other"]:
+            fail(n, f"YAML 1.1 reads plain {token} as a bool, a date or a number: quote it")
+        return token if m is None else None if m["none"] else (int if m["int"] else float)(token)
+
+    def node(i, one_line=False):
+        """The node that starts on lines[i], and the index of the line after it."""
+        n, indent, body = lines[i]
+        entry = _DASH if re.match(_DASH, body) else _KEY if re.match(_KEY, body) else None
+        if entry is None or one_line:
+            m = re.fullmatch(_FLOW if body[0] in "[{" else _VALUE, body) or fail(n)
+            return scalar(n, m[1]), i + 1
+        out = {}  # a sequence's items are keyed by their index
+        while i < len(lines) and lines[i][1] == indent and (m := re.match(entry, lines[i][2])):
+            n, rest = lines[i][0], lines[i][2][m.end():]
+            if len(m[0].rstrip(" ")) > 1025:
+                fail(n, "a key longer than 1024 characters")
+            key = len(out) if entry is _DASH else scalar(n, m[1])
+            _, below, first = lines[i + 1] if i + 1 < len(lines) else (0, -1, "")
+            if rest[:1] not in ("", "#"):  # "- a: 1" starts a mapping; "a: 1" has a one-line value
+                lines[i][1:] = [indent + m.end(), rest]
+                out[key], i = node(i, entry is _KEY)
+            elif below > indent or below == indent and entry is _KEY and re.match(_DASH, first):
+                out[key], i = node(i + 1)  # the node on the lines below
+            else:
+                out[key], i = None, i + 1
+        return (list(out.values()) if entry is _DASH else out), i
+
+    doc, i = node(0) if lines else (None, 0)
+    if i < len(lines):
+        fail(lines[i][0])
+    return doc
+
+
 def load_config(path=None, output_dir=None) -> PipelineConfig:
     """The checked settings of the YAML file at path, or the defaults
     without one; output_dir, if given, replaces the file's."""
     raw = None
     if path is not None:
-        import yaml  # only a config file needs PyYAML
-
         try:
-            with open(path, encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh)
-        except OSError as exc:
-            raise ConfigError(str(exc)) from exc
-        except yaml.YAMLError as exc:
+            with open(path, encoding="utf-8-sig") as fh:
+                raw = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        raw = _read_yaml(raw, path)
     cfg = _build(PipelineConfig, raw, str(path))
     if output_dir is not None:
         cfg.output_dir = Path(output_dir)

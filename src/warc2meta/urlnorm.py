@@ -48,6 +48,7 @@ def normalize_url(raw: str) -> NormalizedUrl:
     """Standardize an absolute URL; raises InvalidUrl otherwise."""
     try:
         parts = urlsplit(raw.strip())
+        port = parts.port  # raises on a port that is not a number in 0-65535
     except ValueError as exc:
         raise InvalidUrl(f"{raw!r}: {exc}") from exc
     if not parts.scheme or not parts.netloc:
@@ -58,8 +59,8 @@ def normalize_url(raw: str) -> NormalizedUrl:
     host = host.lower()
     if host.startswith("www."):
         host = host[4:]
-    if parts.port is not None and str(parts.port) != _DEFAULT_PORTS.get(scheme):
-        host = f"{host}:{parts.port}"
+    if port is not None and str(port) != _DEFAULT_PORTS.get(scheme):
+        host = f"{host}:{port}"
 
     path = parts.path or "/"
     if path != "/" and path.endswith("/"):

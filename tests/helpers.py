@@ -108,14 +108,15 @@ class MockChatServer:
     {"title": ..., "abstract": ...} (wrapped into a completion), a raw
     string (returned as the assistant message verbatim), bytes (sent
     as the whole 200 reply body), or an int HTTP status for an error
-    reply. When the script runs out, the last entry repeats. Tracks
-    request bodies, headers and targets, client connections and the
-    concurrent-connection high-water mark. With keep_alive the server
-    speaks HTTP/1.1 and keeps each connection open for the client to
-    reuse; otherwise it closes it after one reply.
+    reply; a 429 carries `Retry-After: retry_after`. When the script runs
+    out, the last entry repeats. Tracks request bodies, headers and
+    targets, client connections and the concurrent-connection high-water
+    mark. With keep_alive the server speaks HTTP/1.1 and keeps each
+    connection open for the client to reuse; otherwise it closes it after
+    one reply.
     """
 
-    def __init__(self, script=None, reply_fn=None, keep_alive=False):
+    def __init__(self, script=None, reply_fn=None, keep_alive=False, retry_after="0"):
         self.script = list(script or [])
         self.reply_fn = reply_fn
         self.requests = []
@@ -158,7 +159,7 @@ class MockChatServer:
                 if isinstance(entry, int):
                     self.send_response(entry)
                     if entry == 429:
-                        self.send_header("Retry-After", "0")
+                        self.send_header("Retry-After", retry_after)
                     self.send_header("Content-Length", "2")
                     self.end_headers()
                     self.wfile.write(b"{}")

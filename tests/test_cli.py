@@ -415,8 +415,8 @@ _STAGE_SCRIPT = """
 import os, sys
 from warc2meta.cli import main
 main.main(args=sys.argv[1:], prog_name="warc2meta", standalone_mode=False)
-watched = ("requests", "numpy", "concurrent.futures", "urllib.request", "warc2meta.client",
-           "warc2meta.heuristics", "warc2meta.ingest", "warc2meta.metrics",
+watched = ("requests", "yaml", "numpy", "concurrent.futures", "urllib.request",
+           "warc2meta.client", "warc2meta.heuristics", "warc2meta.ingest", "warc2meta.metrics",
            "warc2meta.ranking", "warc2meta.stats", "warc2meta.tokens", "warc2meta.warc")
 print(os.environ.get("OPENBLAS_NUM_THREADS"))
 print(sorted(m for m in watched if m in sys.modules))

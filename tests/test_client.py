@@ -98,6 +98,21 @@ class TestGenerateMetadata:
                     _selection(), WITH_RULES, _cfg(server.base_url, max_retries=2), "s1"
                 )
 
+    @pytest.mark.parametrize("retry_after, slept", [
+        ("0.02", 0.02),  # a finite number of seconds >= 0 is honoured
+        ("-1", 0.01), ("nan", 0.01), ("inf", 0.01), ("1e999", 0.01), ("soon", 0.01),
+    ])
+    def test_bad_retry_after_takes_the_backoff(self, retry_after, slept, monkeypatch):
+        """A Retry-After that is not a finite number >= 0 counts as absent."""
+        delays = []
+        monkeypatch.setattr("warc2meta.client.time.sleep", delays.append)
+        reply = {"title": "T", "abstract": "A"}
+        with MockChatServer(script=[429, reply], retry_after=retry_after) as server:
+            meta = generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url), "s1")
+        assert meta.title == "T"
+        assert len(server.requests) == 2
+        assert delays == [slept]
+
     def test_server_error_surfaces(self):
         with MockChatServer(script=[500]) as server:
             with pytest.raises(ApiError):

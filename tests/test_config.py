@@ -1,10 +1,12 @@
 import dataclasses
+import math
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from warc2meta.cli import main
 from warc2meta.config import (
@@ -12,6 +14,8 @@ from warc2meta.config import (
     ClientConfig,
     PipelineConfig,
     PriceConfig,
+    _build,
+    _read_yaml,
     load_config,
 )
 from warc2meta.errors import ConfigError
@@ -220,3 +224,185 @@ class TestLoad:
         assert result.exit_code == 1
         assert "Error: ConfigError: cfg.yaml: client: max_retries must be >= 0" in result.output
         assert not Path("out").exists()
+
+
+def test_readme_configuration_block_is_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    Path("cfg.yaml").write_text(block)
+    cfg = load_config("cfg.yaml")
+    assert cfg == PipelineConfig()
+    assert cfg.digest() == PipelineConfig().digest()
+
+
+# PyYAML is the reader's oracle: load_config must give what _build and
+# validate() give for yaml.safe_load's reading of the same file.
+def _oracle(text):
+    try:
+        cfg = _build(PipelineConfig, yaml.safe_load(text), "cfg.yaml")
+        cfg.validate()
+        return cfg, cfg.digest()
+    except ConfigError as exc:
+        return str(exc)
+
+
+def _loaded():
+    try:
+        cfg = load_config("cfg.yaml")
+        return cfg, cfg.digest()
+    except ConfigError as exc:
+        return str(exc)
+
+
+# one-line text: a line break in a string makes safe_dump write it over several lines
+_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r\x85\u2028\u2029")
+_TEXT = st.text(_CHARS, max_size=12)
+_KEYS = st.text(_CHARS, min_size=1, max_size=12)  # safe_dump writes "" as a complex "? " key
+_SCALARS = (st.none() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+            | _TEXT | st.sampled_from(["", "true", "0x1F", "1_000", "2024-01-01", "1e5", ".inf"]))
+# a valid value for each setting a file sets, as a YAML scalar
+_VALID = {name: str(value) if isinstance(value, (Path, Decimal)) else value
+          for name, value in OTHER_VALUES.items()
+          if not isinstance(value, (tuple, ClientConfig, PriceConfig))}
+
+
+def _mostly(good, other):
+    """good three times in four, else other ("|" would weigh each scalar kind as one)."""
+    return st.integers(0, 3).flatmap(lambda k: good if k else other)
+
+
+def _section(cls):
+    """Some of cls's settings, mostly valid, else any scalar, and some unknown keys."""
+    known = st.fixed_dictionaries({}, optional={
+        f.name: _mostly(st.just(_VALID[f.name]), _SCALARS) if f.name in _VALID else _SCALARS
+        for f in dataclasses.fields(cls) if f.name not in ("client", "prices")})
+    unknown = st.dictionaries(_KEYS, _SCALARS, max_size=2)
+    return st.tuples(unknown, known).map(lambda parts: {**parts[0], **parts[1]})
+
+
+_CONFIGS = st.tuples(
+    _section(PipelineConfig),
+    st.fixed_dictionaries({}, optional={"client": _mostly(_section(ClientConfig), _SCALARS),
+                                        "prices": _mostly(_section(PriceConfig), _SCALARS)}),
+    st.dictionaries(_KEYS, _section(PriceConfig), max_size=1),  # an unknown section
+).map(lambda parts: {**parts[2], **parts[0], **parts[1]})
+
+
+class TestReaderAgainstPyYAML:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=_CONFIGS, allow_unicode=st.booleans())
+    def test_dumped_config_loads_as_pyyaml_reads_it(self, raw, allow_unicode):
+        """Every config safe_dump writes on one line per key loads to the same
+        settings and digest, or fails with the same message."""
+        text = yaml.safe_dump(raw, width=math.inf, allow_unicode=allow_unicode)
+        Path("cfg.yaml").write_text(text, encoding="utf-8")
+        assert _loaded() == _oracle(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("client: {base_url: x}\n", 1),                      # flow mapping with content
+        ("a: &anchor x\nb: *anchor\n", 1),                   # anchor
+        ("b: *anchor\n", 1),                                 # alias
+        ("input_dir: !!str crawls\n", 1),                    # tag
+        ("prompt_variant: |\n  rules\n", 1),                 # block scalars
+        ("prompt_variant: >-\n  rules\n", 1),
+        ("client:\n  model_name: gpt\n    4o\n", 3),         # multi-line scalars
+        ("prompt_variant: 'ru\n  les'\n", 1),
+        ('prompt_variant: "ru\n  les"\n', 1),
+        ("min_chars: 30\n? complex key\n", 2),
+        ("client:\n  max_retries: true\n", 2),               # bools
+        ("heuristic: yes\n", 1),
+        ("embedding_model: off\n", 1),
+        ("input_dir: 2024-01-01\n", 1),                      # timestamp
+        ("input_dir: 2001-12-14 21:59:43.10 -5\n", 1),
+        ("min_chars: 0x1E\n", 1),                            # hex, octal, binary ints
+        ("min_chars: 036\n", 1),
+        ("min_chars: 0b11110\n", 1),
+        ("min_chars: 1:30\n", 1),                            # sexagesimal
+        ("max_content_tokens: 8_000\n", 1),                  # underscored
+        ("prices:\n  price_per_million_input: 2_500.0\n", 2),
+        ("client:\n  temperature: .inf\n", 2),               # inf and nan
+        ("client:\n  temperature: -.Inf\n", 2),
+        ("client:\n  temperature: .nan\n", 2),
+        ("--- \ninput_dir: crawls\n", 1),                    # document markers
+        ("input_dir: crawls\n...\n", 2),
+        ("input_dir:\tcrawls\n", 1),                         # a tab
+        ('input_dir: "\\q"\n', 1),                           # an unknown escape
+        ("input_dir: crawls#: x\n", 1),                      # ": " inside a plain scalar
+        ("input_dir: cr\x85awls\n", 1),                      # a NEL line break, a C1 control
+        ("input_dir: cr\x9fawls\n", 1),
+    ])
+    def test_outside_the_subset_rejected_naming_file_and_line(self, text, line):
+        Path("cfg.yaml").write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^cfg\.yaml: line {line}: "):
+            load_config("cfg.yaml")
+
+    def test_key_of_1024_characters_at_most(self):
+        """PyYAML allows a key's colon at most 1024 characters from its start."""
+        Path("cfg.yaml").write_text("k" * 1023 + " : 1\n")
+        assert yaml.safe_load(Path("cfg.yaml").read_text()) == {"k" * 1023: 1}
+        assert load_config("cfg.yaml") == PipelineConfig()
+        Path("cfg.yaml").write_text("k" * 1024 + " : 1\n")
+        with pytest.raises(yaml.YAMLError):
+            yaml.safe_load(Path("cfg.yaml").read_text())
+        with pytest.raises(ConfigError, match=r"^cfg\.yaml: line 1: "):
+            load_config("cfg.yaml")
+
+    @pytest.mark.parametrize("text", ["max_retries: true", "heuristic: 0x2", "min_chars: 1_0"])
+    def test_typed_plain_scalar_asks_to_be_quoted(self, text):
+        Path("cfg.yaml").write_text(text)
+        with pytest.raises(ConfigError, match="quote it"):
+            load_config("cfg.yaml")
+
+    def test_bom_and_crlf_line_ends(self):
+        Path("cfg.yaml").write_bytes(
+            b"\xef\xbb\xbfinput_dir: crawls\r\nclient:\r\n  model_name: m # note\r\n")
+        cfg = load_config("cfg.yaml")
+        assert (cfg.input_dir, cfg.client.model_name) == (Path("crawls"), "m")
+        assert (cfg, cfg.digest()) == _oracle(Path("cfg.yaml").read_text(encoding="utf-8"))
+
+    def test_file_not_utf8_rejected(self):
+        Path("cfg.yaml").write_bytes(b"input_dir: cr\xffawls\n")
+        with pytest.raises(ConfigError, match=r"^cfg\.yaml: .*codec can't decode"):
+            load_config("cfg.yaml")
+
+    @pytest.mark.parametrize("text, raw", [
+        ("a: 'it''s'\nb: \"\\x41\\u00e9\\t\\\\\"\nc: ~\nd: -7\ne: 1.\nf: .5\ng: 1e5\n",
+         {"a": "it's", "b": "A\u00e9\t\\", "c": None, "d": -7, "e": 1.0, "f": 0.5, "g": "1e5"}),
+        ("a: []\nb: {}\nc: [x, 'y, z', 1]\nd:\n- 1\n-\n- - 2\n",
+         {"a": [], "b": {}, "c": ["x", "y, z", 1], "d": [1, None, [2]]}),
+        ("- input_dir: crawls\n  min_chars: 3\n- x\n",
+         [{"input_dir": "crawls", "min_chars": 3}, "x"]),
+        ("url: http://h:8/v1#x\nk y : v:w #c\n", {"url": "http://h:8/v1#x", "k y": "v:w"}),
+        ('e: "\\0\\a\\b\\t\\n\\v\\f\\r\\e\\ \\"\\/\\\\\\N\\_\\L\\P\\x41\\u00e9\\U0001F600"\n',
+         {"e": "\0\a\b\t\n\v\f\r\x1b \"/\\\x85\xa0\u2028\u2029A\u00e9\U0001F600"}),
+    ])
+    def test_subset_reads_as_pyyaml_does(self, text, raw):
+        assert yaml.safe_load(text) == raw
+        assert _read_yaml(text, "cfg.yaml") == raw
+
+
+# lines built from YAML's indicators, for the reader to read as PyYAML does or refuse
+_ATOMS = st.sampled_from([
+    "a", "x y", "1", "-1", "1.5", ".5", "-.5", "1e5", "~", "null", "true", "0x1f", "1_0", "1:30",
+    "'q'", "'it''s'", '"d\\n"', '"\\x41"', '"\\q"', "[]", "{}", "[a, b]", "[a,]", "{a: 1}", "&x a",
+    "*x", "!!str a", "|", "#c", " #c", "a#b", "http://h:1/v", "-", "- a", ":", "?", "a: b", "'a",
+    "[a, 'b, c']", "[-1]", "\u00e9", "a b  ", "'x'#c", "a,b", "[a]x", "<<", "=", "@", "%Y", "",
+    "b#:", "a #b", "'a' : b", "- - x",
+])
+_LINES = st.lists(st.tuples(st.sampled_from(["", " ", "  ", "    "]),
+                            st.sampled_from(["{0}: {1}", "{0}:{1}", "- {0}", "-{0}", "- {0}: {1}",
+                                             "{0}", "{0} :  {1}"]),
+                            _ATOMS, _ATOMS), max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=_LINES)
+def test_reader_never_differs_from_pyyaml(lines):
+    text = "\n".join(indent + form.format(a, b) for indent, form, a, b in lines)
+    try:
+        got = _read_yaml(text, "cfg.yaml")
+    except ConfigError as exc:
+        assert str(exc).startswith("cfg.yaml: line ")
+        return
+    assert repr(got) == repr(yaml.safe_load(text))  # repr: 1 and 1.0 differ

@@ -278,6 +278,19 @@ class TestIngestWarcFile:
         assert doc.duplicate_count == 1
         assert "second" in doc.pages[0].body_text
 
+    @pytest.mark.parametrize("bad_url", ["https://a.sg:99999/", "https://a.sg:abc/x"])
+    def test_bad_port_counted_as_undecodable(self, tmp_path, bad_url):
+        """A record whose URL has a bad port is skipped; the file still gives its row."""
+        records = [
+            response_record("https://a.sg/", body=html_page("Home", "welcome " * 20)),
+            response_record(bad_url, body=html_page("Bad", "unreachable " * 20)),
+            response_record("https://a.sg/x", body=html_page("X", "content " * 20)),
+        ]
+        doc = ingest_warc_file(build_warc(tmp_path / "port.warc", records))
+        assert [page.url.url for page in doc.pages] == ["https://a.sg/", "https://a.sg/x"]
+        assert doc.undecodable_count == 1
+        assert doc.rejected_count == doc.duplicate_count == 0
+
     def test_request_only_warc(self, tmp_path):
         from helpers import warc_record
 

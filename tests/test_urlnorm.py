@@ -37,7 +37,8 @@ def test_dedup_key_roundtrip():
     assert u.dedup_key == "https://a.sg/p?q=1"
 
 
-@pytest.mark.parametrize("bad", ["", "not a url", "/relative/only", "mailto:"])
+@pytest.mark.parametrize("bad", ["", "not a url", "/relative/only", "mailto:",
+                                 "http://example.com:99999/", "http://example.com:abc/x"])
 def test_invalid_urls(bad):
     with pytest.raises(InvalidUrl):
         normalize_url(bad)
