@@ -121,7 +121,7 @@ def generate_metadata(
     error on schema failures."""
     from .transport import Connection
 
-    messages = build_prompt(variant, selection.content, selection.chosen_url.url)
+    messages = build_prompt(variant, selection.content, selection.chosen_url)
     last_error: Optional[SchemaViolation] = None
     with Connection(cfg.base_url, cfg.timeout) as conn:
         for _ in range(cfg.max_retries + 1):
@@ -154,7 +154,7 @@ def generate_metadata(
 
 def request_key(variant: PromptVariant, selection: Selection, cfg: ClientConfig) -> str:
     """sha256 of the chat request for a selection: messages, model, temperature."""
-    messages = build_prompt(variant, selection.content, selection.chosen_url.url)
+    messages = build_prompt(variant, selection.content, selection.chosen_url)
     blob = dumps([messages, cfg.model_name, cfg.temperature])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -238,7 +238,10 @@ def load_config(path=None, output_dir=None) -> PipelineConfig:
                 raw = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        raw = _read_yaml(raw, path)
+        try:
+            raw = _read_yaml(raw, path)
+        except RecursionError:  # the reader recurses once per level
+            raise ConfigError(f"{path}: nested too deeply") from None
     cfg = _build(PipelineConfig, raw, str(path))
     if output_dir is not None:
         cfg.output_dir = Path(output_dir)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
+from urllib.parse import urlsplit
 
 from .config import PipelineConfig
 from .errors import EmptySite, InvalidPattern
 from .prompts import HeuristicId
 from .store import dumps
-from .urlnorm import NormalizedUrl, normalize_url
 
 if TYPE_CHECKING:  # generate reads selections without loading ingest or tokens
     from .ingest import PageRecord, SiteDocument
@@ -31,19 +31,19 @@ ABOUT_TOKENS = frozenset(
 @dataclass(frozen=True)
 class Selection:
     heuristic: HeuristicId
-    chosen_url: NormalizedUrl
+    chosen_url: str
     content: str
     original_token_estimate: int
     reduced_token_estimate: int
 
     def to_json(self, site_id: str) -> str:
         """site_id's row in the selections of this heuristic."""
-        return dumps(dict(vars(self), site_id=site_id, chosen_url=self.chosen_url.url))
+        return dumps(dict(vars(self), site_id=site_id))
 
     @classmethod
     def from_json(cls, obj) -> "Selection":
         """From a parsed selection row that is not an error row."""
-        return cls(HeuristicId(obj["heuristic"]), normalize_url(obj["chosen_url"]),
+        return cls(HeuristicId(obj["heuristic"]), obj["chosen_url"],
                    obj["content"], obj["original_token_estimate"],
                    obj["reduced_token_estimate"])
 
@@ -109,7 +109,8 @@ def apply_reduction_filters(text: str, rules: Optional[List[FilterRule]] = None)
 
 
 def _is_about_page(page: PageRecord) -> bool:
-    return any(seg.lower() in ABOUT_TOKENS for seg in page.url.path.split("/") if seg)
+    path = urlsplit(page.url).path
+    return any(seg.lower() in ABOUT_TOKENS for seg in path.split("/") if seg)
 
 
 def select(
@@ -131,7 +132,7 @@ def select(
     about = []
     if heuristic == HeuristicId.ABOUT_PRIORITY:
         about = [p for p in site.pages if _is_about_page(p)]
-    page = min(about or site.pages, key=lambda p: (len(p.url.url), p.url.url))
+    page = min(about or site.pages, key=lambda p: (len(p.url), p.url))
     content, original, reduced = truncate(page.body_text, max_tokens, tok)
     if heuristic == HeuristicId.SHORTEST_URL_FILTERED:
         filtered = apply_reduction_filters(page.body_text, rules)

@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Optional
 from .config import PipelineConfig
 from .errors import InvalidUrl
 from .store import dumps
-from .urlnorm import NormalizedUrl, normalize_url
+from .urlnorm import normalize_url
 from .warc import RawWarcRecord, open_warc_stream
 
 HTML_CONTENT_TYPES = ("text/html", "application/xhtml+xml")
@@ -31,7 +31,7 @@ _CHARSET_PARAM_RE = re.compile(r"charset\s*=\s*([a-zA-Z0-9_\-]+)", re.I)
 
 @dataclass(frozen=True)
 class PageRecord:
-    url: NormalizedUrl
+    url: str  # normalized
     raw_url: str
     page_title: str
     body_text: str
@@ -57,7 +57,7 @@ class SiteDocument:
                 "undecodable_count": self.undecodable_count,
                 "pages": [
                     {
-                        "url": p.url.url,
+                        "url": p.url,
                         "raw_url": p.raw_url,
                         "title": p.page_title,
                         "char_count": p.char_count,
@@ -75,7 +75,7 @@ class SiteDocument:
         obj = json.loads(row) if isinstance(row, str) else row
         pages = [
             PageRecord(
-                url=normalize_url(p["url"]),
+                url=p["url"],
                 raw_url=p["raw_url"],
                 page_title=p["title"],
                 body_text=p["body_text"],
@@ -271,12 +271,11 @@ def quality_filter(page: PageRecord, min_chars: int = PipelineConfig.min_chars) 
 
 
 def deduplicate(pages: List[PageRecord]) -> List[PageRecord]:
-    """Keep the longest-body page per dedup_key; first-occurrence key order."""
+    """Keep the longest-body page per normalized URL; first-occurrence URL order."""
     best = {}  # a replaced value keeps its key's place
     for page in pages:
-        key = page.url.dedup_key
-        if key not in best or page.char_count > best[key].char_count:
-            best[key] = page
+        if page.url not in best or page.char_count > best[page.url].char_count:
+            best[page.url] = page
     return list(best.values())
 
 

@@ -41,9 +41,6 @@ class CombinationStats:
 @dataclass(frozen=True)
 class RankedCombination:
     stats: CombinationStats
-    rank_lev: int
-    rank_bs: int
-    rank_std: int
     rank_sum: int
     final_score: int
 
@@ -120,16 +117,6 @@ def rank_combinations(all_stats: Sequence[CombinationStats]) -> List[RankedCombi
     rank_std = _competition_ranks([s.bs_std for s in all_stats])
     sums = [a + b + c for a, b, c in zip(rank_lev, rank_bs, rank_std)]
     finals = _competition_ranks(sums)
-    ranked = [
-        RankedCombination(
-            stats=s,
-            rank_lev=rank_lev[i],
-            rank_bs=rank_bs[i],
-            rank_std=rank_std[i],
-            rank_sum=sums[i],
-            final_score=finals[i],
-        )
-        for i, s in enumerate(all_stats)
-    ]
+    ranked = [RankedCombination(*row) for row in zip(all_stats, sums, finals)]
     ranked.sort(key=lambda r: (r.final_score, r.stats.combination_id))
     return ranked

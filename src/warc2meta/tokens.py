@@ -139,8 +139,6 @@ class CostReport:
     reduction_ratio: Fraction
     cost_before: Decimal
     cost_after: Decimal
-    price_per_million_input: Decimal
-    price_per_million_output: Decimal
     approximate: bool
     degenerate: bool = False
 
@@ -169,8 +167,6 @@ def reduction_report(
         reduction_ratio=ratio,
         cost_before=_input_cost(tokens_before, prices),
         cost_after=_input_cost(tokens_after, prices),
-        price_per_million_input=prices.price_per_million_input,
-        price_per_million_output=prices.price_per_million_output,
         approximate=tok is None,
         degenerate=degenerate,
     )

@@ -1,10 +1,12 @@
 """URL standardization for crawl deduplication.
 
-Normalization is a fixed point: applying it to an already-normalized
-URL changes nothing.
+A normalized URL is a string, `scheme://host[:port]/path[?query]`: the
+scheme and host lowercased, `www.` and a default port dropped, an IP
+literal host kept in its brackets, no fragment, no trailing slash but the
+root's, and no tracking parameters. Normalization is a fixed point:
+applying it to a normalized URL gives the same string.
 """
 
-from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 from .errors import InvalidUrl
@@ -16,27 +18,6 @@ TRACKING_PREFIXES = ("utm_",)
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
 
 
-@dataclass(frozen=True)
-class NormalizedUrl:
-    scheme: str
-    host: str
-    path: str
-    query: str
-
-    @property
-    def dedup_key(self) -> str:
-        return f"{self.scheme}://{self.host}{self.path}" + (
-            f"?{self.query}" if self.query else ""
-        )
-
-    @property
-    def url(self) -> str:
-        return self.dedup_key
-
-    def __str__(self) -> str:
-        return self.dedup_key
-
-
 def _is_tracking_param(name: str) -> bool:
     lowered = name.lower()
     if lowered in TRACKING_PARAMS:
@@ -44,7 +25,7 @@ def _is_tracking_param(name: str) -> bool:
     return any(lowered.startswith(p) for p in TRACKING_PREFIXES)
 
 
-def normalize_url(raw: str) -> NormalizedUrl:
+def normalize_url(raw: str) -> str:
     """Standardize an absolute URL; raises InvalidUrl otherwise."""
     try:
         parts = urlsplit(raw.strip())
@@ -55,9 +36,10 @@ def normalize_url(raw: str) -> NormalizedUrl:
         raise InvalidUrl(f"not an absolute URL: {raw!r}")
 
     scheme = parts.scheme.lower()
-    host = parts.hostname or ""
-    host = host.lower()
-    if host.startswith("www."):
+    host = parts.hostname or ""  # lowercased, an IP literal's brackets dropped
+    if ":" in host:
+        host = f"[{host}]"
+    elif host.startswith("www."):
         host = host[4:]
     if port is not None and str(port) != _DEFAULT_PORTS.get(scheme):
         host = f"{host}:{port}"
@@ -77,4 +59,4 @@ def normalize_url(raw: str) -> NormalizedUrl:
             kept.append(pair)
     query = "&".join(kept)
 
-    return NormalizedUrl(scheme=scheme, host=host, path=path, query=query)
+    return f"{scheme}://{host}{path}" + (f"?{query}" if query else "")

@@ -160,13 +160,13 @@ def _synthetic_sites(n_sites=112, pages_per_site=50):
             url = normalize_url(f"https://site{s}.sg/section{p % 7}/page-{p}")
             text = f"Home | Products | Contact\nparagraph {p} of site {s} " * 20
             pages.append(PageRecord(
-                url=url, raw_url=url.url, page_title=f"Page {p}",
+                url=url, raw_url=url, page_title=f"Page {p}",
                 body_text=text, http_status=200, char_count=len(text),
             ))
         about_url = normalize_url(f"https://site{s}.sg/about")
         about = f"we are company number {s} and we make excellent things " * 3
         pages.append(PageRecord(
-            url=about_url, raw_url=about_url.url, page_title="About",
+            url=about_url, raw_url=about_url, page_title="About",
             body_text=about, http_status=200, char_count=len(about),
         ))
         sites.append(SiteDocument(source_file=f"site{s}.warc", pages=pages))
@@ -192,7 +192,7 @@ def test_criterion_3_token_reduction():
         pages = []
         about_url = normalize_url(f"https://s{s}.sg/about")
         pages.append(PageRecord(
-            url=about_url, raw_url=about_url.url, page_title="About",
+            url=about_url, raw_url=about_url, page_title="About",
             body_text=f"short about text for company {s} with just enough words",
             http_status=200, char_count=60,
         ))
@@ -200,7 +200,7 @@ def test_criterion_3_token_reduction():
             url = normalize_url(f"https://s{s}.sg/archive/item-{p}")
             text = f"very long archival page {p} " * 1000
             pages.append(PageRecord(
-                url=url, raw_url=url.url, page_title=f"Item {p}",
+                url=url, raw_url=url, page_title=f"Item {p}",
                 body_text=text, http_status=200, char_count=len(text),
             ))
         sites.append(SiteDocument(source_file=f"s{s}.warc", pages=pages))
@@ -408,6 +408,36 @@ def test_criterion_7_end_to_end(tmp_path):
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"end-to-end took {elapsed:.1f}s"
     _ok(7, f"(two identical runs in {elapsed:.1f}s, high-water {high_water})")
+
+
+def test_ip_literal_host_runs_through_every_stage(tmp_path):
+    """A site on an IP-literal host ([::1], bracketed as RFC 3986 requires)
+    is selected and generated beside a named one, its URL as ingest wrote it."""
+    warcs = tmp_path / "warcs"
+    warcs.mkdir()
+    urls = {"bakery": "https://bakery.sg/about", "local": "http://[::1]/about"}
+    for site_id, url in urls.items():
+        page = html_page(site_id, f"{site_id} bakes fine bread every day " * 10)
+        build_warc(warcs / f"{site_id}.warc", [response_record(url, body=page)])
+    cfg = tmp_path / "cfg.yaml"
+    with MockChatServer(reply_fn=_deterministic_reply) as server:
+        cfg.write_text(yaml.safe_dump({
+            "input_dir": str(warcs), "output_dir": str(tmp_path / "out"),
+            "client": {"base_url": server.base_url, "model_name": "mock-model"},
+        }))
+        for args in (["ingest"], ["select", "--all"], ["generate", "--all-combinations"]):
+            result = CliRunner().invoke(main, ["--config", str(cfg), *args])
+            assert result.exit_code == 0, result.output
+
+    def rows(name):
+        with open(tmp_path / "out" / name, encoding="utf-8") as fh:
+            return [json.loads(line) for line in fh]
+
+    for h in (1, 2, 3):
+        assert {r["site_id"]: r["chosen_url"] for r in rows(f"selections_h{h}.jsonl")} == urls
+    for combo in range(6):
+        titles = {r["site_id"]: r["title"] for r in rows(f"generated_combo{combo}.jsonl")}
+        assert titles == {site_id: f"Company at {url}" for site_id, url in urls.items()}
 
 
 def test_criterion_8_prompt_fidelity():

@@ -417,7 +417,8 @@ from warc2meta.cli import main
 main.main(args=sys.argv[1:], prog_name="warc2meta", standalone_mode=False)
 watched = ("requests", "yaml", "numpy", "concurrent.futures", "urllib.request",
            "warc2meta.client", "warc2meta.heuristics", "warc2meta.ingest", "warc2meta.metrics",
-           "warc2meta.ranking", "warc2meta.stats", "warc2meta.tokens", "warc2meta.warc")
+           "warc2meta.ranking", "warc2meta.stats", "warc2meta.tokens", "warc2meta.urlnorm",
+           "warc2meta.warc")
 print(os.environ.get("OPENBLAS_NUM_THREADS"))
 print(sorted(m for m in watched if m in sys.modules))
 """
@@ -474,9 +475,9 @@ class TestImportFootprint:
         reference.write_text((tmp_path / "out" / "generated_combo2.jsonl").read_text())
         loaded["evaluate"] = self._loaded("--config", cfg, "evaluate", "--reference", reference)
         assert loaded == {
-            "ingest": "['warc2meta.ingest', 'warc2meta.warc']",
+            "ingest": "['warc2meta.ingest', 'warc2meta.urlnorm', 'warc2meta.warc']",
             "select": ("['warc2meta.heuristics', 'warc2meta.ingest', 'warc2meta.tokens',"
-                       " 'warc2meta.warc']"),
+                       " 'warc2meta.urlnorm', 'warc2meta.warc']"),
             "cost": "['warc2meta.tokens']",
             "generate": "['warc2meta.client', 'warc2meta.heuristics']",
             "stats": "['warc2meta.stats']",

@@ -366,6 +366,18 @@ class TestReaderAgainstPyYAML:
         with pytest.raises(ConfigError, match=r"^cfg\.yaml: .*codec can't decode"):
             load_config("cfg.yaml")
 
+    @pytest.mark.parametrize("text", [
+        "".join(" " * depth + "k:\n" for depth in range(1200)),
+        "- " * 1200 + "x\n",
+    ], ids=["staircase-of-keys", "sequence-of-sequences"])
+    def test_nested_too_deeply_rejected(self, text):
+        Path("cfg.yaml").write_text(text)
+        with pytest.raises(ConfigError, match=r"^cfg\.yaml: nested too deeply$"):
+            load_config("cfg.yaml")
+        result = CliRunner().invoke(main, ["--config", "cfg.yaml", "cost"])
+        assert (result.exit_code, result.output) == (
+            1, "Error: ConfigError: cfg.yaml: nested too deeply\n")
+
     @pytest.mark.parametrize("text, raw", [
         ("a: 'it''s'\nb: \"\\x41\\u00e9\\t\\\\\"\nc: ~\nd: -7\ne: 1.\nf: .5\ng: 1e5\n",
          {"a": "it's", "b": "A\u00e9\t\\", "c": None, "d": -7, "e": 1.0, "f": 0.5, "g": "1e5"}),

@@ -38,26 +38,26 @@ class TestAboutPriority:
     def test_about_wins(self):
         site = _site("https://a.sg/", "https://a.sg/about", "https://a.sg/products")
         sel = select(site, HeuristicId.ABOUT_PRIORITY)
-        assert sel.chosen_url.path == "/about"
+        assert sel.chosen_url == "https://a.sg/about"
         assert sel.heuristic == HeuristicId.ABOUT_PRIORITY
 
     def test_fallback_to_shortest(self):
         site = _site("https://a.sg/", "https://a.sg/products")
         sel = select(site, HeuristicId.ABOUT_PRIORITY)
-        assert sel.chosen_url.path == "/"
+        assert sel.chosen_url == "https://a.sg/"
 
     def test_shortest_among_about_matches(self):
         site = _site("https://a.sg/about", "https://a.sg/about-us")
-        assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url.path == "/about"
+        assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url == "https://a.sg/about"
 
     def test_about_token_variants(self):
         for token in ("about", "about-us", "aboutus", "about_us", "who-we-are"):
             site = _site("https://a.sg/x", f"https://a.sg/{token}")
-            assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url.path == f"/{token}"
+            assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url == f"https://a.sg/{token}"
 
     def test_case_insensitive_segment_match(self):
         site = _site("https://a.sg/xyz", "https://a.sg/About")
-        assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url.path == "/About"
+        assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url == "https://a.sg/About"
 
     def test_empty_site(self):
         with pytest.raises(EmptySite):
@@ -74,11 +74,11 @@ class TestAboutPriority:
 class TestShortestUrl:
     def test_strict_length_order(self):
         site = _site("https://a.sg/", "https://a.sg/x")
-        assert select(site, HeuristicId.SHORTEST_URL).chosen_url.url == "https://a.sg/"
+        assert select(site, HeuristicId.SHORTEST_URL).chosen_url == "https://a.sg/"
 
     def test_lexicographic_tie_break(self):
         site = _site("https://a.sg/b", "https://a.sg/a")
-        assert select(site, HeuristicId.SHORTEST_URL).chosen_url.path == "/a"
+        assert select(site, HeuristicId.SHORTEST_URL).chosen_url == "https://a.sg/a"
 
     def test_single_page(self):
         page = _page("https://a.sg/only")

@@ -287,7 +287,7 @@ class TestIngestWarcFile:
             response_record("https://a.sg/x", body=html_page("X", "content " * 20)),
         ]
         doc = ingest_warc_file(build_warc(tmp_path / "port.warc", records))
-        assert [page.url.url for page in doc.pages] == ["https://a.sg/", "https://a.sg/x"]
+        assert [page.url for page in doc.pages] == ["https://a.sg/", "https://a.sg/x"]
         assert doc.undecodable_count == 1
         assert doc.rejected_count == doc.duplicate_count == 0
 

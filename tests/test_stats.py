@@ -45,6 +45,11 @@ class TestChiSquareSurvival:
         assert chi_square_survival(0, 1) == 1.0
         assert chi_square_survival(0, 5) == 1.0
 
+    @pytest.mark.parametrize("df", [0, -1, 2.5])
+    def test_df_not_a_positive_integer_rejected(self, df):
+        with pytest.raises(ValueError, match="df must be an integer >= 1"):
+            chi_square_survival(1.0, df)
+
     def test_df2_closed_form(self):
         assert abs(chi_square_survival(3, 2) - math.exp(-1.5)) < 1e-12
 
