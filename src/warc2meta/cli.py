@@ -211,17 +211,17 @@ def generate(cfg: PipelineConfig, heuristic, prompt_name, all_combinations):
 def evaluate(cfg: PipelineConfig, reference_path):
     """Score every generated combination against the reference and rank them.
 
-    A pair with a text that embeds to no token is left out (`unscored`),
-    and so is a combination with no scored pair (`no_overlap`).
+    A generated row whose site has no reference row is left out
+    (`no_reference`), and so are a pair with a text that embeds to no token
+    (`unscored`) and a combination with no scored pair (`no_overlap`).
     """
     from .client import GeneratedMetadata, combination_id
     from .metrics import EmbeddingMemo, HttpEmbeddingProvider, MockEmbeddingProvider
     from .ranking import rank_combinations, score_combination, score_pairs
 
     started = store.now()
-    reference = [GeneratedMetadata.from_json(r) for r in store.read_jsonl(reference_path)
-                 if "title" in r and "error" not in r]
-    reference_ids = {r.site_id for r in reference}
+    reference = {r["site_id"]: (r["title"], r["abstract"])
+                 for r in store.read_jsonl(reference_path) if "title" in r and "error" not in r}
     if cfg.embedding_base_url:
         provider = HttpEmbeddingProvider(cfg.embedding_base_url, cfg.embedding_model or "")
     else:
@@ -229,7 +229,7 @@ def evaluate(cfg: PipelineConfig, reference_path):
     provider = EmbeddingMemo(provider)
     all_stats = []
     score_rows = []
-    unscored = no_overlap = 0
+    no_reference = unscored = no_overlap = 0
     for variant, h in _all_combinations():
         combo = combination_id(variant, h)
         path = cfg.output_dir / store.generated(combo)
@@ -240,9 +240,11 @@ def evaluate(cfg: PipelineConfig, reference_path):
         if not generated:
             continue
         pairs = score_pairs(generated, reference, provider)
-        unscored += sum(g.site_id in reference_ids for g in generated) - len(pairs)
+        missing = sum(g.site_id not in reference for g in generated)
+        no_reference += missing
+        unscored += len(generated) - missing - len(pairs)
         try:
-            all_stats.append(score_combination(pairs, len(generated), variant, h))
+            all_stats.append(score_combination(pairs, variant, h))
         except NoOverlap:
             no_overlap += 1
             continue
@@ -271,7 +273,7 @@ def evaluate(cfg: PipelineConfig, reference_path):
     click.echo(f"ranked summary -> {summary}")
     click.echo(f"shortlisted for manual review: combos {shortlist}")
     counts = {"combinations": len(all_stats), "shortlisted": len(shortlist),
-              "unscored": unscored, "no_overlap": no_overlap,
+              "no_reference": no_reference, "unscored": unscored, "no_overlap": no_overlap,
               "embed_calls": len(provider.memo), "embed_cache_hits": provider.hits}
     store.write_manifest(cfg.output_dir, "evaluate", cfg.digest(), counts, started)
 

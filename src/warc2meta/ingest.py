@@ -33,7 +33,7 @@ _CHARSET_PARAM_RE = re.compile(r"charset\s*=\s*([a-zA-Z0-9_\-]+)", re.I)
 class PageRecord:
     url: str  # normalized
     raw_url: str
-    page_title: str
+    title: str
     body_text: str
     http_status: Optional[int]
     char_count: int
@@ -48,49 +48,16 @@ class SiteDocument:
     undecodable_count: int = 0
 
     def to_json(self) -> str:
-        return dumps(
-            {
-                "source_file": self.source_file,
-                "page_count": len(self.pages),
-                "rejected_count": self.rejected_count,
-                "duplicate_count": self.duplicate_count,
-                "undecodable_count": self.undecodable_count,
-                "pages": [
-                    {
-                        "url": p.url,
-                        "raw_url": p.raw_url,
-                        "title": p.page_title,
-                        "char_count": p.char_count,
-                        "http_status": p.http_status,
-                        "body_text": p.body_text,
-                    }
-                    for p in self.pages
-                ],
-            }
-        )
+        return dumps(dict(vars(self), page_count=len(self.pages),
+                          pages=[vars(p) for p in self.pages]))
 
     @classmethod
     def from_json(cls, row) -> "SiteDocument":
         """From a site row, as text or parsed."""
         obj = json.loads(row) if isinstance(row, str) else row
-        pages = [
-            PageRecord(
-                url=p["url"],
-                raw_url=p["raw_url"],
-                page_title=p["title"],
-                body_text=p["body_text"],
-                http_status=p["http_status"],
-                char_count=p["char_count"],
-            )
-            for p in obj["pages"]
-        ]
-        return cls(
-            source_file=obj["source_file"],
-            pages=pages,
-            rejected_count=obj["rejected_count"],
-            duplicate_count=obj["duplicate_count"],
-            undecodable_count=obj.get("undecodable_count", 0),
-        )
+        return cls(obj["source_file"], [PageRecord(**p) for p in obj["pages"]],
+                   obj["rejected_count"], obj["duplicate_count"],
+                   obj.get("undecodable_count", 0))
 
 
 # html.parser's grammar where it decides what is text: the tag names that
@@ -250,7 +217,7 @@ def extract_page(record: RawWarcRecord) -> Optional[PageRecord]:
     return PageRecord(
         url=url,
         raw_url=record.target_uri,
-        page_title=title,
+        title=title,
         body_text=body_text,
         http_status=record.http_status,
         char_count=len(body_text),
@@ -261,7 +228,7 @@ def quality_filter(page: PageRecord, min_chars: int = PipelineConfig.min_chars) 
     """Return a rejection reason, or None to keep the page."""
     if page.http_status is not None and page.http_status >= 400:
         return "status"
-    haystack = (page.page_title + " " + page.body_text).lower()
+    haystack = (page.title + " " + page.body_text).lower()
     for marker in REJECT_MARKERS:
         if marker in haystack:
             return "placeholder"

@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import unicodedata
-from typing import TYPE_CHECKING, List, Protocol, Tuple
+from typing import TYPE_CHECKING, Protocol, Tuple
 
 from .config import ClientConfig
 from .errors import ApiError, EmptyText
@@ -65,8 +65,9 @@ def levenshtein(a: str, b: str) -> int:
 
 
 class EmbeddingProvider(Protocol):
-    def embed(self, text: str) -> List[Tuple[str, np.ndarray]]:
-        """Per-token unit-norm vectors for text, deterministic per provider."""
+    def embed(self, text: str) -> np.ndarray:
+        """A (tokens, dim) array of text's unit-norm token vectors, one row
+        per token (a zero vector stays zero), deterministic per provider."""
         ...
 
 
@@ -93,9 +94,10 @@ class MockEmbeddingProvider:
             self._cache[token] = v / np.linalg.norm(v)
         return self._cache[token]
 
-    def embed(self, text: str) -> List[Tuple[str, np.ndarray]]:
-        tokens = text.split()
-        return [(t, self._vector(t)) for t in tokens]
+    def embed(self, text: str) -> np.ndarray:
+        import numpy as np
+
+        return np.array([self._vector(t) for t in text.split()]).reshape(-1, self.dim)
 
 
 class EmbeddingMemo:
@@ -106,7 +108,7 @@ class EmbeddingMemo:
         self.memo = {}  # text -> embedding
         self.hits = 0  # embeddings served from the memo
 
-    def embed(self, text: str) -> List[Tuple[str, np.ndarray]]:
+    def embed(self, text: str) -> np.ndarray:
         if text in self.memo:
             self.hits += 1
         else:
@@ -129,7 +131,7 @@ class HttpEmbeddingProvider:
         self.model = model
         self.conn = Connection(base_url, timeout)
 
-    def embed(self, text: str) -> List[Tuple[str, np.ndarray]]:
+    def embed(self, text: str) -> np.ndarray:
         import numpy as np
 
         status, _, data = self.conn.post("/embeddings", {"model": self.model, "input": [text]})
@@ -137,29 +139,25 @@ class HttpEmbeddingProvider:
             raise ApiError(status, data.decode("utf-8", "replace"))
         try:
             entry = json.loads(data)["data"][0]
-            pairs = list(zip(entry["tokens"], entry["embeddings"]))
+            rows = [vec for _, vec in zip(entry["tokens"], entry["embeddings"])]
+            vecs = np.array(rows, dtype=np.float64) if rows else np.zeros((0, 0))
+            if vecs.ndim != 2:
+                raise ValueError(f"embeddings of shape {vecs.shape}, not (tokens, dim)")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ApiError(status, f"malformed embeddings body: {exc}")
-        out = []
-        for token, vec in pairs:
-            v = np.asarray(vec, dtype=np.float64)
-            norm = np.linalg.norm(v)
-            out.append((token, v / norm if norm > 0 else v))
-        return out
+        norms = np.linalg.norm(vecs, axis=1)
+        norms[norms == 0] = 1  # a zero vector stays zero
+        return vecs / norms[:, None]
 
 
 def bertscore(
     candidate: str, reference: str, provider: EmbeddingProvider
 ) -> Tuple[float, float, float]:
     """Greedy-matched (precision, recall, f1) over token cosine similarities."""
-    import numpy as np
-
-    cand = provider.embed(candidate)
-    ref = provider.embed(reference)
-    if not cand or not ref:
+    c = provider.embed(candidate)
+    r = provider.embed(reference)
+    if not len(c) or not len(r):
         raise EmptyText("both texts must produce at least one token")
-    c = np.stack([v for _, v in cand])
-    r = np.stack([v for _, v in ref])
     sim = c @ r.T
     precision = float(sim.max(axis=1).mean())
     recall = float(sim.max(axis=0).mean())

@@ -10,7 +10,7 @@ than one combination can hold score 1.
 
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Mapping, Sequence, Tuple
 
 from .client import GeneratedMetadata, combination_id
 from .errors import EmptyText, InsufficientCombinations, NoOverlap
@@ -34,8 +34,6 @@ class CombinationStats:
     lev_median: float
     bs_median: float
     bs_std: float
-    n: int
-    unmatched: int = 0
 
 
 @dataclass(frozen=True)
@@ -47,58 +45,40 @@ class RankedCombination:
 
 def score_pairs(
     generated: Sequence[GeneratedMetadata],
-    reference: Sequence[GeneratedMetadata],
+    reference: Mapping[str, Tuple[str, str]],
     provider: EmbeddingProvider,
 ) -> List[ScorePair]:
-    """Inner-join generated and reference rows on site_id and score each pair;
-    a pair with a text that embeds to no token cannot be scored and is left out."""
-    ref_by_id: Dict[str, GeneratedMetadata] = {r.site_id: r for r in reference}
+    """Inner-join generated rows with reference ({site_id: (title, abstract)})
+    on site_id and score each pair; a pair with a text that embeds to no
+    token cannot be scored and is left out."""
     pairs = []
     for gen in generated:
-        ref = ref_by_id.get(gen.site_id)
-        if ref is None:
+        if gen.site_id not in reference:
             continue
+        title, abstract = reference[gen.site_id]
         try:
-            _, _, title_f1 = bertscore(gen.title, ref.title, provider)
-            _, _, abstract_f1 = bertscore(gen.abstract, ref.abstract, provider)
+            title_f1 = bertscore(gen.title, title, provider)[2]
+            abstract_f1 = bertscore(gen.abstract, abstract, provider)[2]
         except EmptyText:
             continue
-        pairs.append(
-            ScorePair(
-                site_id=gen.site_id,
-                title_levenshtein=levenshtein(gen.title, ref.title),
-                title_bertscore_f1=title_f1,
-                abstract_bertscore_f1=abstract_f1,
-            )
-        )
+        pairs.append(ScorePair(gen.site_id, levenshtein(gen.title, title), title_f1, abstract_f1))
     return pairs
 
 
 def score_combination(
-    pairs: Sequence[ScorePair],
-    generated_count: int,
-    prompt: PromptVariant = None,
-    heuristic: HeuristicId = None,
+    pairs: Sequence[ScorePair], prompt: PromptVariant, heuristic: HeuristicId
 ) -> CombinationStats:
-    """Aggregate score_pairs output into medians and dispersion; the
-    generated rows beyond len(pairs) had no reference and count as unmatched."""
+    """Aggregate one combination's score_pairs output into medians and dispersion."""
     if not pairs:
         raise NoOverlap("no site_id overlap between generated and reference")
     abstract_f1s = [p.abstract_bertscore_f1 for p in pairs]
-    combo = (
-        combination_id(prompt, heuristic)
-        if prompt is not None and heuristic is not None
-        else -1
-    )
     return CombinationStats(
-        combination_id=combo,
+        combination_id=combination_id(prompt, heuristic),
         prompt=prompt,
         heuristic=heuristic,
         lev_median=statistics.median(p.title_levenshtein for p in pairs),
         bs_median=statistics.median(abstract_f1s),
         bs_std=statistics.pstdev(abstract_f1s),
-        n=len(pairs),
-        unmatched=generated_count - len(pairs),
     )
 
 

@@ -160,13 +160,13 @@ def _synthetic_sites(n_sites=112, pages_per_site=50):
             url = normalize_url(f"https://site{s}.sg/section{p % 7}/page-{p}")
             text = f"Home | Products | Contact\nparagraph {p} of site {s} " * 20
             pages.append(PageRecord(
-                url=url, raw_url=url, page_title=f"Page {p}",
+                url=url, raw_url=url, title=f"Page {p}",
                 body_text=text, http_status=200, char_count=len(text),
             ))
         about_url = normalize_url(f"https://site{s}.sg/about")
         about = f"we are company number {s} and we make excellent things " * 3
         pages.append(PageRecord(
-            url=about_url, raw_url=about_url, page_title="About",
+            url=about_url, raw_url=about_url, title="About",
             body_text=about, http_status=200, char_count=len(about),
         ))
         sites.append(SiteDocument(source_file=f"site{s}.warc", pages=pages))
@@ -192,7 +192,7 @@ def test_criterion_3_token_reduction():
         pages = []
         about_url = normalize_url(f"https://s{s}.sg/about")
         pages.append(PageRecord(
-            url=about_url, raw_url=about_url, page_title="About",
+            url=about_url, raw_url=about_url, title="About",
             body_text=f"short about text for company {s} with just enough words",
             http_status=200, char_count=60,
         ))
@@ -200,7 +200,7 @@ def test_criterion_3_token_reduction():
             url = normalize_url(f"https://s{s}.sg/archive/item-{p}")
             text = f"very long archival page {p} " * 1000
             pages.append(PageRecord(
-                url=url, raw_url=url, page_title=f"Item {p}",
+                url=url, raw_url=url, title=f"Item {p}",
                 body_text=text, http_status=200, char_count=len(text),
             ))
         sites.append(SiteDocument(source_file=f"s{s}.warc", pages=pages))
@@ -252,7 +252,7 @@ def test_criterion_4_metric_oracles():
 def _stats_fixture(combo, lev, bs, std):
     return CombinationStats(
         combination_id=combo, prompt=WITH_RULES, heuristic=HeuristicId.SHORTEST_URL,
-        lev_median=lev, bs_median=bs, bs_std=std, n=5,
+        lev_median=lev, bs_median=bs, bs_std=std,
     )
 
 

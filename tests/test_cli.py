@@ -296,12 +296,48 @@ class TestGenerateEvaluate:
         assert counts["combinations"] == 5
         assert counts["no_overlap"] == 1
         assert counts["unscored"] == 6  # site0 in each of the six combinations
+        assert counts["no_reference"] == 0
         with open(out / "ranked_summary.csv") as fh:
             ranked = sorted(int(r["combination"]) for r in csv.DictReader(fh))
         assert ranked == [1, 2, 3, 4, 5]
         with open(out / "scores_per_site.csv") as fh:
             scored = {r["site_id"] for r in csv.DictReader(fh)}
         assert scored == {"site1", "site2"}
+
+    def test_evaluate_reads_the_documented_reference_format(self, tmp_path, runner):
+        cfg, out = self._generate_all(tmp_path, runner)
+        rows = [json.loads(l) for l in (out / "generated_combo2.jsonl").read_text().splitlines()]
+        outputs = []
+        for keys in (("site_id", "source", "title", "abstract"), ("site_id", "title", "abstract")):
+            reference = tmp_path / "reference.jsonl"
+            reference.write_text("".join(
+                json.dumps({k: dict(r, source="human")[k] for k in keys}) + "\n" for r in rows
+            ))
+            result = runner.invoke(
+                main, ["--config", str(cfg), "evaluate", "--reference", str(reference)]
+            )
+            assert result.exit_code == 0, result.output
+            outputs.append(((out / "scores_per_site.csv").read_bytes(),
+                            (out / "ranked_summary.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count(b"\n") == 1 + 6 * len(rows)  # every pair was scored
+
+    def test_evaluate_counts_generated_rows_with_no_reference(self, tmp_path, runner):
+        cfg, out = self._generate_all(tmp_path, runner)
+        reference = tmp_path / "reference.jsonl"
+        reference.write_text((out / "generated_combo2.jsonl").read_text())
+        combo3 = out / "generated_combo3.jsonl"
+        extra = dict(json.loads(combo3.read_text().splitlines()[0]), site_id="site9")
+        combo3.write_text(combo3.read_text() + json.dumps(extra) + "\n")
+        result = runner.invoke(
+            main, ["--config", str(cfg), "evaluate", "--reference", str(reference)]
+        )
+        assert result.exit_code == 0, result.output
+        counts = json.loads((out / "manifest_evaluate.json").read_text())["counts"]
+        assert counts["no_reference"] == 1
+        assert (counts["combinations"], counts["unscored"], counts["no_overlap"]) == (6, 0, 0)
+        with open(out / "scores_per_site.csv") as fh:
+            assert "site9" not in {r["site_id"] for r in csv.DictReader(fh)}
 
     def test_evaluate_reports_pipeline_error_without_traceback(self, tmp_path, runner):
         cfg, out = self._generate_all(tmp_path, runner)

@@ -20,7 +20,7 @@ def _page(url, body="some genuine page content " * 5):
     return PageRecord(
         url=normalize_url(url),
         raw_url=url,
-        page_title="T",
+        title="T",
         body_text=body,
         http_status=200,
         char_count=len(body),

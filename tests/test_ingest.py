@@ -40,7 +40,7 @@ def _page(body_text="x" * 100, title="T", status=200, url="https://a.sg/p"):
     return PageRecord(
         url=normalize_url(url),
         raw_url=url,
-        page_title=title,
+        title=title,
         body_text=body_text,
         http_status=status,
         char_count=len(body_text),
@@ -57,7 +57,7 @@ class TestExtractPage:
             b"<body> a  b </body></html>"
         )
         page = extract_page(_record(body=body))
-        assert page.page_title == "T"
+        assert page.title == "T"
         assert page.body_text == "a b"
         assert page.char_count == 3
 
@@ -158,7 +158,7 @@ class TestExtractionOracle:
     @pytest.mark.parametrize("html, title, body", EDGE_CASES)
     def test_edge_case(self, html, title, body):
         page = extract_page(_record(body=html.encode("utf-8")))
-        assert (page.page_title, page.body_text) == (title, body)
+        assert (page.title, page.body_text) == (title, body)
         assert oracle_text(html) == (title, body)
 
     @settings(max_examples=1000, deadline=None)
@@ -170,7 +170,7 @@ class TestExtractionOracle:
         except AssertionError:
             reject()
         page = extract_page(_record(body=html.encode("utf-8")))
-        assert (page.page_title, page.body_text) == want
+        assert (page.title, page.body_text) == want
 
     @pytest.mark.parametrize("unit", [
         "<!-- x ", "<!-- x > ", "<![CDATA[ x > ", "<![if x > ", "<x", "<x ", "</a ",

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -36,13 +37,41 @@ def dp_oracle(a: str, b: str) -> int:
 
 
 class FixedProvider:
-    """Embedding provider with explicitly pinned vectors per token."""
+    """Embedding provider with explicitly pinned vectors per token, each
+    scaled to unit norm."""
 
     def __init__(self, mapping):
-        self.mapping = {k: np.asarray(v, dtype=float) for k, v in mapping.items()}
+        self.mapping = {k: np.asarray(v, dtype=float) / np.linalg.norm(v)
+                        for k, v in mapping.items()}
+        self.dim = len(next(iter(self.mapping.values())))
 
     def embed(self, text):
-        return [(t, self.mapping[t]) for t in text.split()]
+        return np.array([self.mapping[t] for t in text.split()]).reshape(-1, self.dim)
+
+
+def greedy_match_oracle(cand, ref):
+    """(precision, recall, f1) of greedy cosine matching between two lists of
+    vectors, in pure Python: precision is the mean row max of the cosine
+    table, recall its mean column max."""
+    def cosine(u, v):
+        dot = sum(a * b for a, b in zip(u, v))
+        return dot / (math.sqrt(sum(a * a for a in u)) * math.sqrt(sum(b * b for b in v)))
+
+    table = [[cosine(u, v) for v in ref] for u in cand]
+    precision = sum(max(row) for row in table) / len(cand)
+    recall = sum(max(col) for col in zip(*table)) / len(ref)
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
+@st.composite
+def vocabulary_and_texts(draw):
+    """A small vocabulary of fixed nonzero integer vectors and two texts over it."""
+    dim = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+    vocab = draw(st.dictionaries(st.sampled_from("abcdefgh"), vector, min_size=1))
+    text = st.lists(st.sampled_from(sorted(vocab)), min_size=1, max_size=6)
+    return vocab, draw(text), draw(text)
 
 
 class TestLevenshtein:
@@ -145,13 +174,27 @@ class TestBertscore:
     def test_mock_provider_deterministic(self):
         a = MockEmbeddingProvider().embed("hello world")
         b = MockEmbeddingProvider().embed("hello world")
-        for (ta, va), (tb, vb) in zip(a, b):
-            assert ta == tb
-            np.testing.assert_array_equal(va, vb)
+        assert a.shape == b.shape == (2, 16)  # a row per token
+        np.testing.assert_array_equal(a, b)
 
     def test_mock_vectors_unit_norm(self):
-        for _, v in MockEmbeddingProvider().embed("a few test tokens"):
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        m = MockEmbeddingProvider().embed("a few test tokens")
+        assert m.shape == (4, 16)
+        assert np.all(np.abs(np.linalg.norm(m, axis=1) - 1.0) < 1e-12)
+
+    def test_mock_text_with_no_token_is_zero_rows(self):
+        assert MockEmbeddingProvider().embed(" ").shape == (0, 16)
+
+    @given(vocabulary_and_texts())
+    def test_matches_pure_python_greedy_matching(self, case):
+        vocab, cand, ref = case
+        got = bertscore(" ".join(cand), " ".join(ref), FixedProvider(vocab))
+        want = greedy_match_oracle([vocab[t] for t in cand], [vocab[t] for t in ref])
+        assert abs(got[0] - want[0]) < 1e-9 and abs(got[1] - want[1]) < 1e-9, (got, want)
+        # F1 divides by precision + recall: where that nears 0 (cosines can be
+        # negative), last-bit differences in the two sums grow without bound
+        if abs(want[0] + want[1]) >= 0.01:
+            assert abs(got[2] - want[2]) < 1e-9, (got, want)
 
 
 class TestEmbeddingMemo:
@@ -181,10 +224,10 @@ class TestHttpEmbeddingProvider:
             out = HttpEmbeddingProvider(server.base_url + "/v1", "embed-small").embed("acme corp")
             assert server.requests == [{"model": "embed-small", "input": ["acme corp"]}]
             assert server.paths == ["/v1/embeddings"]
-        assert [t for t, _ in out] == ["acme", "corp", "pad"]
-        np.testing.assert_allclose(out[0][1], [0.6, 0.8])
-        np.testing.assert_allclose(out[1][1], [0.0, 1.0])
-        np.testing.assert_array_equal(out[2][1], [0.0, 0.0])  # a zero vector stays zero
+        assert out.shape == (3, 2)  # a row per token: "acme", "corp", "pad"
+        np.testing.assert_allclose(out[0], [0.6, 0.8])
+        np.testing.assert_allclose(out[1], [0.0, 1.0])
+        np.testing.assert_array_equal(out[2], [0.0, 0.0])  # a zero vector stays zero
 
     @pytest.mark.parametrize("entry", [503, 404, b"not json", b'{"data": []}'])
     def test_error_or_malformed_reply_raises(self, entry):
@@ -192,3 +235,23 @@ class TestHttpEmbeddingProvider:
             provider = HttpEmbeddingProvider(server.base_url, "embed-small")
             with pytest.raises(ApiError):
                 provider.embed("acme corp")
+
+    @pytest.mark.parametrize("embeddings", [
+        [[3.0, 4.0], [1.0]],  # ragged rows
+        [[3.0, 4.0], ["x", 1.0]],  # a non-numeric entry
+        [3.0, 4.0],  # numbers, not rows
+    ])
+    def test_malformed_embeddings_raise_api_error(self, embeddings):
+        reply = {"data": [{"tokens": ["acme", "corp"], "embeddings": embeddings}]}
+        with MockChatServer(script=[json.dumps(reply).encode()]) as server:
+            provider = HttpEmbeddingProvider(server.base_url, "embed-small")
+            with pytest.raises(ApiError, match="malformed embeddings body"):
+                bertscore("acme corp", "acme corp", provider)
+
+    def test_no_tokens_is_empty_text(self):
+        reply = {"data": [{"tokens": [], "embeddings": []}]}
+        with MockChatServer(script=[json.dumps(reply).encode()]) as server:
+            provider = HttpEmbeddingProvider(server.base_url, "embed-small")
+            assert provider.embed("acme").shape[0] == 0
+            with pytest.raises(EmptyText):
+                bertscore("acme corp", "acme corp", provider)

@@ -13,10 +13,15 @@ from warc2meta.ranking import (
 )
 
 
-def _meta(site_id, title, abstract, source="combo2"):
+def _meta(site_id, title, abstract):
     return GeneratedMetadata(
-        title=title, abstract=abstract, source=source, site_id=site_id
+        title=title, abstract=abstract, source="combo2", site_id=site_id
     )
+
+
+def _ref(rows):
+    """A reference mapping {site_id: (title, abstract)} of rows."""
+    return {r.site_id: (r.title, r.abstract) for r in rows}
 
 
 def _stats(combo, lev, bs, std):
@@ -27,8 +32,11 @@ def _stats(combo, lev, bs, std):
         lev_median=lev,
         bs_median=bs,
         bs_std=std,
-        n=10,
     )
+
+
+def _combination(pairs):
+    return score_combination(pairs, WITH_RULES, HeuristicId.SHORTEST_URL)
 
 
 class TestScoreCombination:
@@ -38,11 +46,13 @@ class TestScoreCombination:
             _meta("s1", "Acme", "Makes instruments for labs"),
             _meta("s2", "Beta", "Sells fresh produce daily"),
         ]
-        stats = score_combination(score_pairs(rows, rows, provider), len(rows))
+        pairs = score_pairs(rows, _ref(rows), provider)
+        stats = _combination(pairs)
         assert stats.lev_median == 0
         assert abs(stats.bs_median - 1.0) < 1e-9
         assert stats.bs_std < 1e-9
-        assert stats.n == 2
+        assert len(pairs) == 2
+        assert stats.combination_id == 2
 
     def test_even_length_median(self):
         provider = MockEmbeddingProvider()
@@ -50,16 +60,13 @@ class TestScoreCombination:
             _meta("s1", "ax", "same abstract text"),
             _meta("s2", "abcd", "same abstract text"),
         ]
-        reference = [
-            _meta("s1", "by", "same abstract text", source="human"),
-            _meta("s2", "abwxyz", "same abstract text", source="human"),
-        ]
+        reference = {"s1": ("by", "same abstract text"), "s2": ("abwxyz", "same abstract text")}
         from warc2meta.metrics import levenshtein
 
         # title distances {2, 4}: even-length median is the central mean
         assert levenshtein("ax", "by") == 2
         assert levenshtein("abcd", "abwxyz") == 4
-        stats = score_combination(score_pairs(generated, reference, provider), 2)
+        stats = _combination(score_pairs(generated, reference, provider))
         assert stats.lev_median == 3.0
 
     def test_three_site_hand_computed(self):
@@ -69,44 +76,40 @@ class TestScoreCombination:
             _meta("s2", "Bravo", "gamma delta"),
             _meta("s3", "Crow", "epsilon zeta"),
         ]
-        reference = [
-            _meta("s1", "Acme", "alpha beta", source="human"),
-            _meta("s2", "Brave", "gamma delta", source="human"),
-            _meta("s3", "Crown", "iota kappa", source="human"),
-        ]
+        reference = {
+            "s1": ("Acme", "alpha beta"),
+            "s2": ("Brave", "gamma delta"),
+            "s3": ("Crown", "iota kappa"),
+        }
         pairs = score_pairs(generated, reference, provider)
         import statistics
 
         from warc2meta.metrics import bertscore, levenshtein
 
-        exp_levs = [levenshtein(g.title, r.title) for g, r in zip(generated, reference)]
+        exp_levs = [levenshtein(g.title, reference[g.site_id][0]) for g in generated]
         exp_f1s = [
-            bertscore(g.abstract, r.abstract, provider)[2]
-            for g, r in zip(generated, reference)
+            bertscore(g.abstract, reference[g.site_id][1], provider)[2]
+            for g in generated
         ]
-        stats = score_combination(pairs, len(generated))
+        stats = _combination(pairs)
         assert [p.title_levenshtein for p in pairs] == exp_levs
         assert stats.lev_median == statistics.median(exp_levs)
         assert abs(stats.bs_median - statistics.median(exp_f1s)) < 1e-12
         assert abs(stats.bs_std - statistics.pstdev(exp_f1s)) < 1e-12
 
     def test_inner_join_unmatched_counted(self):
+        # the unmatched row's count is the evaluate manifest's no_reference
         provider = MockEmbeddingProvider()
         generated = [_meta("s1", "A", "text one"), _meta("s9", "X", "text nine")]
-        reference = [_meta("s1", "A", "text one", source="human")]
-        stats = score_combination(score_pairs(generated, reference, provider), 2)
-        assert stats.n == 1
-        assert stats.unmatched == 1
+        pairs = score_pairs(generated, {"s1": ("A", "text one")}, provider)
+        assert len(pairs) == 1
+        assert pairs[0].site_id == "s1"
 
     def test_no_overlap(self):
         provider = MockEmbeddingProvider()
         with pytest.raises(NoOverlap):
-            pairs = score_pairs(
-                [_meta("s1", "A", "t")],
-                [_meta("s2", "A", "t", source="human")],
-                provider,
-            )
-            score_combination(pairs, 1)
+            pairs = score_pairs([_meta("s1", "A", "t")], {"s2": ("A", "t")}, provider)
+            _combination(pairs)
 
 
 class TestRankCombinations:
