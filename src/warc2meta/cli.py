@@ -15,7 +15,7 @@ import click
 
 from . import store
 from .config import PipelineConfig, load_config
-from .errors import NoOverlap, Warc2MetaError
+from .errors import ConfigError, NoOverlap, Warc2MetaError
 
 
 def _all_combinations():
@@ -212,34 +212,35 @@ def evaluate(cfg: PipelineConfig, reference_path):
     """Score every generated combination against the reference and rank them.
 
     A generated row whose site has no reference row is left out
-    (`no_reference`), and so are a pair with a text that embeds to no token
+    (`no_reference`), and so are a pair with a text of no token
     (`unscored`) and a combination with no scored pair (`no_overlap`).
     """
     from .client import GeneratedMetadata, combination_id
-    from .metrics import EmbeddingMemo, HttpEmbeddingProvider, MockEmbeddingProvider
+    from .metrics import HttpEmbeddingProvider, MockEmbeddingProvider, TokenTable
     from .ranking import rank_combinations, score_combination, score_pairs
 
     started = store.now()
-    reference = {r["site_id"]: (r["title"], r["abstract"])
-                 for r in store.read_jsonl(reference_path) if "title" in r and "error" not in r}
-    if cfg.embedding_base_url:
-        provider = HttpEmbeddingProvider(cfg.embedding_base_url, cfg.embedding_model or "")
-    else:
-        provider = MockEmbeddingProvider()
-    provider = EmbeddingMemo(provider)
-    all_stats = []
-    score_rows = []
-    no_reference = unscored = no_overlap = 0
+    refs = [r for r in store.read_jsonl(reference_path) if "error" not in r]
+    for key in ("site_id", "title", "abstract"):
+        if any(not isinstance(r.get(key), str) for r in refs):
+            raise ConfigError(f"{reference_path}: a reference row has no {key!r} string")
+    reference = {r["site_id"]: (r["title"], r["abstract"]) for r in refs}
+    combos = []  # (variant, heuristic, generated rows) of each combination that has any
     for variant, h in _all_combinations():
-        combo = combination_id(variant, h)
-        path = cfg.output_dir / store.generated(combo)
-        if not path.is_file():
-            continue
-        generated = [GeneratedMetadata.from_json(r) for r in store.read_jsonl(path)
-                     if "error" not in r]
-        if not generated:
-            continue
-        pairs = score_pairs(generated, reference, provider)
+        path = cfg.output_dir / store.generated(combination_id(variant, h))
+        rows = store.read_jsonl(path) if path.is_file() else ()
+        generated = [GeneratedMetadata.from_json(r) for r in rows if "error" not in r]
+        if generated:
+            combos.append((variant, h, generated))
+    provider = (HttpEmbeddingProvider(cfg.embedding_base_url, cfg.embedding_model or "")
+                if cfg.embedding_base_url else MockEmbeddingProvider())
+    table = TokenTable(provider, (
+        text for _, _, generated in combos for g in generated if g.site_id in reference
+        for text in (g.title, g.abstract, *reference[g.site_id])))
+    all_stats, score_rows = [], []
+    no_reference = unscored = no_overlap = 0
+    for variant, h, generated in combos:
+        pairs = score_pairs(generated, reference, table)
         missing = sum(g.site_id not in reference for g in generated)
         no_reference += missing
         unscored += len(generated) - missing - len(pairs)
@@ -248,6 +249,7 @@ def evaluate(cfg: PipelineConfig, reference_path):
         except NoOverlap:
             no_overlap += 1
             continue
+        combo = combination_id(variant, h)
         score_rows += [
             [p.site_id, combo, p.title_levenshtein, f"{p.title_bertscore_f1:.6f}",
              f"{p.abstract_bertscore_f1:.6f}"]
@@ -274,7 +276,7 @@ def evaluate(cfg: PipelineConfig, reference_path):
     click.echo(f"shortlisted for manual review: combos {shortlist}")
     counts = {"combinations": len(all_stats), "shortlisted": len(shortlist),
               "no_reference": no_reference, "unscored": unscored, "no_overlap": no_overlap,
-              "embed_calls": len(provider.memo), "embed_cache_hits": provider.hits}
+              "embed_tokens": len(table.rows), "embed_requests": table.requests}
     store.write_manifest(cfg.output_dir, "evaluate", cfg.digest(), counts, started)
 
 

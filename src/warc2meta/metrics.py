@@ -3,7 +3,10 @@
 Levenshtein compares NFC-normalized strings case-sensitively over
 Unicode scalar values. The embedding-based score uses greedy matching
 over a token-pair cosine matrix with no IDF weighting and no baseline
-rescaling, so results are directly comparable across providers.
+rescaling. A text's tokens are `text.split()` for every provider, so
+results are directly comparable across providers. Each token has one
+static vector wherever it occurs, not BERTScore's contextual one
+(Zhang et al. 2020), which would need model weights.
 
 numpy and the HTTP transport are imported inside the functions that
 run them, so the stages that only compare strings, or none at all,
@@ -16,7 +19,7 @@ import hashlib
 import json
 import os
 import unicodedata
-from typing import TYPE_CHECKING, Protocol, Tuple
+from typing import TYPE_CHECKING, Iterable, Protocol, Tuple
 
 from .config import ClientConfig
 from .errors import ApiError, EmptyText
@@ -65,64 +68,37 @@ def levenshtein(a: str, b: str) -> int:
 
 
 class EmbeddingProvider(Protocol):
-    def embed(self, text: str) -> np.ndarray:
-        """A (tokens, dim) array of text's unit-norm token vectors, one row
-        per token (a zero vector stays zero), deterministic per provider."""
+    def embed(self, tokens: Tuple[str, ...]) -> np.ndarray:
+        """A (len(tokens), dim) float64 array, one unit-norm row per token
+        (a zero vector stays zero), deterministic per provider."""
         ...
 
 
 class MockEmbeddingProvider:
-    """Deterministic hash-seeded embeddings for offline tests.
-
-    Each distinct token maps to a fixed unit vector; identical texts
-    always embed identically across processes.
-    """
+    """Deterministic hash-seeded embeddings for offline tests: each token
+    maps to a fixed unit vector, the same in every process."""
 
     def __init__(self, dim: int = 16):
         self.dim = dim
-        self._cache = {}
 
-    def _vector(self, token: str) -> np.ndarray:
-        if token not in self._cache:
-            import numpy as np
-
-            seed = int.from_bytes(
-                hashlib.sha256(token.encode("utf-8")).digest()[:8], "big"
-            )
-            rng = np.random.default_rng(seed)
-            v = rng.standard_normal(self.dim)
-            self._cache[token] = v / np.linalg.norm(v)
-        return self._cache[token]
-
-    def embed(self, text: str) -> np.ndarray:
+    def embed(self, tokens: Tuple[str, ...]) -> np.ndarray:
         import numpy as np
 
-        return np.array([self._vector(t) for t in text.split()]).reshape(-1, self.dim)
-
-
-class EmbeddingMemo:
-    """A provider that embeds each distinct text once, through the one it wraps."""
-
-    def __init__(self, provider: EmbeddingProvider):
-        self.provider = provider
-        self.memo = {}  # text -> embedding
-        self.hits = 0  # embeddings served from the memo
-
-    def embed(self, text: str) -> np.ndarray:
-        if text in self.memo:
-            self.hits += 1
-        else:
-            self.memo[text] = self.provider.embed(text)
-        return self.memo[text]
+        rows = np.empty((len(tokens), self.dim))
+        for i, token in enumerate(tokens):
+            seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
+            v = np.random.default_rng(seed).standard_normal(self.dim)
+            rows[i] = v / np.linalg.norm(v)
+        return rows
 
 
 class HttpEmbeddingProvider:
-    """Client for an embeddings endpoint that returns per-token vectors.
+    """Client for an OpenAI-style embeddings endpoint.
 
     Wire format: POST {base_url}/embeddings with {"model": ..., "input":
-    [text]}; the response carries data[i].tokens and data[i].embeddings.
-    One connection (see `transport`) serves every call. A reply that is
-    not 2xx, or not that shape, raises ApiError.
+    [token, ...]}; data[i].embedding in the reply is the vector of
+    input[data[i].index]. One connection (see `transport`) serves every
+    call. A reply that is not 2xx or not that shape raises ApiError.
     """
 
     def __init__(self, base_url: str, model: str, timeout: float = ClientConfig.timeout):
@@ -131,31 +107,51 @@ class HttpEmbeddingProvider:
         self.model = model
         self.conn = Connection(base_url, timeout)
 
-    def embed(self, text: str) -> np.ndarray:
+    def embed(self, tokens: Tuple[str, ...]) -> np.ndarray:
         import numpy as np
 
-        status, _, data = self.conn.post("/embeddings", {"model": self.model, "input": [text]})
+        status, _, data = self.conn.post("/embeddings", {"model": self.model, "input": tokens})
         if not 200 <= status < 300:
             raise ApiError(status, data.decode("utf-8", "replace"))
         try:
-            entry = json.loads(data)["data"][0]
-            rows = [vec for _, vec in zip(entry["tokens"], entry["embeddings"])]
-            vecs = np.array(rows, dtype=np.float64) if rows else np.zeros((0, 0))
-            if vecs.ndim != 2:
-                raise ValueError(f"embeddings of shape {vecs.shape}, not (tokens, dim)")
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            entries = sorted(json.loads(data)["data"], key=lambda e: e["index"])
+            if [e["index"] for e in entries] != list(range(len(tokens))):
+                raise ValueError(f"indices are not 0..{len(tokens) - 1}")
+            vecs = np.array([e["embedding"] for e in entries])
+            if vecs.ndim != 2 or vecs.dtype.kind not in "iuf" or not np.isfinite(vecs).all():
+                raise ValueError(f"embeddings of shape {vecs.shape} and type {vecs.dtype}, "
+                                 "not finite numbers in (tokens, dim)")
+        except (ValueError, KeyError, TypeError) as exc:
             raise ApiError(status, f"malformed embeddings body: {exc}")
         norms = np.linalg.norm(vecs, axis=1)
         norms[norms == 0] = 1  # a zero vector stays zero
         return vecs / norms[:, None]
 
 
-def bertscore(
-    candidate: str, reference: str, provider: EmbeddingProvider
-) -> Tuple[float, float, float]:
+EMBED_BATCH = 256  # tokens per provider call: common embeddings APIs cap the length of `input`
+
+
+class TokenTable:
+    """Each distinct whitespace token of some texts, embedded once, EMBED_BATCH at a time."""
+
+    def __init__(self, provider: EmbeddingProvider, texts: Iterable[str]):
+        import numpy as np
+
+        tokens = list(dict.fromkeys(t for text in texts for t in text.split()))
+        self.rows = {t: i for i, t in enumerate(tokens)}
+        batches = [provider.embed(tuple(tokens[i:i + EMBED_BATCH]))
+                   for i in range(0, len(tokens), EMBED_BATCH)]
+        self.requests = len(batches)
+        self.vectors = np.concatenate(batches) if batches else np.zeros((0, 0))
+
+    def matrix(self, text: str) -> np.ndarray:
+        """text's (tokens, dim) matrix: a row per whitespace token, in order."""
+        return self.vectors.take([self.rows[t] for t in text.split()], axis=0)
+
+
+def bertscore(candidate: str, reference: str, table: TokenTable) -> Tuple[float, float, float]:
     """Greedy-matched (precision, recall, f1) over token cosine similarities."""
-    c = provider.embed(candidate)
-    r = provider.embed(reference)
+    c, r = table.matrix(candidate), table.matrix(reference)
     if not len(c) or not len(r):
         raise EmptyText("both texts must produce at least one token")
     sim = c @ r.T

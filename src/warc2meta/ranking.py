@@ -14,7 +14,7 @@ from typing import List, Mapping, Sequence, Tuple
 
 from .client import GeneratedMetadata, combination_id
 from .errors import EmptyText, InsufficientCombinations, NoOverlap
-from .metrics import EmbeddingProvider, bertscore, levenshtein
+from .metrics import TokenTable, bertscore, levenshtein
 from .prompts import HeuristicId, PromptVariant
 
 
@@ -46,19 +46,19 @@ class RankedCombination:
 def score_pairs(
     generated: Sequence[GeneratedMetadata],
     reference: Mapping[str, Tuple[str, str]],
-    provider: EmbeddingProvider,
+    table: TokenTable,
 ) -> List[ScorePair]:
     """Inner-join generated rows with reference ({site_id: (title, abstract)})
-    on site_id and score each pair; a pair with a text that embeds to no
-    token cannot be scored and is left out."""
+    on site_id and score each pair, with every token's vector from table;
+    a pair with a text of no token cannot be scored and is left out."""
     pairs = []
     for gen in generated:
         if gen.site_id not in reference:
             continue
         title, abstract = reference[gen.site_id]
         try:
-            title_f1 = bertscore(gen.title, title, provider)[2]
-            abstract_f1 = bertscore(gen.abstract, abstract, provider)[2]
+            title_f1 = bertscore(gen.title, title, table)[2]
+            abstract_f1 = bertscore(gen.abstract, abstract, table)[2]
         except EmptyText:
             continue
         pairs.append(ScorePair(gen.site_id, levenshtein(gen.title, title), title_f1, abstract_f1))

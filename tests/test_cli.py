@@ -336,6 +336,12 @@ class TestGenerateEvaluate:
         counts = json.loads((out / "manifest_evaluate.json").read_text())["counts"]
         assert counts["no_reference"] == 1
         assert (counts["combinations"], counts["unscored"], counts["no_overlap"]) == (6, 0, 0)
+        # each distinct token of the scored texts is embedded once, in one request
+        scored = [json.loads(l) for combo in range(6) for l in
+                  (out / f"generated_combo{combo}.jsonl").read_text().splitlines()]
+        tokens = {t for r in scored if r["site_id"] != "site9"
+                  for t in (r["title"] + " " + r["abstract"]).split()}
+        assert (counts["embed_tokens"], counts["embed_requests"]) == (len(tokens), 1)
         with open(out / "scores_per_site.csv") as fh:
             assert "site9" not in {r["site_id"] for r in csv.DictReader(fh)}
 
@@ -352,6 +358,61 @@ class TestGenerateEvaluate:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a ClickException, not a crash
         assert "Error: InsufficientCombinations" in result.output
+
+    @pytest.mark.parametrize("key, value", [
+        ("site_id", ...), ("title", ...), ("abstract", ...),  # the key left out
+        ("title", 5), ("abstract", None),  # not a string
+    ])
+    def test_evaluate_reference_row_lacking_a_string_is_config_error(
+            self, tmp_path, runner, key, value):
+        cfg, out = self._generate_all(tmp_path, runner)
+        rows = [json.loads(l) for l in (out / "generated_combo2.jsonl").read_text().splitlines()]
+        rows[1].pop(key)
+        if value is not ...:
+            rows[1][key] = value
+        rows.append({"site_id": "site9", "error": "not catalogued"})  # an error row needs none
+        reference = tmp_path / "reference.jsonl"
+        reference.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        result = runner.invoke(
+            main, ["--config", str(cfg), "evaluate", "--reference", str(reference)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a ClickException, not a KeyError
+        assert (f"Error: ConfigError: {reference}: a reference row has no '{key}' string"
+                in result.output)
+        assert not (out / "ranked_summary.csv").exists()
+
+    @pytest.mark.parametrize("line, problem", [
+        ('{"site_id": "site0", "tit', "Unterminated string"),
+        ("[1, 2]", "a JSON list, not an object"),
+    ])
+    def test_evaluate_reference_line_not_an_object_is_config_error(
+            self, tmp_path, runner, line, problem):
+        cfg, out = self._generate_all(tmp_path, runner)
+        reference = tmp_path / "reference.jsonl"
+        reference.write_text((out / "generated_combo2.jsonl").read_text() + "\n" + line)
+        result = runner.invoke(
+            main, ["--config", str(cfg), "evaluate", "--reference", str(reference)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: ConfigError: {reference}: line 5: {problem}" in result.output
+
+    def test_generate_torn_checkpoint_line_is_config_error(self, tmp_path, runner):
+        with MockChatServer(reply_fn=_echo_reply) as server:
+            cfg = self._pipeline_to_selections(tmp_path, runner, server.base_url)
+            args = ["--config", str(cfg), "generate", "--heuristic", "1", "--prompt", "rules"]
+            assert runner.invoke(main, args).exit_code == 0
+            ckpt = tmp_path / "out" / "checkpoint_combo0.jsonl"
+            n = len(ckpt.read_text().splitlines())
+            with open(ckpt, "a") as fh:
+                fh.write('{"site_id": "x", "tit')  # a write cut off mid-row
+            sent = len(server.requests)
+            result = runner.invoke(main, args)
+            assert len(server.requests) == sent
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no JSONDecodeError traceback
+        assert f"Error: ConfigError: {ckpt}: line {n + 1}: Unterminated string" in result.output
 
     def test_evaluate_missing_reference(self, tmp_path, runner):
         cfg = _write_config(tmp_path, _make_corpus(tmp_path))

@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 
 from warc2meta.errors import ApiError, EmptyText
 from warc2meta.metrics import (
-    EmbeddingMemo,
+    EMBED_BATCH,
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
+    TokenTable,
     bertscore,
     levenshtein,
 )
@@ -45,8 +46,14 @@ class FixedProvider:
                         for k, v in mapping.items()}
         self.dim = len(next(iter(self.mapping.values())))
 
-    def embed(self, text):
-        return np.array([self.mapping[t] for t in text.split()]).reshape(-1, self.dim)
+    def embed(self, tokens):
+        return np.array([self.mapping[t] for t in tokens]).reshape(-1, self.dim)
+
+
+def score(candidate, reference, provider=None):
+    """bertscore of two texts through a token table of both."""
+    table = TokenTable(provider or MockEmbeddingProvider(), (candidate, reference))
+    return bertscore(candidate, reference, table)
 
 
 def greedy_match_oracle(cand, ref):
@@ -131,21 +138,20 @@ class TestLevenshtein:
 
 class TestBertscore:
     def test_identical_texts_f1_one(self):
-        provider = MockEmbeddingProvider()
-        p, r, f1 = bertscore("the quick brown fox", "the quick brown fox", provider)
+        p, r, f1 = score("the quick brown fox", "the quick brown fox")
         assert abs(f1 - 1.0) < 1e-9
         assert abs(p - 1.0) < 1e-9 and abs(r - 1.0) < 1e-9
 
     def test_hand_evaluated_one_by_two(self):
         provider = FixedProvider({"a": [1, 0], "b": [1, 0], "c": [0, 1]})
-        p, r, f1 = bertscore("a", "b c", provider)
+        p, r, f1 = score("a", "b c", provider)
         assert abs(p - 1.0) < 1e-9
         assert abs(r - 0.5) < 1e-9
         assert abs(f1 - 2 / 3) < 1e-9
 
     def test_orthogonal_embeddings_zero(self):
         provider = FixedProvider({"a": [1, 0], "z": [0, 1]})
-        p, r, f1 = bertscore("a", "z", provider)
+        p, r, f1 = score("a", "z", provider)
         assert p == 0.0 and r == 0.0 and f1 == 0.0
 
     def test_hand_evaluated_two_by_two(self):
@@ -153,42 +159,43 @@ class TestBertscore:
         provider = FixedProvider({
             "x": [1, 0], "y": [0, 1], "u": [1, 0], "v": [0.6, 0.8],
         })
-        p, r, f1 = bertscore("x y", "u v", provider)
+        p, r, f1 = score("x y", "u v", provider)
         assert abs(p - (1.0 + 0.8) / 2) < 1e-9
         assert abs(r - (1.0 + 0.8) / 2) < 1e-9
         assert abs(f1 - 0.9) < 1e-9
 
     def test_empty_text_raises(self):
-        provider = MockEmbeddingProvider()
         with pytest.raises(EmptyText):
-            bertscore("", "something", provider)
+            score("", "something")
 
     def test_self_match_dominance(self):
-        provider = MockEmbeddingProvider()
         x = "alpha beta gamma"
-        _, _, self_f1 = bertscore(x, x, provider)
+        _, _, self_f1 = score(x, x)
         for y in ("delta epsilon", "zeta", "eta theta iota kappa"):
-            _, _, other_f1 = bertscore(x, y, provider)
+            _, _, other_f1 = score(x, y)
             assert self_f1 >= other_f1
 
     def test_mock_provider_deterministic(self):
-        a = MockEmbeddingProvider().embed("hello world")
-        b = MockEmbeddingProvider().embed("hello world")
+        a = MockEmbeddingProvider().embed(("hello", "world"))
+        b = MockEmbeddingProvider().embed(("hello", "world"))
         assert a.shape == b.shape == (2, 16)  # a row per token
         np.testing.assert_array_equal(a, b)
 
     def test_mock_vectors_unit_norm(self):
-        m = MockEmbeddingProvider().embed("a few test tokens")
+        m = MockEmbeddingProvider().embed(tuple("a few test tokens".split()))
         assert m.shape == (4, 16)
         assert np.all(np.abs(np.linalg.norm(m, axis=1) - 1.0) < 1e-12)
 
     def test_mock_text_with_no_token_is_zero_rows(self):
-        assert MockEmbeddingProvider().embed(" ").shape == (0, 16)
+        assert MockEmbeddingProvider().embed(()).shape == (0, 16)
+        table = TokenTable(MockEmbeddingProvider(), [" ", "one"])
+        assert table.matrix(" ").shape == (0, 16)
+        assert TokenTable(MockEmbeddingProvider(), [" "]).matrix(" ").shape[0] == 0
 
     @given(vocabulary_and_texts())
     def test_matches_pure_python_greedy_matching(self, case):
         vocab, cand, ref = case
-        got = bertscore(" ".join(cand), " ".join(ref), FixedProvider(vocab))
+        got = score(" ".join(cand), " ".join(ref), FixedProvider(vocab))
         want = greedy_match_oracle([vocab[t] for t in cand], [vocab[t] for t in ref])
         assert abs(got[0] - want[0]) < 1e-9 and abs(got[1] - want[1]) < 1e-9, (got, want)
         # F1 divides by precision + recall: where that nears 0 (cosines can be
@@ -197,61 +204,146 @@ class TestBertscore:
             assert abs(got[2] - want[2]) < 1e-9, (got, want)
 
 
-class TestEmbeddingMemo:
-    def test_each_distinct_text_embedded_once(self):
-        seen = []
+class Counting(MockEmbeddingProvider):
+    """A mock provider that records the tokens of each call."""
 
-        class Counting(MockEmbeddingProvider):
-            def embed(self, text):
-                seen.append(text)
-                return super().embed(text)
+    def __init__(self):
+        super().__init__()
+        self.calls = []
 
-        memo = EmbeddingMemo(Counting())
-        first = bertscore("alpha beta", "gamma", memo)
-        again = bertscore("alpha beta", "gamma delta", memo)
-        assert seen == ["alpha beta", "gamma", "gamma delta"]
-        assert memo.hits == 1 and len(memo.memo) == 3
-        plain = MockEmbeddingProvider()
-        assert first == bertscore("alpha beta", "gamma", plain)
-        assert again == bertscore("alpha beta", "gamma delta", plain)
+    def embed(self, tokens):
+        self.calls.append(tokens)
+        return super().embed(tokens)
+
+
+class TestTokenTable:
+    @pytest.mark.parametrize("n", [1, EMBED_BATCH, EMBED_BATCH + 1, 600])
+    def test_each_distinct_token_embedded_once(self, n):
+        words = [f"w{i}" for i in range(n)]
+        texts = [" ".join(words[i:i + 7]) for i in range(0, n, 3)] + [" ".join(words)] * 2
+        provider = Counting()
+        table = TokenTable(provider, texts)
+        assert all(type(call) is tuple for call in provider.calls)
+        assert [len(call) for call in provider.calls] == (
+            [EMBED_BATCH] * (n // EMBED_BATCH) + [n % EMBED_BATCH] * bool(n % EMBED_BATCH))
+        assert len(provider.calls) == -(-n // EMBED_BATCH)
+        assert [t for call in provider.calls for t in call] == words  # first-seen order
+        assert (len(table.rows), table.requests) == (n, len(provider.calls))
+
+    def test_no_token_makes_no_call(self):
+        provider = Counting()
+        table = TokenTable(provider, ["", "  \n"])
+        assert provider.calls == [] and table.requests == 0
+        with pytest.raises(EmptyText):
+            bertscore("", " ", table)
+
+    def test_scores_equal_per_text_matrices_bit_for_bit(self):
+        # the same greedy matching on each text's own (tokens, dim) matrix
+        def per_text(candidate, reference):
+            embed = MockEmbeddingProvider().embed
+            sim = embed(tuple(candidate.split())) @ embed(tuple(reference.split())).T
+            p, r = float(sim.max(axis=1).mean()), float(sim.max(axis=0).mean())
+            return p, r, 2 * p * r / (p + r) if p + r != 0 else 0.0
+
+        rng = random.Random(7)
+        vocab = [f"tok{i}" for i in range(300)] + ["café", "漢字", "a"]
+        texts = [" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 40)))
+                 for _ in range(60)]
+        table = TokenTable(MockEmbeddingProvider(), texts)
+        assert table.requests == 2  # 303 distinct tokens at most, more than one batch
+        for cand, ref in zip(texts, texts[1:] + texts[:1]):
+            assert bertscore(cand, ref, table) == per_text(cand, ref)
+            np.testing.assert_array_equal(table.matrix(cand),
+                                          MockEmbeddingProvider().embed(tuple(cand.split())))
+
+
+def _reply(entries):
+    return json.dumps({"object": "list", "data": entries, "model": "embed-small"}).encode()
+
+
+def _index_reply(body):
+    """An OpenAI-style reply whose vector for "t<k>" is (1, k)."""
+    return _reply([{"object": "embedding", "index": i, "embedding": [1.0, float(t[1:])]}
+                   for i, t in enumerate(body["input"])])
 
 
 class TestHttpEmbeddingProvider:
     def test_vectors_unit_normalised(self):
-        reply = {"data": [{"tokens": ["acme", "corp", "pad"],
-                           "embeddings": [[3.0, 4.0], [0.0, 2.5], [0.0, 0.0]]}]}
-        with MockChatServer(script=[json.dumps(reply).encode()]) as server:
-            out = HttpEmbeddingProvider(server.base_url + "/v1", "embed-small").embed("acme corp")
-            assert server.requests == [{"model": "embed-small", "input": ["acme corp"]}]
+        reply = _reply([{"index": 0, "embedding": [3.0, 4.0]},
+                        {"index": 1, "embedding": [0.0, 2.5]},
+                        {"index": 2, "embedding": [0.0, 0.0]}])
+        with MockChatServer(script=[reply]) as server:
+            provider = HttpEmbeddingProvider(server.base_url + "/v1", "embed-small")
+            out = provider.embed(("acme", "corp", "pad"))
+            assert server.requests == [{"model": "embed-small", "input": ["acme", "corp", "pad"]}]
             assert server.paths == ["/v1/embeddings"]
         assert out.shape == (3, 2)  # a row per token: "acme", "corp", "pad"
         np.testing.assert_allclose(out[0], [0.6, 0.8])
         np.testing.assert_allclose(out[1], [0.0, 1.0])
         np.testing.assert_array_equal(out[2], [0.0, 0.0])  # a zero vector stays zero
 
-    @pytest.mark.parametrize("entry", [503, 404, b"not json", b'{"data": []}'])
+    def test_distinct_tokens_go_out_in_batches(self):
+        texts = [" ".join(f"t{k}" for k in range(i, min(i + 10, 600))) for i in range(0, 600, 5)]
+        with MockChatServer(reply_fn=_index_reply) as server:
+            table = TokenTable(HttpEmbeddingProvider(server.base_url, "embed-small"), texts)
+        inputs = [body["input"] for body in server.requests]
+        assert [len(i) for i in inputs] == [256, 256, 88]
+        assert [t for i in inputs for t in i] == [f"t{k}" for k in range(600)]
+        assert table.requests == 3
+        for k in (0, 255, 256, 599):
+            np.testing.assert_allclose(table.matrix(f"t{k}")[0], np.array([1, k]) / np.hypot(1, k))
+
+    def test_shuffled_indices_put_rows_in_place(self):
+        def shuffled(body):
+            entries = json.loads(_index_reply(body))["data"]
+            random.Random(3).shuffle(entries)
+            return _reply(entries)
+
+        tokens = tuple(f"t{k}" for k in range(20))
+        with MockChatServer(reply_fn=shuffled) as server:
+            out = HttpEmbeddingProvider(server.base_url, "embed-small").embed(tokens)
+        want = np.array([[1.0, k] for k in range(20)])
+        np.testing.assert_allclose(out, want / np.linalg.norm(want, axis=1)[:, None])
+
+    @pytest.mark.parametrize("entry", [
+        503,
+        404,
+        b"not json",
+        b'{"data": []}',  # no row for either token
+        b'{"data": {"index": 0}}',
+        _reply([{"index": 0, "embedding": [1.0, 0.0]}]),  # one row for two tokens
+        _reply([{"index": i, "embedding": [1.0, 0.0]} for i in range(3)]),  # three rows
+        _reply([{"index": 0, "embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]),  # no index
+        _reply([{"index": 0, "embedding": [1.0, 0.0]}, {"index": 0, "embedding": [0.0, 1.0]}]),
+        _reply([{"index": 0, "embedding": [1.0, 0.0]}, {"index": 2, "embedding": [0.0, 1.0]}]),
+        _reply([{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1}]),  # no embedding
+    ])
     def test_error_or_malformed_reply_raises(self, entry):
         with MockChatServer(script=[entry]) as server:
             provider = HttpEmbeddingProvider(server.base_url, "embed-small")
             with pytest.raises(ApiError):
-                provider.embed("acme corp")
+                provider.embed(("acme", "corp"))
 
     @pytest.mark.parametrize("embeddings", [
         [[3.0, 4.0], [1.0]],  # ragged rows
         [[3.0, 4.0], ["x", 1.0]],  # a non-numeric entry
+        [[3.0, 4.0], [None, 1.0]],
+        [[3.0, 4.0], ["1.0", 1.0]],  # a number in a string
+        [[3.0, 4.0], [float("nan"), 1.0]],
         [3.0, 4.0],  # numbers, not rows
+        [[[3.0, 4.0]], [[1.0, 0.0]]],  # rows of rows
     ])
     def test_malformed_embeddings_raise_api_error(self, embeddings):
-        reply = {"data": [{"tokens": ["acme", "corp"], "embeddings": embeddings}]}
-        with MockChatServer(script=[json.dumps(reply).encode()]) as server:
+        reply = _reply([{"index": i, "embedding": e} for i, e in enumerate(embeddings)])
+        with MockChatServer(script=[reply]) as server:
             provider = HttpEmbeddingProvider(server.base_url, "embed-small")
             with pytest.raises(ApiError, match="malformed embeddings body"):
-                bertscore("acme corp", "acme corp", provider)
+                TokenTable(provider, ["acme corp", "acme corp"])
 
-    def test_no_tokens_is_empty_text(self):
-        reply = {"data": [{"tokens": [], "embeddings": []}]}
-        with MockChatServer(script=[json.dumps(reply).encode()]) as server:
-            provider = HttpEmbeddingProvider(server.base_url, "embed-small")
-            assert provider.embed("acme").shape[0] == 0
-            with pytest.raises(EmptyText):
-                bertscore("acme corp", "acme corp", provider)
+    def test_text_with_no_token_is_empty_text(self):
+        with MockChatServer(reply_fn=_index_reply) as server:
+            table = TokenTable(HttpEmbeddingProvider(server.base_url, "embed-small"), [" ", "t1"])
+            assert server.requests == [{"model": "embed-small", "input": ["t1"]}]
+        assert table.matrix(" ").shape == (0, 2)
+        with pytest.raises(EmptyText):
+            bertscore(" ", "t1", table)

@@ -3,7 +3,7 @@ import pytest
 from warc2meta.client import GeneratedMetadata
 from warc2meta.errors import InsufficientCombinations, NoOverlap
 from warc2meta.heuristics import HeuristicId
-from warc2meta.metrics import MockEmbeddingProvider
+from warc2meta.metrics import MockEmbeddingProvider, TokenTable
 from warc2meta.prompts import WITH_RULES
 from warc2meta.ranking import (
     CombinationStats,
@@ -24,6 +24,12 @@ def _ref(rows):
     return {r.site_id: (r.title, r.abstract) for r in rows}
 
 
+def _table(generated, reference):
+    """A mock-embedding token table of every generated and reference text."""
+    texts = [t for g in generated for t in (g.title, g.abstract)]
+    return TokenTable(MockEmbeddingProvider(), texts + [t for r in reference.values() for t in r])
+
+
 def _stats(combo, lev, bs, std):
     return CombinationStats(
         combination_id=combo,
@@ -41,12 +47,11 @@ def _combination(pairs):
 
 class TestScoreCombination:
     def test_exact_match(self):
-        provider = MockEmbeddingProvider()
         rows = [
             _meta("s1", "Acme", "Makes instruments for labs"),
             _meta("s2", "Beta", "Sells fresh produce daily"),
         ]
-        pairs = score_pairs(rows, _ref(rows), provider)
+        pairs = score_pairs(rows, _ref(rows), _table(rows, _ref(rows)))
         stats = _combination(pairs)
         assert stats.lev_median == 0
         assert abs(stats.bs_median - 1.0) < 1e-9
@@ -55,7 +60,6 @@ class TestScoreCombination:
         assert stats.combination_id == 2
 
     def test_even_length_median(self):
-        provider = MockEmbeddingProvider()
         generated = [
             _meta("s1", "ax", "same abstract text"),
             _meta("s2", "abcd", "same abstract text"),
@@ -66,11 +70,10 @@ class TestScoreCombination:
         # title distances {2, 4}: even-length median is the central mean
         assert levenshtein("ax", "by") == 2
         assert levenshtein("abcd", "abwxyz") == 4
-        stats = _combination(score_pairs(generated, reference, provider))
+        stats = _combination(score_pairs(generated, reference, _table(generated, reference)))
         assert stats.lev_median == 3.0
 
     def test_three_site_hand_computed(self):
-        provider = MockEmbeddingProvider()
         generated = [
             _meta("s1", "Acme", "alpha beta"),
             _meta("s2", "Bravo", "gamma delta"),
@@ -81,14 +84,15 @@ class TestScoreCombination:
             "s2": ("Brave", "gamma delta"),
             "s3": ("Crown", "iota kappa"),
         }
-        pairs = score_pairs(generated, reference, provider)
+        table = _table(generated, reference)
+        pairs = score_pairs(generated, reference, table)
         import statistics
 
         from warc2meta.metrics import bertscore, levenshtein
 
         exp_levs = [levenshtein(g.title, reference[g.site_id][0]) for g in generated]
         exp_f1s = [
-            bertscore(g.abstract, reference[g.site_id][1], provider)[2]
+            bertscore(g.abstract, reference[g.site_id][1], table)[2]
             for g in generated
         ]
         stats = _combination(pairs)
@@ -99,16 +103,16 @@ class TestScoreCombination:
 
     def test_inner_join_unmatched_counted(self):
         # the unmatched row's count is the evaluate manifest's no_reference
-        provider = MockEmbeddingProvider()
         generated = [_meta("s1", "A", "text one"), _meta("s9", "X", "text nine")]
-        pairs = score_pairs(generated, {"s1": ("A", "text one")}, provider)
+        reference = {"s1": ("A", "text one")}
+        pairs = score_pairs(generated, reference, _table(generated, reference))
         assert len(pairs) == 1
         assert pairs[0].site_id == "s1"
 
     def test_no_overlap(self):
-        provider = MockEmbeddingProvider()
+        generated, reference = [_meta("s1", "A", "t")], {"s2": ("A", "t")}
         with pytest.raises(NoOverlap):
-            pairs = score_pairs([_meta("s1", "A", "t")], {"s2": ("A", "t")}, provider)
+            pairs = score_pairs(generated, reference, _table(generated, reference))
             _combination(pairs)
 
 
