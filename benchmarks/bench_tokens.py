@@ -98,7 +98,7 @@ def main():
 
     training = make_text(12_000, seed=0)
     ranks = train_ranks(training, MERGES)
-    tok = TokenizerHandle(vocabulary=ranks, name="bench")
+    tok = TokenizerHandle(vocabulary=ranks)
     print(f"rank table: {len(ranks)} merges trained on {len(training):,} chars")
 
     for chars in args.chars:

@@ -1,5 +1,5 @@
 """Command-line pipeline: ingest -> select -> generate -> evaluate, plus
-standalone stats and cost reporting.
+standalone stats. `select` writes the cost report.
 
 Stage outputs are JSONL/CSV files under the output directory (see
 `store`), so every stage can be inspected and rerun independently. A
@@ -18,46 +18,12 @@ from .config import PipelineConfig, load_config
 from .errors import ConfigError, NoOverlap, Warc2MetaError
 
 
-def _all_combinations():
-    """Every (prompt variant, heuristic) pair in combination_id order:
-    heuristic-major, with-rules before without."""
-    from .prompts import HeuristicId, VARIANTS
-
-    return [(v, h) for h in HeuristicId for v in (VARIANTS["rules"], VARIANTS["norules"])]
-
-
-COST_HEADER = ["heuristic", "tokens_before", "tokens_after", "reduction_ratio",
-               "cost_before", "cost_after", "approximate"]
-
-
 def _site_id(source_file: str) -> str:
     name = Path(source_file).name
     for suffix in (".warc.gz", ".warc"):
         if name.endswith(suffix):
             return name[: -len(suffix)]
     return name
-
-
-def _site_tokens(row, tok) -> int:
-    """Tokens in the whole site of a parsed sites.jsonl row: its pages' texts
-    joined by spaces."""
-    from .tokens import count_tokens
-
-    return count_tokens(" ".join(p["body_text"] for p in row["pages"]), tok)
-
-
-def _write_cost_report(cfg, before, tok, afters):
-    """Write the cost report, a row per heuristic of afters ({heuristic: tokens
-    selected}) against before, the tokens in every whole site; return the
-    reports by heuristic."""
-    from .tokens import reduction_report
-
-    reports = {h: reduction_report(before, after, cfg.prices, tok) for h, after in afters.items()}
-    rows = [[int(h), rep.tokens_before, rep.tokens_after, f"{float(rep.reduction_ratio):.6f}",
-             str(rep.cost_before), str(rep.cost_after), int(rep.approximate)]
-            for h, rep in reports.items()]
-    store.write_csv(cfg.output_dir / store.COST_REPORT, COST_HEADER, rows)
-    return reports
 
 
 class _Pipeline(click.Group):
@@ -126,13 +92,15 @@ def select_cmd(cfg: PipelineConfig, heuristic, all_heuristics):
 
     Sites are read one at a time, and each goes through every requested
     heuristic before the next is read. A site's selection error is written
-    as its row, in place of a selection.
+    as its row, in place of a selection. The cost report has a row per
+    heuristic run: the tokens of every whole site (its pages' texts joined
+    by spaces) against the tokens selected, both counted by one tokenizer.
     """
     from contextlib import ExitStack
 
     from .heuristics import HeuristicId, load_filter_rules, select
     from .ingest import SiteDocument
-    from .tokens import load_vocabulary
+    from .tokens import count_tokens, load_vocabulary, reduction_report
 
     started = store.now()
     rows = store.read_jsonl(cfg.output_dir / store.SITES, after="ingest")
@@ -146,7 +114,7 @@ def select_cmd(cfg: PipelineConfig, heuristic, all_heuristics):
         writers = {h: stack.enter_context(store.jsonl_writer(paths[h])) for h in which}
         for row in rows:
             sites += 1
-            before += _site_tokens(row, tok)
+            before += count_tokens(" ".join(p["body_text"] for p in row["pages"]), tok)
             doc = SiteDocument.from_json(row)
             sid = _site_id(doc.source_file)
             for h, write in writers.items():
@@ -160,7 +128,14 @@ def select_cmd(cfg: PipelineConfig, heuristic, all_heuristics):
                 afters[h] += sel.reduced_token_estimate
     for h in which:
         click.echo(f"heuristic {int(h)} -> {paths[h]}")
-    _write_cost_report(cfg, before, tok, afters)
+    reports = {h: reduction_report(before, after, cfg.prices, tok) for h, after in afters.items()}
+    store.write_csv(
+        cfg.output_dir / store.COST_REPORT,
+        ["heuristic", "tokens_before", "tokens_after", "reduction_ratio", "cost_before",
+         "cost_after", "approximate"],
+        [[int(h), r.tokens_before, r.tokens_after, f"{float(r.reduction_ratio):.6f}",
+          str(r.cost_before), str(r.cost_after), int(r.approximate)] for h, r in reports.items()],
+    )
     counts = {"sites": sites, "heuristics": len(which), "errors": errors}
     store.write_manifest(cfg.output_dir, "select", cfg.digest(), counts, started)
 
@@ -176,14 +151,11 @@ def generate(cfg: PipelineConfig, heuristic, prompt_name, all_combinations):
     """Call the chat model over selections; resumable via checkpoints."""
     from .client import combination_id, run_batch
     from .heuristics import HeuristicId, Selection
-    from .prompts import VARIANTS
+    from .prompts import COMBINATIONS, VARIANTS
 
     started = store.now()
-    if all_combinations:
-        combos = _all_combinations()
-    else:
-        variant = VARIANTS[prompt_name or cfg.prompt_variant]
-        combos = [(variant, HeuristicId(heuristic or cfg.heuristic))]
+    combos = COMBINATIONS if all_combinations else [
+        (VARIANTS[prompt_name or cfg.prompt_variant], HeuristicId(heuristic or cfg.heuristic))]
     generated_total = 0
     error_total = 0
     for variant, h in combos:
@@ -217,6 +189,7 @@ def evaluate(cfg: PipelineConfig, reference_path):
     """
     from .client import GeneratedMetadata, combination_id
     from .metrics import HttpEmbeddingProvider, MockEmbeddingProvider, TokenTable
+    from .prompts import COMBINATIONS
     from .ranking import rank_combinations, score_combination, score_pairs
 
     started = store.now()
@@ -226,7 +199,7 @@ def evaluate(cfg: PipelineConfig, reference_path):
             raise ConfigError(f"{reference_path}: a reference row has no {key!r} string")
     reference = {r["site_id"]: (r["title"], r["abstract"]) for r in refs}
     combos = []  # (variant, heuristic, generated rows) of each combination that has any
-    for variant, h in _all_combinations():
+    for variant, h in COMBINATIONS:
         path = cfg.output_dir / store.generated(combination_id(variant, h))
         rows = store.read_jsonl(path) if path.is_file() else ()
         generated = [GeneratedMetadata.from_json(r) for r in rows if "error" not in r]
@@ -266,7 +239,7 @@ def evaluate(cfg: PipelineConfig, reference_path):
         summary,
         ["prompt", "heuristic", "combination", "ranked_aggregated_score", "shortlisted"],
         [
-            [r.stats.prompt.variant.value, int(r.stats.heuristic),
+            [r.stats.prompt.name, int(r.stats.heuristic),
              r.stats.combination_id, r.final_score, int(r.final_score == 1)]
             for r in ranked
         ],
@@ -305,27 +278,6 @@ def stats(grading_csv, test_name, label_a, label_b, correction, exact, alpha):
         )
     click.echo(result.to_json())
     click.echo(result.summary())
-
-
-@main.command()
-@click.option("--heuristic", type=click.IntRange(1, 3), default=None)
-@click.pass_obj
-def cost(cfg: PipelineConfig, heuristic):
-    """Recompute the cost report from the stored sites and selections."""
-    from .prompts import HeuristicId
-    from .tokens import load_vocabulary
-
-    h = HeuristicId(heuristic or cfg.heuristic)
-    sites = store.read_jsonl(cfg.output_dir / store.SITES, after="ingest")
-    selected = store.read_jsonl(cfg.output_dir / store.selections(h), after="select")
-    tok = load_vocabulary(cfg.tokenizer_path) if cfg.tokenizer_path else None
-    before = sum(_site_tokens(row, tok) for row in sites)
-    after = sum(r["reduced_token_estimate"] for r in selected if "error" not in r)
-    report = _write_cost_report(cfg, before, tok, {h: after})[h]
-    click.echo(
-        f"heuristic {int(h)}: {report.tokens_before} -> {report.tokens_after} tokens "
-        f"(reduction {float(report.reduction_ratio):.4%})"
-    )
 
 
 if __name__ == "__main__":

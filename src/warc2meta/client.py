@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .config import ClientConfig
 from .errors import ApiError, RateLimited, SchemaViolation
-from .prompts import PromptVariant, Variant, build_prompt
+from .prompts import COMBINATIONS, PromptVariant, build_prompt
 from .store import compact_jsonl, dumps, jsonl_writer, read_jsonl
 
 if TYPE_CHECKING:
@@ -33,8 +33,8 @@ if TYPE_CHECKING:
 
 
 def combination_id(variant: PromptVariant, heuristic: HeuristicId) -> int:
-    """Stable 0..5 numbering: heuristic-major, with-rules before without."""
-    return 2 * (int(heuristic) - 1) + (0 if variant.variant == Variant.WITH_RULES else 1)
+    """The pair's index in prompts.COMBINATIONS, 0..5."""
+    return COMBINATIONS.index((variant, heuristic))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ low-quality pages dropped, and duplicate URLs collapsed to the variant
 with the most body text.
 """
 
-import json
 import os
 import re
 from dataclasses import dataclass
@@ -52,9 +51,8 @@ class SiteDocument:
                           pages=[vars(p) for p in self.pages]))
 
     @classmethod
-    def from_json(cls, row) -> "SiteDocument":
-        """From a site row, as text or parsed."""
-        obj = json.loads(row) if isinstance(row, str) else row
+    def from_json(cls, obj) -> "SiteDocument":
+        """From a parsed site row."""
         return cls(obj["source_file"], [PageRecord(**p) for p in obj["pages"]],
                    obj["rejected_count"], obj["duplicate_count"],
                    obj.get("undecodable_count", 0))

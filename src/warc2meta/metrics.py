@@ -142,6 +142,9 @@ class TokenTable:
         batches = [provider.embed(tuple(tokens[i:i + EMBED_BATCH]))
                    for i in range(0, len(tokens), EMBED_BATCH)]
         self.requests = len(batches)
+        widths = sorted({b.shape[1] for b in batches})
+        if len(widths) > 1:  # each call's 2xx reply is of one width; the calls may differ
+            raise ApiError(200, f"embeddings of {widths} dimensions")
         self.vectors = np.concatenate(batches) if batches else np.zeros((0, 0))
 
     def matrix(self, text: str) -> np.ndarray:

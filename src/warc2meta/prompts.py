@@ -5,7 +5,7 @@ tests; edit with care.
 """
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Dict, List
 
 from .errors import EmptyContent
@@ -40,21 +40,18 @@ class HeuristicId(IntEnum):  # defined here, not in heuristics: evaluate loads n
     SHORTEST_URL_FILTERED = 3
 
 
-class Variant(Enum):
-    WITHOUT_RULES = "norules"
-    WITH_RULES = "rules"
-
-
 @dataclass(frozen=True)
 class PromptVariant:
-    variant: Variant
+    name: str  # "rules" or "norules"
     system_text: str
 
 
-WITHOUT_RULES = PromptVariant(Variant.WITHOUT_RULES, BASE_PROMPT)
-WITH_RULES = PromptVariant(Variant.WITH_RULES, BASE_PROMPT + "\n\n" + RULES_ADDENDUM)
+WITHOUT_RULES = PromptVariant("norules", BASE_PROMPT)
+WITH_RULES = PromptVariant("rules", BASE_PROMPT + "\n\n" + RULES_ADDENDUM)
 
-VARIANTS = {v.variant.value: v for v in (WITHOUT_RULES, WITH_RULES)}
+VARIANTS = {v.name: v for v in (WITHOUT_RULES, WITH_RULES)}
+# every (prompt variant, heuristic) pair; a pair's index is its combination id
+COMBINATIONS = tuple((v, h) for h in HeuristicId for v in (WITH_RULES, WITHOUT_RULES))
 
 
 def build_prompt(

@@ -5,9 +5,9 @@ default), so any stage can be inspected and rerun on its own. No other
 module names these files:
 
     file                        written by     read by
-    sites.jsonl                 ingest         select, cost
-    selections_h<N>.jsonl       select         generate, cost
-    cost_report.csv             select, cost
+    sites.jsonl                 ingest         select
+    selections_h<N>.jsonl       select         generate
+    cost_report.csv             select
     checkpoint_combo<N>.jsonl   generate       generate (resume)
     generated_combo<N>.jsonl    generate       evaluate
     scores_per_site.csv         evaluate

@@ -23,10 +23,9 @@ _CENTS = Decimal("0.000001")
 @dataclass(frozen=True)
 class TokenizerHandle:
     vocabulary: Dict[bytes, int]
-    name: str
 
 
-def load_vocabulary(path, name: str = "") -> TokenizerHandle:
+def load_vocabulary(path) -> TokenizerHandle:
     """Load a tiktoken-style rank table: base64 token, space, integer rank."""
     ranks: Dict[bytes, int] = {}
     try:
@@ -46,7 +45,7 @@ def load_vocabulary(path, name: str = "") -> TokenizerHandle:
         raise VocabularyLoadError(str(exc)) from exc
     if len(set(ranks.values())) != len(ranks):
         raise VocabularyLoadError(f"{path}: duplicate merge ranks")
-    return TokenizerHandle(vocabulary=ranks, name=name or str(path))
+    return TokenizerHandle(vocabulary=ranks)
 
 
 def encode(text: str, tok: TokenizerHandle) -> List[bytes]:
@@ -140,7 +139,6 @@ class CostReport:
     cost_before: Decimal
     cost_after: Decimal
     approximate: bool
-    degenerate: bool = False
 
 
 def _input_cost(tokens: int, prices: PriceConfig) -> Decimal:
@@ -159,8 +157,7 @@ def reduction_report(
     the caller under tok; without tok the report is approximate."""
     if prices.price_per_million_input < 0 or prices.price_per_million_output < 0:
         raise ValueError("prices must be nonnegative")
-    degenerate = tokens_before == 0
-    ratio = Fraction(0) if degenerate else 1 - Fraction(tokens_after, tokens_before)
+    ratio = Fraction(0) if tokens_before == 0 else 1 - Fraction(tokens_after, tokens_before)
     return CostReport(
         tokens_before=tokens_before,
         tokens_after=tokens_after,
@@ -168,5 +165,4 @@ def reduction_report(
         cost_before=_input_cost(tokens_before, prices),
         cost_after=_input_cost(tokens_after, prices),
         approximate=tok is None,
-        degenerate=degenerate,
     )

@@ -104,7 +104,7 @@ def _fixture_corpus(root):
 def _ingest_all(paths):
     """ingest_many's results as (documents, [(path, error line)])."""
     results = list(ingest_many(paths))
-    docs = [SiteDocument.from_json(r.row) for r in results if r.row is not None]
+    docs = [SiteDocument.from_json(json.loads(r.row)) for r in results if r.row is not None]
     return docs, [(p, r.error) for p, r in zip(paths, results) if r.row is None]
 
 

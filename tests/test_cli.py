@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from warc2meta import cli, tokens
 from warc2meta.cli import main
+from warc2meta.metrics import EMBED_BATCH
 
 from helpers import MockChatServer, build_warc, html_page, response_record
 
@@ -138,6 +139,44 @@ class TestSelectCommand:
         for site in sites:
             whole = " ".join(p["body_text"] for p in site["pages"])
             assert counted.count(whole) == 1
+
+    @pytest.mark.parametrize("heuristic", [1, 2, 3])
+    @pytest.mark.parametrize("rank_table", [False, True], ids=["estimate", "bpe"])
+    def test_cost_report_counts_both_sides_with_one_tokenizer(self, tmp_path, runner,
+                                                              heuristic, rank_table):
+        """The report row, against each site's and each selection's own count."""
+        cfg = _write_config(tmp_path, _make_corpus(tmp_path))
+        raw = yaml.safe_load(cfg.read_text())
+        raw["max_content_tokens"] = 40  # every selection is truncated
+        tok = None
+        if rank_table:
+            merges = [b"pa", b"ge", b"page", b"ab", b"ou", b"out", b"si", b"te", b" p", b"en"]
+            table = tmp_path / "ranks.tiktoken"
+            table.write_text("".join(f"{base64.b64encode(t).decode()} {rank}\n"
+                                     for rank, t in enumerate(merges)))
+            raw["tokenizer_path"] = str(table)
+            tok = tokens.load_vocabulary(table)
+        cfg.write_text(yaml.safe_dump(raw))
+        args = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert runner.invoke(main, args + ["ingest"]).exit_code == 0
+        result = runner.invoke(main, args + ["select", "--heuristic", str(heuristic)])
+        assert result.exit_code == 0, result.output
+        with open(out / "sites.jsonl") as fh:
+            sites = [json.loads(line) for line in fh]
+        before = sum(tokens.count_tokens(" ".join(p["body_text"] for p in site["pages"]), tok)
+                     for site in sites)
+        with open(out / f"selections_h{heuristic}.jsonl") as fh:
+            selected = [json.loads(line) for line in fh]
+        for sel in selected:
+            assert tokens.count_tokens(sel["content"], tok) == sel["reduced_token_estimate"] <= 40
+        after = sum(sel["reduced_token_estimate"] for sel in selected)
+        with open(out / "cost_report.csv") as fh:
+            [row] = csv.DictReader(fh)
+        assert row["heuristic"] == str(heuristic)
+        assert (int(row["tokens_before"]), int(row["tokens_after"])) == (before, after)
+        assert row["reduction_ratio"] == f"{1 - after / before:.6f}"
+        assert row["approximate"] == str(int(not rank_table))
 
     def test_non_http_base_url_fails_before_output(self, tmp_path, runner):
         cfg = _write_config(tmp_path, _make_corpus(tmp_path), "ftp://127.0.0.1/v1")
@@ -414,6 +453,31 @@ class TestGenerateEvaluate:
         assert isinstance(result.exception, SystemExit)  # no JSONDecodeError traceback
         assert f"Error: ConfigError: {ckpt}: line {n + 1}: Unterminated string" in result.output
 
+    def test_evaluate_embedding_batches_of_two_widths_are_api_error(self, tmp_path, runner):
+        def embeddings(body):  # 2-wide vectors for a full batch, 3-wide for the rest
+            width = 2 if len(body["input"]) == EMBED_BATCH else 3
+            return json.dumps({"data": [{"index": i, "embedding": [1.0] * width}
+                                        for i in range(len(body["input"]))]}).encode()
+
+        out = tmp_path / "out"
+        out.mkdir()
+        words = " ".join(f"w{k}" for k in range(EMBED_BATCH + 44))
+        (out / "generated_combo0.jsonl").write_text(json.dumps(
+            {"site_id": "s1", "source": "combo0", "title": "T", "abstract": words}) + "\n")
+        reference = tmp_path / "reference.jsonl"
+        reference.write_text(json.dumps({"site_id": "s1", "title": "T", "abstract": "w0"}) + "\n")
+        with MockChatServer(reply_fn=embeddings) as server:
+            cfg = _write_config(tmp_path, tmp_path)
+            raw = yaml.safe_load(cfg.read_text())
+            raw["embedding_base_url"] = server.base_url
+            cfg.write_text(yaml.safe_dump(raw))
+            result = runner.invoke(
+                main, ["--config", str(cfg), "evaluate", "--reference", str(reference)])
+            assert [len(body["input"]) for body in server.requests] == [EMBED_BATCH, 45]
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no ValueError traceback
+        assert result.output == "Error: ApiError: API error 200: embeddings of [2, 3] dimensions\n"
+
     def test_evaluate_missing_reference(self, tmp_path, runner):
         cfg = _write_config(tmp_path, _make_corpus(tmp_path))
         result = runner.invoke(
@@ -464,46 +528,6 @@ class TestStatsCommand:
         result = runner.invoke(main, ["stats", str(path)])
         assert result.exit_code != 0
         assert "MalformedCsv" in result.output
-
-
-class TestCostCommand:
-    def test_cost_report(self, tmp_path, runner):
-        cfg = _write_config(tmp_path, _make_corpus(tmp_path))
-        runner.invoke(main, ["--config", str(cfg), "ingest"])
-        runner.invoke(main, ["--config", str(cfg), "select", "--heuristic", "2"])
-        result = runner.invoke(main, ["--config", str(cfg), "cost", "--heuristic", "2"])
-        assert result.exit_code == 0, result.output
-        assert "reduction" in result.output
-
-    @pytest.mark.parametrize("heuristic", [1, 2, 3])
-    @pytest.mark.parametrize("rank_table", [False, True], ids=["estimate", "bpe"])
-    def test_cost_writes_the_select_row(self, tmp_path, runner, monkeypatch, heuristic,
-                                        rank_table):
-        """cost reads the selections' stored token counts, not their contents."""
-        cfg = _write_config(tmp_path, _make_corpus(tmp_path))
-        raw = yaml.safe_load(cfg.read_text())
-        raw["max_content_tokens"] = 40  # every selection is truncated
-        if rank_table:
-            merges = [b"pa", b"ge", b"page", b"ab", b"ou", b"out", b"si", b"te", b" p", b"en"]
-            table = tmp_path / "ranks.tiktoken"
-            table.write_text("".join(f"{base64.b64encode(t).decode()} {rank}\n"
-                                     for rank, t in enumerate(merges)))
-            raw["tokenizer_path"] = str(table)
-        cfg.write_text(yaml.safe_dump(raw))
-        args = ["--config", str(cfg)]
-        report = tmp_path / "out" / "cost_report.csv"
-        assert runner.invoke(main, args + ["ingest"]).exit_code == 0
-        assert runner.invoke(main, args + ["select", "--heuristic", str(heuristic)]).exit_code == 0
-        selected = report.read_text()
-        report.unlink()
-        counted = []
-        real_count = tokens.count_tokens
-        monkeypatch.setattr(tokens, "count_tokens",
-                            lambda text, tok: counted.append(text) or real_count(text, tok))
-        result = runner.invoke(main, args + ["cost", "--heuristic", str(heuristic)])
-        assert result.exit_code == 0, result.output
-        assert report.read_text() == selected
-        assert len(counted) == 3  # each whole site, once
 
 
 # Runs one CLI stage in this interpreter, then prints its OPENBLAS_NUM_THREADS
@@ -564,7 +588,6 @@ class TestImportFootprint:
             loaded = {
                 "ingest": self._loaded("--config", cfg, "ingest"),
                 "select": self._loaded("--config", cfg, "select", "--all"),
-                "cost": self._loaded("--config", cfg, "cost"),
                 "generate": self._loaded("--config", cfg, "generate", "--all-combinations"),
                 "stats": self._loaded("stats", grades),
             }
@@ -575,7 +598,6 @@ class TestImportFootprint:
             "ingest": "['warc2meta.ingest', 'warc2meta.urlnorm', 'warc2meta.warc']",
             "select": ("['warc2meta.heuristics', 'warc2meta.ingest', 'warc2meta.tokens',"
                        " 'warc2meta.urlnorm', 'warc2meta.warc']"),
-            "cost": "['warc2meta.tokens']",
             "generate": "['warc2meta.client', 'warc2meta.heuristics']",
             "stats": "['warc2meta.stats']",
             "evaluate": "['numpy', 'warc2meta.client', 'warc2meta.metrics', 'warc2meta.ranking']",

@@ -374,7 +374,7 @@ class TestReaderAgainstPyYAML:
         Path("cfg.yaml").write_text(text)
         with pytest.raises(ConfigError, match=r"^cfg\.yaml: nested too deeply$"):
             load_config("cfg.yaml")
-        result = CliRunner().invoke(main, ["--config", "cfg.yaml", "cost"])
+        result = CliRunner().invoke(main, ["--config", "cfg.yaml", "select"])
         assert (result.exit_code, result.output) == (
             1, "Error: ConfigError: cfg.yaml: nested too deeply\n")
 

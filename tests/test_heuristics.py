@@ -203,10 +203,8 @@ _MB_TOKENS = [
     "😀".encode()[:2], "😀".encode()[:3], "😀".encode(), b"a" + "é".encode()[:1],
     "é".encode()[1:] + b"b", "😀".encode()[3:] + b" ", b"\n|",
 ]
-MB_TOK = TokenizerHandle(
-    vocabulary={t: rank for rank, t in enumerate(_MB_TOKENS)}, name="multibyte"
-)
-BYTE_TOK = TokenizerHandle(vocabulary={}, name="bytes")  # one token per byte
+MB_TOK = TokenizerHandle(vocabulary={t: rank for rank, t in enumerate(_MB_TOKENS)})
+BYTE_TOK = TokenizerHandle(vocabulary={})  # one token per byte
 
 
 class TestTruncation:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -327,7 +328,7 @@ class TestIngestWarcFile:
         ]
         path = build_warc(tmp_path / "rt.warc", records)
         doc = ingest_warc_file(path)
-        again = SiteDocument.from_json(doc.to_json())
+        again = SiteDocument.from_json(json.loads(doc.to_json()))
         assert again.to_json() == doc.to_json()
 
 
@@ -366,7 +367,7 @@ class TestIngestMany:
             "TruncatedRecord", "GzipError"}
         for r in results:
             if r.row is not None:
-                doc = SiteDocument.from_json(r.row)
+                doc = SiteDocument.from_json(json.loads(r.row))
                 assert r.counts == {
                     "pages_kept": len(doc.pages), "pages_rejected": doc.rejected_count,
                     "pages_duplicate": doc.duplicate_count,

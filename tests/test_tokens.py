@@ -28,7 +28,7 @@ PINNED_VOCAB = {
     b"abc": 9,
 }
 
-TOK = TokenizerHandle(vocabulary=PINNED_VOCAB, name="pinned")
+TOK = TokenizerHandle(vocabulary=PINNED_VOCAB)
 
 PRICES = PriceConfig(
     price_per_million_input=Decimal("2.50"),
@@ -117,7 +117,7 @@ MULTIBYTE_VOCAB = {
 class TestEncodeOracle:
     @pytest.mark.parametrize("vocab", RUN_VOCABS)
     def test_runs(self, vocab):
-        tok = TokenizerHandle(vocabulary=vocab, name="runs")
+        tok = TokenizerHandle(vocabulary=vocab)
         for n in range(1, 40):
             assert encode("a" * n, tok) == oracle_encode("a" * n, vocab)
 
@@ -125,12 +125,12 @@ class TestEncodeOracle:
            st.sampled_from(RUN_VOCABS))
     def test_long_runs_with_breaks(self, text, vocab):
         vocab = {**vocab, b"a ": len(vocab), b" a": len(vocab) + 1}
-        tok = TokenizerHandle(vocabulary=vocab, name="runs")
+        tok = TokenizerHandle(vocabulary=vocab)
         assert encode(text, tok) == oracle_encode(text, vocab)
 
     @given(st.text(alphabet="aé漢😀 ", min_size=35, max_size=100))
     def test_multibyte_tokens(self, text):
-        tok = TokenizerHandle(vocabulary=MULTIBYTE_VOCAB, name="multibyte")
+        tok = TokenizerHandle(vocabulary=MULTIBYTE_VOCAB)
         assert encode(text, tok) == oracle_encode(text, MULTIBYTE_VOCAB)
 
 
@@ -142,7 +142,7 @@ class TestVocabularyLoading:
             for tok, rank in PINNED_VOCAB.items()
         ]
         path.write_text("\n".join(lines))
-        tok = load_vocabulary(path, name="pinned")
+        tok = load_vocabulary(path)
         assert tok.vocabulary == PINNED_VOCAB
         assert count_tokens("hello", tok) == 1
 
@@ -181,7 +181,6 @@ class TestReductionReport:
 
     def test_empty_before_degenerate(self):
         report = reduction_report(0, 1, PRICES)
-        assert report.degenerate
         assert report.reduction_ratio == 0
 
     def test_ratio_identity_exact(self):
