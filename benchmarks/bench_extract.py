@@ -6,9 +6,10 @@ CPython 3.11.7's html.parser, so it gives the same answers on any Python.
 
 Pages are built with tests/helpers.html_page from seeded random words and
 markup: navigation links, scripts, styles, comments, nested noscript,
-character references and attributes holding '>'. Both extractors read
-every page; the script fails if they disagree on any page, then prints
-pages/s for each.
+character references, attributes holding '>', and the plain
+`<div class="row">`-style tags that most of a crawled page is made of.
+Both extractors read every page; the script fails if they disagree on any
+page, then prints pages/s for each.
 
 Usage: PYTHONPATH=src:tests python3 benchmarks/bench_extract.py [--pages N]
 """
@@ -38,6 +39,12 @@ MARKUP = (
     "<![CDATA[kept out]]>",
     "<DIV CLASS=row>",
     "</DIV>",
+    '<div class="row">',
+    "</div>",
+    "<h2>",
+    "</h2>",
+    '<a href="/x" class="nav">',
+    '<img src="/l.png" alt="logo">',
 )
 
 

@@ -82,8 +82,14 @@ _OPENERS = (
 def _scanner(openers):
     """The scan regex for a page whose `openers` may still find their close."""
     # Dropped: other start and end tags, closed comments and marked
-    # sections, processing instructions and declarations.
+    # sections, processing instructions and declarations. The first two
+    # are the ordinary start and end tags that make up most of a page: an
+    # ASCII name and ` name="value"` attributes. They match only what the
+    # general tag alternatives after them match, at the same span, but
+    # with no capture and no atomic group, so the scan tries them first.
     dropped = (
+        rf'(?!{_SPECIAL}[ >])[a-zA-Z][a-zA-Z0-9]*(?: [a-zA-Z][a-zA-Z-]*="[^"]*")*>',
+        rf"/(?!{_SPECIAL}>)[a-zA-Z][a-zA-Z0-9]*>",
         rf"(?!{_SPECIAL}{_WHOLE}){_atomic('tag', _TAG_NAME + _ATTRS)}/?>",
         rf"/(?!\s*{_SPECIAL}\s*>|{_SPECIAL}[\t\n\r\f /\x00])[^>]*>",
         *(rf"{opener}(?s:.*?){close}" for opener, close in openers),
@@ -295,8 +301,8 @@ def _ingest_file(path, min_chars: int) -> FileResult:
 
 
 # A pool costs about 35 ms to import, fork and stop. Ingest through one
-# broke even at about 0.55 MB of gzipped WARC files and 1.7 MB of plain ones
-# (crawl-like sites, 2-core KVM guest); smaller batches run inline.
+# broke even at about 0.6 MB of gzipped WARC files and 1.8 MB of plain ones
+# (crawl-like sites, 2-core KVM guest, CPython 3.11); less runs inline.
 POOL_MIN_BYTES = 1 << 20
 
 

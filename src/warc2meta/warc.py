@@ -55,11 +55,14 @@ def _split_http_payload(payload: bytes):
     if not m:
         return None, None, payload
     status = int(m.group(1))
-    for sep in (b"\r\n\r\n", b"\n\n"):
-        idx = payload.find(sep)
-        if idx != -1:
-            head, body = payload[:idx], payload[idx + len(sep):]
-            break
+    # the headers end at the first blank line, CRLF or bare LF: the body
+    # may hold a blank line of the other kind
+    idx = payload.find(b"\r\n\r\n")
+    lf = payload.find(b"\n\n", 0, None if idx == -1 else idx)
+    if lf != -1:
+        head, body = payload[:lf], payload[lf + 2:]
+    elif idx != -1:
+        head, body = payload[:idx], payload[idx + 4:]
     else:
         head, body = payload, b""
     content_type = None
@@ -85,6 +88,8 @@ def _iter_records(stream) -> Iterator[RawWarcRecord]:
         try:
             length = int(headers["content-length"])
         except (KeyError, ValueError):
+            length = -1
+        if length < 0:  # stream.read(-1) would read the rest of the file
             raise MalformedWarcHeader("missing or invalid Content-Length")
         rec_type = headers.get("warc-type")
         if rec_type is None:
@@ -120,12 +125,13 @@ def open_warc_stream(path) -> Iterator[RawWarcRecord]:
         magic = raw.read(2)
         raw.seek(0)
         if magic == b"\x1f\x8b":
-            # gzip module transparently walks member-per-record files
-            stream = io.BufferedReader(gzip.GzipFile(fileobj=raw))
+            # gzip module transparently walks member-per-record files; a
+            # 64 KiB buffer cuts the GzipFile reads that readline triggers
+            stream = io.BufferedReader(gzip.GzipFile(fileobj=raw), 1 << 16)
         elif magic == b"":
             return
         else:
-            stream = io.BufferedReader(raw)
+            stream = raw  # open() already buffers it
         try:
             yield from _iter_records(stream)
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:

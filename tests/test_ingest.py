@@ -116,9 +116,18 @@ EDGE_CASES = [
     ("a <x <x&lt;\x00b", "", "a <x <x&lt;\x00b"),
     ("<p>a</p> <x&amp;'\x00b", "", "a <x&'\x00b"),
     ("<title>t</x <!-- c", "t</x <!-- c", ""),
+    # at the edges of the ordinary tags the scan matches first: a longer
+    # name, a space before '>', a quoted '>', a glued attribute
+    ("<scripts>x</scripts>", "", "x"),
+    ("<TITLE >t</TITLE>", "t", ""),
+    ('<h1 class="x>y">t</h1>', "", "t"),
+    ('<a b="1"c="2">t</a>', "", "t"),
+    ("</p >", "", ""),
+    ("<title2>x", "", "x"),
 ]
 
-_TAG_NAMES = ("script", "style", "noscript", "template", "title", "p", "scriptx")
+_TAG_NAMES = ("script", "style", "noscript", "template", "title", "p", "scriptx",
+              "h1", "my-el", "title2", "scripts")
 _TEXT = st.one_of(
     st.text(alphabet="ab &;#x1<>=/'\"-!?[] \t\n\xa0\x00", max_size=6),
     st.sampled_from(["&amp;", "&am", "p;", "&#65", "6;", "&lt", "t;", "&"]),
@@ -127,12 +136,22 @@ _NAME = st.builds(
     lambda name, upper: "".join(c.upper() if u else c for c, u in zip(name, upper)),
     st.sampled_from(_TAG_NAMES), st.lists(st.booleans(), min_size=8, max_size=8),
 )
-_ATTR = st.builds(
-    "{}{}{}".format,
-    st.sampled_from([" href", " title", "  x", "/y", "\tz", ' "q', "&a"]),
-    st.sampled_from(["", "=", " = ", "=="]),
-    st.builds("{}{}{}".format, st.sampled_from(["", '"', "'"]), _TEXT,
-              st.sampled_from(["", '"', "'"])),
+_ATTR = st.one_of(
+    # ` name="value"`, as most of a page's attributes are written
+    st.builds(' {}="{}"'.format, st.sampled_from(["href", "data-x", "b"]),
+              st.sampled_from(["v", "", "a b", "x>y", "'"])),
+    st.builds(
+        "{}{}{}".format,
+        # a name with no space before it is glued to the previous attribute
+        st.sampled_from([" href", " title", "  x", "/y", "\tz", ' "q', "&a", " data-x",
+                         "  data-x", "b"]),
+        st.sampled_from(["", "=", " = ", "=="]),
+        st.one_of(
+            st.builds("{}{}{}".format, st.sampled_from(["", '"', "'"]), _TEXT,
+                      st.sampled_from(["", '"', "'"])),
+            st.sampled_from(['"v"', '"a b"', "'v'", "v", "'a b'"]),
+        ),
+    ),
 )
 _START = st.builds(lambda name, attrs, close: f"<{name}{''.join(attrs)}{close}",
                    _NAME, st.lists(_ATTR, max_size=2),
@@ -175,7 +194,7 @@ class TestExtractionOracle:
 
     @pytest.mark.parametrize("unit", [
         "<!-- x ", "<!-- x > ", "<![CDATA[ x > ", "<![if x > ", "<x", "<x ", "</a ",
-        "<a b='x ", "<x&amp;", "<? x ", "<!x ",
+        "<a b='x ", '<a b="x ', '<a b="x" ', "<x&amp;", "<? x ", "<!x ",
     ])
     def test_unclosed_markup_takes_linear_time(self, unit):
         # html.parser reads from each of these to the page's end, which is

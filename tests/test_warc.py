@@ -3,6 +3,7 @@ import gzip
 import pytest
 
 from warc2meta.errors import MalformedWarcHeader, TruncatedRecord
+from warc2meta.ingest import extract_page
 from warc2meta.warc import open_warc_stream
 
 from helpers import build_warc, html_page, response_record, warc_record
@@ -66,6 +67,27 @@ def test_missing_content_length(tmp_path):
     path.write_bytes(b"WARC/1.0\r\nWARC-Type: response\r\n\r\n")
     with pytest.raises(MalformedWarcHeader):
         list(open_warc_stream(path))
+
+
+@pytest.mark.parametrize("length", [-1, -5])
+def test_negative_content_length(tmp_path, length):
+    # -1 would read the next records' headers into the first one's payload
+    records = [response_record(f"https://a.sg/{i}", body=html_page("T", f"page {i}"),
+                               declared_length=None if i else length) for i in range(3)]
+    path = build_warc(tmp_path / "neg.warc", records)
+    with pytest.raises(MalformedWarcHeader, match="invalid Content-Length"):
+        list(open_warc_stream(path))
+
+
+def test_lf_only_http_headers_keep_the_whole_body(tmp_path):
+    # the body's CRLF blank line is not the end of the LF-only headers
+    payload = (b"HTTP/1.1 200 OK\nContent-Type: text/html\n\n<html><title>T</title>"
+               b"<p>first part</p>\r\n\r\n<p>second part</p></html>")
+    path = build_warc(tmp_path / "lf.warc", [warc_record("response", "https://a.sg/", payload)])
+    [rec] = open_warc_stream(path)
+    assert (rec.http_status, rec.content_type) == (200, "text/html")
+    page = extract_page(rec)
+    assert (page.title, page.body_text) == ("T", "first part second part")
 
 
 def test_resource_record_uses_warc_content_type(tmp_path):
