@@ -9,9 +9,8 @@ loads no other stage's modules or libraries.
 """
 
 import sys
+from argparse import ArgumentParser, ArgumentTypeError, RawDescriptionHelpFormatter
 from pathlib import Path
-
-import click
 
 from . import store
 from .config import PipelineConfig, load_config
@@ -26,43 +25,19 @@ def _site_id(source_file: str) -> str:
     return name
 
 
-class _Pipeline(click.Group):
-    """Reports a pipeline error as `Error: <type>: <message>`, exit status 1."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except Warc2MetaError as exc:
-            raise click.ClickException(f"{type(exc).__name__}: {exc}")
-
-
-@click.group(cls=_Pipeline)
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="YAML pipeline configuration.")
-@click.option("--output", type=click.Path(), default=None, help="Output directory.")
-@click.pass_context
-def main(ctx, config_path, output):
-    """Convert WARC archives into candidate catalogue metadata and evaluate it."""
-    ctx.obj = load_config(config_path, output)
-
-
-@main.command()
-@click.option("--input", "input_dir", type=click.Path(), default=None,
-              help="Directory holding *.warc / *.warc.gz files.")
-@click.pass_obj
-def ingest(cfg: PipelineConfig, input_dir):
+def ingest(cfg: PipelineConfig, args):
     """Extract, filter, and deduplicate pages: one store row per WARC file,
     written as each file is done."""
     from .ingest import PAGE_COUNTS, ingest_many
 
     started = store.now()
-    if input_dir:
-        cfg.input_dir = Path(input_dir)
+    if args.input:
+        cfg.input_dir = Path(args.input)
     if not cfg.input_dir.is_dir():
-        raise click.ClickException(f"input directory not found: {cfg.input_dir}")
+        sys.exit(f"Error: input directory not found: {cfg.input_dir}")
     paths = sorted(cfg.input_dir.glob("*.warc")) + sorted(cfg.input_dir.glob("*.warc.gz"))
     if not paths:
-        raise click.ClickException(f"NoInput: no WARC files in {cfg.input_dir}")
+        sys.exit(f"Error: NoInput: no WARC files in {cfg.input_dir}")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     counts = {"files": len(paths), **dict.fromkeys(("ingested", "failed", *PAGE_COUNTS), 0)}
     sites = cfg.output_dir / store.SITES
@@ -70,24 +45,19 @@ def ingest(cfg: PipelineConfig, input_dir):
         for path, result in zip(paths, ingest_many(paths, cfg.min_chars)):
             if result.row is None:
                 counts["failed"] += 1
-                click.echo(f"error: {path}: {result.error}", err=True)
+                print(f"error: {path}: {result.error}", file=sys.stderr)
                 continue
             write(result.row)
             counts["ingested"] += 1
             for key, n in result.counts.items():
                 counts[key] += n
     store.write_manifest(cfg.output_dir, "ingest", cfg.digest(), counts, started)
-    click.echo(f"ingested {counts['ingested']}/{len(paths)} files -> {sites}")
+    print(f"ingested {counts['ingested']}/{len(paths)} files -> {sites}")
     if counts["ingested"] == 0 and counts["failed"]:
         sys.exit(1)
 
 
-@main.command("select")
-@click.option("--heuristic", type=click.IntRange(1, 3), default=None,
-              help="Heuristic code 1|2|3; default from config.")
-@click.option("--all", "all_heuristics", is_flag=True, help="Run all three heuristics.")
-@click.pass_obj
-def select_cmd(cfg: PipelineConfig, heuristic, all_heuristics):
+def select_cmd(cfg: PipelineConfig, args):
     """Collapse each site to one content block and report token costs.
 
     Sites are read one at a time, and each goes through every requested
@@ -106,7 +76,7 @@ def select_cmd(cfg: PipelineConfig, heuristic, all_heuristics):
     rows = store.read_jsonl(cfg.output_dir / store.SITES, after="ingest")
     rules = load_filter_rules(cfg.filter_rules_path) if cfg.filter_rules_path else None
     tok = load_vocabulary(cfg.tokenizer_path) if cfg.tokenizer_path else None
-    which = list(HeuristicId) if all_heuristics else [HeuristicId(heuristic or cfg.heuristic)]
+    which = list(HeuristicId) if args.all else [HeuristicId(args.heuristic or cfg.heuristic)]
     paths = {h: cfg.output_dir / store.selections(h) for h in which}
     afters = dict.fromkeys(which, 0)
     before = sites = errors = 0
@@ -127,7 +97,7 @@ def select_cmd(cfg: PipelineConfig, heuristic, all_heuristics):
                 write(sel.to_json(sid))
                 afters[h] += sel.reduced_token_estimate
     for h in which:
-        click.echo(f"heuristic {int(h)} -> {paths[h]}")
+        print(f"heuristic {int(h)} -> {paths[h]}")
     reports = {h: reduction_report(before, after, cfg.prices, tok) for h, after in afters.items()}
     store.write_csv(
         cfg.output_dir / store.COST_REPORT,
@@ -140,24 +110,17 @@ def select_cmd(cfg: PipelineConfig, heuristic, all_heuristics):
     store.write_manifest(cfg.output_dir, "select", cfg.digest(), counts, started)
 
 
-@main.command()
-@click.option("--heuristic", type=click.IntRange(1, 3), default=None)
-@click.option("--prompt", "prompt_name", type=click.Choice(["rules", "norules"]),
-              default=None)
-@click.option("--all-combinations", is_flag=True,
-              help="Sweep all six prompt x heuristic combinations.")
-@click.pass_obj
-def generate(cfg: PipelineConfig, heuristic, prompt_name, all_combinations):
+def generate(cfg: PipelineConfig, args):
     """Call the chat model over selections; resumable via checkpoints."""
     from .client import combination_id, run_batch
     from .heuristics import HeuristicId, Selection
     from .prompts import COMBINATIONS, VARIANTS
 
     started = store.now()
-    combos = COMBINATIONS if all_combinations else [
-        (VARIANTS[prompt_name or cfg.prompt_variant], HeuristicId(heuristic or cfg.heuristic))]
-    generated_total = 0
-    error_total = 0
+    combos = COMBINATIONS if args.all_combinations else [
+        (VARIANTS[args.prompt or cfg.prompt_variant], HeuristicId(args.heuristic or cfg.heuristic))
+    ]
+    generated_total = error_total = 0
     for variant, h in combos:
         selected = store.read_jsonl(cfg.output_dir / store.selections(h), after="select")
         items = [(r["site_id"], Selection.from_json(r)) for r in selected if "error" not in r]
@@ -171,16 +134,12 @@ def generate(cfg: PipelineConfig, heuristic, prompt_name, all_combinations):
         ok = sum(1 for r in rows if r.result is not None)
         generated_total += ok
         error_total += len(rows) - ok
-        click.echo(f"combo {combo}: {ok}/{len(rows)} generated -> {out}")
+        print(f"combo {combo}: {ok}/{len(rows)} generated -> {out}")
     counts = {"generated": generated_total, "errors": error_total}
     store.write_manifest(cfg.output_dir, "generate", cfg.digest(), counts, started)
 
 
-@main.command()
-@click.option("--reference", "reference_path", type=click.Path(), required=True,
-              help="JSONL of human-produced {site_id, title, abstract} rows.")
-@click.pass_obj
-def evaluate(cfg: PipelineConfig, reference_path):
+def evaluate(cfg: PipelineConfig, args):
     """Score every generated combination against the reference and rank them.
 
     A generated row whose site has no reference row is left out
@@ -193,10 +152,10 @@ def evaluate(cfg: PipelineConfig, reference_path):
     from .ranking import rank_combinations, score_combination, score_pairs
 
     started = store.now()
-    refs = [r for r in store.read_jsonl(reference_path) if "error" not in r]
+    refs = [r for r in store.read_jsonl(args.reference) if "error" not in r]
     for key in ("site_id", "title", "abstract"):
         if any(not isinstance(r.get(key), str) for r in refs):
-            raise ConfigError(f"{reference_path}: a reference row has no {key!r} string")
+            raise ConfigError(f"{args.reference}: a reference row has no {key!r} string")
     reference = {r["site_id"]: (r["title"], r["abstract"]) for r in refs}
     combos = []  # (variant, heuristic, generated rows) of each combination that has any
     for variant, h in COMBINATIONS:
@@ -245,39 +204,95 @@ def evaluate(cfg: PipelineConfig, reference_path):
         ],
     )
     shortlist = [r.stats.combination_id for r in ranked if r.final_score == 1]
-    click.echo(f"ranked summary -> {summary}")
-    click.echo(f"shortlisted for manual review: combos {shortlist}")
+    print(f"ranked summary -> {summary}")
+    print(f"shortlisted for manual review: combos {shortlist}")
     counts = {"combinations": len(all_stats), "shortlisted": len(shortlist),
               "no_reference": no_reference, "unscored": unscored, "no_overlap": no_overlap,
               "embed_tokens": len(table.rows), "embed_requests": table.requests}
     store.write_manifest(cfg.output_dir, "evaluate", cfg.digest(), counts, started)
 
 
-@main.command()
-@click.argument("grading_csv", type=click.Path())
-@click.option("--test", "test_name", type=click.Choice(["cochran", "mcnemar"]),
-              default="cochran")
-@click.option("--a", "label_a", default=None, help="First treatment (mcnemar).")
-@click.option("--b", "label_b", default=None, help="Second treatment (mcnemar).")
-@click.option("--correction", is_flag=True, help="Continuity correction (mcnemar).")
-@click.option("--exact", is_flag=True,
-              help="Exact binomial p for small discordant counts (mcnemar).")
-@click.option("--alpha", type=float, default=0.05)
-def stats(grading_csv, test_name, label_a, label_b, correction, exact, alpha):
+def stats(cfg: PipelineConfig, args):
     """Run Cochran's Q or McNemar's test on a grading CSV."""
     from .stats import cochran_q, ingest_grading, mcnemar
 
-    matrix = ingest_grading(grading_csv)
-    if test_name == "cochran":
-        result = cochran_q(matrix, alpha=alpha)
+    matrix = ingest_grading(args.grading_csv)
+    if args.test == "cochran":
+        result = cochran_q(matrix, alpha=args.alpha)
     else:
-        if not label_a or not label_b:
-            raise click.ClickException("--test mcnemar requires --a and --b")
-        result = mcnemar(
-            matrix, label_a, label_b, correction=correction, exact=exact, alpha=alpha
-        )
-    click.echo(result.to_json())
-    click.echo(result.summary())
+        if not args.a or not args.b:
+            sys.exit("Error: --test mcnemar requires --a and --b")
+        result = mcnemar(matrix, args.a, args.b, correction=args.correction, exact=args.exact,
+                         alpha=args.alpha)
+    print(result.to_json())
+    print(result.summary())
+
+
+def _alpha(text: str) -> float:
+    try:
+        if 0 < float(text) < 1:  # NaN and the infinities fail this
+            return float(text)
+    except ValueError:
+        pass
+    raise ArgumentTypeError(f"{text!r} is not a number between 0 and 1")
+
+
+def _parse(args, prog: str):
+    parser = ArgumentParser(prog=prog, allow_abbrev=False, description=(
+        "Convert WARC archives into candidate catalogue metadata and evaluate it."))
+    parser.add_argument("--config", metavar="PATH", help="YAML pipeline configuration.")
+    parser.add_argument("--output", metavar="PATH", help="Output directory.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    sub = {}
+    for run in (ingest, select_cmd, generate, evaluate, stats):
+        doc = "\n".join(line.strip() for line in run.__doc__.splitlines())
+        sub[run] = commands.add_parser(
+            run.__name__.removesuffix("_cmd"), help=doc.split("\n\n")[0].replace("\n", " "),
+            description=doc, allow_abbrev=False, formatter_class=RawDescriptionHelpFormatter)
+        sub[run].set_defaults(run=run)
+    sub[ingest].add_argument("--input", help="Directory holding *.warc / *.warc.gz files.")
+    one_or_all = sub[select_cmd].add_mutually_exclusive_group()
+    one_or_all.add_argument("--heuristic", type=int, choices=(1, 2, 3),
+                            help="Heuristic code 1|2|3; default from config.")
+    one_or_all.add_argument("--all", action="store_true", help="Run all three heuristics.")
+    sub[generate].add_argument("--heuristic", type=int, choices=(1, 2, 3))
+    sub[generate].add_argument("--prompt", choices=("rules", "norules"))
+    sub[generate].add_argument("--all-combinations", action="store_true",
+                               help="Sweep all six prompt x heuristic combinations.")
+    sub[evaluate].add_argument("--reference", metavar="PATH", required=True,
+                               help="JSONL of human-produced {site_id, title, abstract} rows.")
+    sub[stats].add_argument("grading_csv", metavar="GRADING_CSV")
+    sub[stats].add_argument("--test", choices=("cochran", "mcnemar"), default="cochran")
+    sub[stats].add_argument("--a", help="First treatment (mcnemar).")
+    sub[stats].add_argument("--b", help="Second treatment (mcnemar).")
+    sub[stats].add_argument("--correction", action="store_true",
+                            help="Continuity correction (mcnemar).")
+    sub[stats].add_argument("--exact", action="store_true",
+                            help="Exact binomial p for small discordant counts (mcnemar).")
+    sub[stats].add_argument("--alpha", type=_alpha, default=0.05, help="0 < alpha < 1.")
+    ns = parser.parse_args(args)
+    # no one mutually exclusive group keeps --all-combinations from both
+    # --heuristic and --prompt and still lets those two go together
+    if ns.run is generate and ns.all_combinations and (ns.heuristic or ns.prompt):
+        sub[generate].error("argument --all-combinations: not allowed with --heuristic/--prompt")
+    return ns
+
+
+def main(args=None, prog_name: str = "warc2meta"):
+    """Runs one command. A failed command exits with status 1 and an
+    `Error: ...` line on stderr, a usage error with status 2."""
+    ns = _parse(args, prog_name)
+    try:
+        ns.run(load_config(ns.config, ns.output), ns)
+    except Warc2MetaError as exc:
+        sys.exit(f"Error: {type(exc).__name__}: {exc}")
+    except KeyboardInterrupt:
+        sys.exit("\nAborted!")
+
+
+# perfbench/tracer.py runs a stage as `cli.main.main(args=..., prog_name=...)`;
+# this alias goes when the tracer sets sys.argv and calls `main()` instead.
+main.main = main
 
 
 if __name__ == "__main__":

@@ -103,7 +103,9 @@ def ingest_grading(path) -> GradingMatrix:
                     f"{path}: header must contain {sorted(expected)}"
                 )
             for row in reader:
-                verdict = (row["verdict"] or "").strip().lower()
+                if any(row[key] is None for key in expected):
+                    raise MalformedCsv(f"{path}: line {reader.line_num}: too few fields")
+                verdict = row["verdict"].strip().lower()
                 if verdict not in ("pass", "fail"):
                     raise UnknownVerdict(f"{path}: verdict {row['verdict']!r}")
                 item = row["item_id"].strip()

@@ -1,9 +1,13 @@
-"""Shared test helpers: WARC fixture builders and scriptable HTTP servers."""
+"""Shared test helpers: WARC fixture builders, scriptable HTTP servers and
+an in-process CLI runner."""
 
+import contextlib
 import gzip
+import io
 import json
 import random
 import threading
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
@@ -202,3 +206,32 @@ class MockChatServer:
         self.server.shutdown()
         self.server.server_close()
         return False
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    output: str  # stdout and stderr, interleaved as written
+    exception: BaseException | None = None  # what ended a run with a non-zero status
+
+
+def run_cli(args):
+    """Runs `warc2meta.cli.main(args)` in this process with stdout and stderr
+    captured. A `sys.exit(message)` counts as status 1, its message written
+    to the output, as the interpreter does at exit."""
+    from warc2meta.cli import main
+
+    buf = io.StringIO()
+    code, exception = 0, None
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        try:
+            main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code or 0
+            if not isinstance(code, int):
+                print(code, file=buf)
+                code = 1
+            exception = exc if code else None
+        except Exception as exc:  # a crash, not a reported error
+            code, exception = 1, exc
+    return CliResult(code, buf.getvalue(), exception)

@@ -13,9 +13,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import yaml
-from click.testing import CliRunner
 
-from warc2meta.cli import main
 from warc2meta.heuristics import HeuristicId, select
 from warc2meta.ingest import PageRecord, SiteDocument, ingest_many
 from warc2meta.metrics import levenshtein
@@ -26,7 +24,7 @@ from warc2meta.tokens import PriceConfig, count_tokens, reduction_report
 from warc2meta.urlnorm import normalize_url
 from warc2meta.warc import open_warc_stream
 
-from helpers import MockChatServer, build_warc, html_page, response_record
+from helpers import MockChatServer, build_warc, html_page, response_record, run_cli
 from test_metrics import FixedProvider, dp_oracle, score
 from test_stats import chi2_survival_oracle
 
@@ -139,7 +137,7 @@ def test_criterion_1_parser_correctness(tmp_path):
 def test_ingest_manifest_accounts_for_every_html_record(tmp_path):
     d, expect = _fixture_corpus(tmp_path)
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["--output", str(out), "ingest", "--input", str(d)])
+    result = run_cli(["--output", str(out), "ingest", "--input", str(d)])
     assert result.exit_code == 0, result.output
     counts = json.loads((out / "manifest_ingest.json").read_text())["counts"]
     html = 0
@@ -358,7 +356,6 @@ def _deterministic_reply(body):
 
 def test_criterion_7_end_to_end(tmp_path):
     started = time.monotonic()
-    runner = CliRunner()
 
     def run_pipeline(out_name, base_url):
         out = tmp_path / out_name
@@ -371,7 +368,7 @@ def test_criterion_7_end_to_end(tmp_path):
         }))
         for args in (["ingest"], ["select", "--all"],
                      ["generate", "--all-combinations"]):
-            result = runner.invoke(main, ["--config", str(cfg_path)] + args)
+            result = run_cli(["--config", str(cfg_path)] + args)
             assert result.exit_code == 0, result.output
         reference = tmp_path / "reference.jsonl"
         if not reference.exists():
@@ -385,8 +382,7 @@ def test_criterion_7_end_to_end(tmp_path):
                         "abstract": row["abstract"] + " with human edits",
                         "model_name": None,
                     }) + "\n")
-        result = runner.invoke(main, ["--config", str(cfg_path), "evaluate",
-                                      "--reference", str(reference)])
+        result = run_cli(["--config", str(cfg_path), "evaluate", "--reference", str(reference)])
         assert result.exit_code == 0, result.output
         return out
 
@@ -426,7 +422,7 @@ def test_ip_literal_host_runs_through_every_stage(tmp_path):
             "client": {"base_url": server.base_url, "model_name": "mock-model"},
         }))
         for args in (["ingest"], ["select", "--all"], ["generate", "--all-combinations"]):
-            result = CliRunner().invoke(main, ["--config", str(cfg), *args])
+            result = run_cli(["--config", str(cfg), *args])
             assert result.exit_code == 0, result.output
 
     def rows(name):

@@ -8,13 +8,11 @@ from pathlib import Path
 
 import pytest
 import yaml
-from click.testing import CliRunner
 
 from warc2meta import cli, tokens
-from warc2meta.cli import main
 from warc2meta.metrics import EMBED_BATCH
 
-from helpers import MockChatServer, build_warc, html_page, response_record
+from helpers import MockChatServer, build_warc, html_page, response_record, run_cli
 
 
 def _make_corpus(root, n_sites=3):
@@ -58,35 +56,30 @@ def _echo_reply(body):
     return {"title": f"Title {site}", "abstract": f"Abstract for {site}"}
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
 class TestIngestCommand:
-    def test_one_row_per_file(self, tmp_path, runner):
+    def test_one_row_per_file(self, tmp_path):
         warc_dir = _make_corpus(tmp_path)
         cfg = _write_config(tmp_path, warc_dir)
-        result = runner.invoke(main, ["--config", str(cfg), "ingest"])
+        result = run_cli(["--config", str(cfg), "ingest"])
         assert result.exit_code == 0, result.output
         lines = (tmp_path / "out" / "sites.jsonl").read_text().splitlines()
         assert len(lines) == 3
         manifest = json.loads((tmp_path / "out" / "manifest_ingest.json").read_text())
         assert manifest["counts"]["files"] == 3
 
-    def test_empty_dir_is_error(self, tmp_path, runner):
+    def test_empty_dir_is_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
         cfg = _write_config(tmp_path, empty)
-        result = runner.invoke(main, ["--config", str(cfg), "ingest"])
+        result = run_cli(["--config", str(cfg), "ingest"])
         assert result.exit_code != 0
         assert "NoInput" in result.output
 
-    def test_corrupt_file_among_good(self, tmp_path, runner):
+    def test_corrupt_file_among_good(self, tmp_path):
         warc_dir = _make_corpus(tmp_path, n_sites=2)
         (warc_dir / "broken.warc").write_bytes(b"garbage not a warc\r\n\r\n")
         cfg = _write_config(tmp_path, warc_dir)
-        result = runner.invoke(main, ["--config", str(cfg), "ingest"])
+        result = run_cli(["--config", str(cfg), "ingest"])
         assert result.exit_code == 0
         lines = (tmp_path / "out" / "sites.jsonl").read_text().splitlines()
         assert len(lines) == 2
@@ -94,22 +87,22 @@ class TestIngestCommand:
 
 
 class TestSelectCommand:
-    def test_single_heuristic(self, tmp_path, runner):
+    def test_single_heuristic(self, tmp_path):
         cfg = _write_config(tmp_path, _make_corpus(tmp_path))
-        runner.invoke(main, ["--config", str(cfg), "ingest"])
-        result = runner.invoke(main, ["--config", str(cfg), "select", "--heuristic", "2"])
+        run_cli(["--config", str(cfg), "ingest"])
+        result = run_cli(["--config", str(cfg), "select", "--heuristic", "2"])
         assert result.exit_code == 0, result.output
         sel = (tmp_path / "out" / "selections_h2.jsonl").read_text().splitlines()
         assert len(sel) == 3
         assert (tmp_path / "out" / "cost_report.csv").is_file()
 
-    def test_all_heuristics(self, tmp_path, runner):
+    def test_all_heuristics(self, tmp_path):
         warc_dir = _make_corpus(tmp_path)
         empty = warc_dir / "empty.warc"
         build_warc(empty, [response_record("https://gone.sg/", status=404)])
         cfg = _write_config(tmp_path, warc_dir)
-        runner.invoke(main, ["--config", str(cfg), "ingest"])
-        result = runner.invoke(main, ["--config", str(cfg), "select", "--all"])
+        run_cli(["--config", str(cfg), "ingest"])
+        result = run_cli(["--config", str(cfg), "select", "--all"])
         assert result.exit_code == 0, result.output
         for h in (1, 2, 3):
             path = tmp_path / "out" / f"selections_h{h}.jsonl"
@@ -120,9 +113,9 @@ class TestSelectCommand:
             rows = list(csv.DictReader(fh))
         assert [r["heuristic"] for r in rows] == ["1", "2", "3"]
 
-    def test_all_heuristics_count_site_text_once(self, tmp_path, runner, monkeypatch):
+    def test_all_heuristics_count_site_text_once(self, tmp_path, monkeypatch):
         cfg = _write_config(tmp_path, _make_corpus(tmp_path))
-        runner.invoke(main, ["--config", str(cfg), "ingest"])
+        run_cli(["--config", str(cfg), "ingest"])
         counted = []
         real_count = tokens.count_tokens
 
@@ -132,7 +125,7 @@ class TestSelectCommand:
 
         # cli imports count_tokens when a command runs, so this patch reaches it too
         monkeypatch.setattr(tokens, "count_tokens", counting)
-        result = runner.invoke(main, ["--config", str(cfg), "select", "--all"])
+        result = run_cli(["--config", str(cfg), "select", "--all"])
         assert result.exit_code == 0, result.output
         with open(tmp_path / "out" / "sites.jsonl") as fh:
             sites = [json.loads(line) for line in fh]
@@ -142,7 +135,7 @@ class TestSelectCommand:
 
     @pytest.mark.parametrize("heuristic", [1, 2, 3])
     @pytest.mark.parametrize("rank_table", [False, True], ids=["estimate", "bpe"])
-    def test_cost_report_counts_both_sides_with_one_tokenizer(self, tmp_path, runner,
+    def test_cost_report_counts_both_sides_with_one_tokenizer(self, tmp_path,
                                                               heuristic, rank_table):
         """The report row, against each site's and each selection's own count."""
         cfg = _write_config(tmp_path, _make_corpus(tmp_path))
@@ -159,8 +152,8 @@ class TestSelectCommand:
         cfg.write_text(yaml.safe_dump(raw))
         args = ["--config", str(cfg)]
         out = tmp_path / "out"
-        assert runner.invoke(main, args + ["ingest"]).exit_code == 0
-        result = runner.invoke(main, args + ["select", "--heuristic", str(heuristic)])
+        assert run_cli(args + ["ingest"]).exit_code == 0
+        result = run_cli(args + ["select", "--heuristic", str(heuristic)])
         assert result.exit_code == 0, result.output
         with open(out / "sites.jsonl") as fh:
             sites = [json.loads(line) for line in fh]
@@ -178,45 +171,45 @@ class TestSelectCommand:
         assert row["reduction_ratio"] == f"{1 - after / before:.6f}"
         assert row["approximate"] == str(int(not rank_table))
 
-    def test_non_http_base_url_fails_before_output(self, tmp_path, runner):
+    def test_non_http_base_url_fails_before_output(self, tmp_path):
         cfg = _write_config(tmp_path, _make_corpus(tmp_path), "ftp://127.0.0.1/v1")
-        result = runner.invoke(main, ["--config", str(cfg), "ingest"])
+        result = run_cli(["--config", str(cfg), "ingest"])
         assert result.exit_code == 1
         assert "Error: ConfigError: client.base_url must be an http or https URL" in result.output
         assert not (tmp_path / "out").exists()
 
-    def test_missing_tokenizer_fails_before_output(self, tmp_path, runner):
+    def test_missing_tokenizer_fails_before_output(self, tmp_path):
         cfg = _write_config(tmp_path, _make_corpus(tmp_path))
-        assert runner.invoke(main, ["--config", str(cfg), "ingest"]).exit_code == 0
+        assert run_cli(["--config", str(cfg), "ingest"]).exit_code == 0
         missing = tmp_path / "no_such.tiktoken"
         raw = yaml.safe_load(cfg.read_text())
         raw["tokenizer_path"] = str(missing)
         cfg.write_text(yaml.safe_dump(raw))
-        result = runner.invoke(main, ["--config", str(cfg), "select", "--all"])
+        result = run_cli(["--config", str(cfg), "select", "--all"])
         assert result.exit_code != 0
         assert str(missing) in result.output
         assert list((tmp_path / "out").glob("selections_h*.jsonl")) == []
 
-    def test_missing_sites_fails_before_output(self, tmp_path, runner):
+    def test_missing_sites_fails_before_output(self, tmp_path):
         cfg = _write_config(tmp_path, _make_corpus(tmp_path))
         out = tmp_path / "out"
         out.mkdir()
         seeded = out / "selections_h2.jsonl"
         seeded.write_text('{"site_id": "kept"}\n')
-        result = runner.invoke(main, ["--config", str(cfg), "select"])
+        result = run_cli(["--config", str(cfg), "select"])
         assert result.exit_code != 0
         assert "Error: ConfigError: no " in result.output
         assert "run `ingest` first" in result.output
         assert seeded.read_text() == '{"site_id": "kept"}\n'
 
-    def test_all_heuristics_match_single_runs(self, tmp_path, runner):
+    def test_all_heuristics_match_single_runs(self, tmp_path):
         """The three interleaved writers of --all write what three runs of one write."""
         warc_dir = _make_corpus(tmp_path)
         build_warc(warc_dir / "empty.warc", [response_record("https://gone.sg/", status=404)])
         cfg = _write_config(tmp_path, warc_dir)
         args = ["--config", str(cfg)]
         out = tmp_path / "out"
-        assert runner.invoke(main, args + ["ingest"]).exit_code == 0
+        assert run_cli(args + ["ingest"]).exit_code == 0
 
         def report_rows():
             with open(out / "cost_report.csv") as fh:
@@ -224,11 +217,11 @@ class TestSelectCommand:
 
         single, single_rows = {}, []
         for h in (1, 2, 3):
-            assert runner.invoke(main, args + ["select", "--heuristic", str(h)]).exit_code == 0
+            assert run_cli(args + ["select", "--heuristic", str(h)]).exit_code == 0
             single[h] = (out / f"selections_h{h}.jsonl").read_bytes()
             header, *rows = report_rows()
             single_rows += rows
-        result = runner.invoke(main, args + ["select", "--all"])
+        result = run_cli(args + ["select", "--all"])
         assert result.exit_code == 0, result.output
         for h in (1, 2, 3):
             assert (out / f"selections_h{h}.jsonl").read_bytes() == single[h]
@@ -236,18 +229,16 @@ class TestSelectCommand:
 
 
 class TestGenerateEvaluate:
-    def _pipeline_to_selections(self, tmp_path, runner, base_url):
+    def _pipeline_to_selections(self, tmp_path, base_url):
         cfg = _write_config(tmp_path, _make_corpus(tmp_path), base_url=base_url)
-        assert runner.invoke(main, ["--config", str(cfg), "ingest"]).exit_code == 0
-        assert runner.invoke(main, ["--config", str(cfg), "select", "--all"]).exit_code == 0
+        assert run_cli(["--config", str(cfg), "ingest"]).exit_code == 0
+        assert run_cli(["--config", str(cfg), "select", "--all"]).exit_code == 0
         return cfg
 
-    def test_generate_and_evaluate(self, tmp_path, runner):
+    def test_generate_and_evaluate(self, tmp_path):
         with MockChatServer(reply_fn=_echo_reply) as server:
-            cfg = self._pipeline_to_selections(tmp_path, runner, server.base_url)
-            result = runner.invoke(
-                main, ["--config", str(cfg), "generate", "--all-combinations"]
-            )
+            cfg = self._pipeline_to_selections(tmp_path, server.base_url)
+            result = run_cli(["--config", str(cfg), "generate", "--all-combinations"])
             assert result.exit_code == 0, result.output
             for combo in range(6):
                 path = tmp_path / "out" / f"generated_combo{combo}.jsonl"
@@ -263,35 +254,33 @@ class TestGenerateEvaluate:
                     "title": row["title"], "abstract": row["abstract"],
                     "model_name": None,
                 }) + "\n")
-        result = runner.invoke(
-            main, ["--config", str(cfg), "evaluate", "--reference", str(reference)]
-        )
+        result = run_cli(["--config", str(cfg), "evaluate", "--reference", str(reference)])
         assert result.exit_code == 0, result.output
         with open(tmp_path / "out" / "ranked_summary.csv") as fh:
             summary = list(csv.DictReader(fh))
         assert len(summary) == 6
         assert summary[0]["ranked_aggregated_score"] == "1"
 
-    def test_generate_resume_skips_done(self, tmp_path, runner):
+    def test_generate_resume_skips_done(self, tmp_path):
         with MockChatServer(reply_fn=_echo_reply) as server:
-            cfg = self._pipeline_to_selections(tmp_path, runner, server.base_url)
+            cfg = self._pipeline_to_selections(tmp_path, server.base_url)
             args = ["--config", str(cfg), "generate", "--heuristic", "2",
                     "--prompt", "rules"]
-            assert runner.invoke(main, args).exit_code == 0
+            assert run_cli(args).exit_code == 0
             first = len(server.requests)
-            assert runner.invoke(main, args).exit_code == 0
+            assert run_cli(args).exit_code == 0
             assert len(server.requests) == first  # checkpoint prevented re-requests
 
-    def test_generate_asks_again_after_reselect(self, tmp_path, runner):
+    def test_generate_asks_again_after_reselect(self, tmp_path):
         def content_reply(body):
             url, _, content = body["messages"][1]["content"].partition("\n")
             return {"title": f"Title {url}", "abstract": content}
 
         with MockChatServer(reply_fn=content_reply) as server:
-            cfg = self._pipeline_to_selections(tmp_path, runner, server.base_url)
+            cfg = self._pipeline_to_selections(tmp_path, server.base_url)
             args = ["--config", str(cfg), "generate", "--heuristic", "2",
                     "--prompt", "rules"]
-            assert runner.invoke(main, args).exit_code == 0
+            assert run_cli(args).exit_code == 0
             generated = tmp_path / "out" / "generated_combo2.jsonl"
             before = generated.read_text()
             sent = len(server.requests)
@@ -299,22 +288,22 @@ class TestGenerateEvaluate:
             raw["max_content_tokens"] = 5
             cfg.write_text(yaml.safe_dump(raw))
             reselect = ["--config", str(cfg), "select", "--heuristic", "2"]
-            assert runner.invoke(main, reselect).exit_code == 0
-            assert runner.invoke(main, args).exit_code == 0
+            assert run_cli(reselect).exit_code == 0
+            assert run_cli(args).exit_code == 0
             assert len(server.requests) == sent + 3  # every site's content changed
         rows = [json.loads(line) for line in generated.read_text().splitlines()]
         assert generated.read_text() != before
         assert all(len(r["abstract"]) <= 20 for r in rows)  # 5 tokens of ~4 chars
 
-    def _generate_all(self, tmp_path, runner):
+    def _generate_all(self, tmp_path):
         with MockChatServer(reply_fn=_echo_reply) as server:
-            cfg = self._pipeline_to_selections(tmp_path, runner, server.base_url)
+            cfg = self._pipeline_to_selections(tmp_path, server.base_url)
             args = ["--config", str(cfg), "generate", "--all-combinations"]
-            assert runner.invoke(main, args).exit_code == 0
+            assert run_cli(args).exit_code == 0
         return cfg, tmp_path / "out"
 
-    def test_evaluate_isolates_unscorable_pairs(self, tmp_path, runner):
-        cfg, out = self._generate_all(tmp_path, runner)
+    def test_evaluate_isolates_unscorable_pairs(self, tmp_path):
+        cfg, out = self._generate_all(tmp_path)
         reference = tmp_path / "reference.jsonl"
         with open(reference, "w") as fh:
             for line in (out / "generated_combo2.jsonl").read_text().splitlines():
@@ -327,9 +316,7 @@ class TestGenerateEvaluate:
         combo0.write_text(
             "".join(l + "\n" for l in combo0.read_text().splitlines() if '"site0"' in l)
         )
-        result = runner.invoke(
-            main, ["--config", str(cfg), "evaluate", "--reference", str(reference)]
-        )
+        result = run_cli(["--config", str(cfg), "evaluate", "--reference", str(reference)])
         assert result.exit_code == 0, result.output
         counts = json.loads((out / "manifest_evaluate.json").read_text())["counts"]
         assert counts["combinations"] == 5
@@ -343,8 +330,8 @@ class TestGenerateEvaluate:
             scored = {r["site_id"] for r in csv.DictReader(fh)}
         assert scored == {"site1", "site2"}
 
-    def test_evaluate_reads_the_documented_reference_format(self, tmp_path, runner):
-        cfg, out = self._generate_all(tmp_path, runner)
+    def test_evaluate_reads_the_documented_reference_format(self, tmp_path):
+        cfg, out = self._generate_all(tmp_path)
         rows = [json.loads(l) for l in (out / "generated_combo2.jsonl").read_text().splitlines()]
         outputs = []
         for keys in (("site_id", "source", "title", "abstract"), ("site_id", "title", "abstract")):
@@ -352,25 +339,21 @@ class TestGenerateEvaluate:
             reference.write_text("".join(
                 json.dumps({k: dict(r, source="human")[k] for k in keys}) + "\n" for r in rows
             ))
-            result = runner.invoke(
-                main, ["--config", str(cfg), "evaluate", "--reference", str(reference)]
-            )
+            result = run_cli(["--config", str(cfg), "evaluate", "--reference", str(reference)])
             assert result.exit_code == 0, result.output
             outputs.append(((out / "scores_per_site.csv").read_bytes(),
                             (out / "ranked_summary.csv").read_bytes()))
         assert outputs[0] == outputs[1]
         assert outputs[0][0].count(b"\n") == 1 + 6 * len(rows)  # every pair was scored
 
-    def test_evaluate_counts_generated_rows_with_no_reference(self, tmp_path, runner):
-        cfg, out = self._generate_all(tmp_path, runner)
+    def test_evaluate_counts_generated_rows_with_no_reference(self, tmp_path):
+        cfg, out = self._generate_all(tmp_path)
         reference = tmp_path / "reference.jsonl"
         reference.write_text((out / "generated_combo2.jsonl").read_text())
         combo3 = out / "generated_combo3.jsonl"
         extra = dict(json.loads(combo3.read_text().splitlines()[0]), site_id="site9")
         combo3.write_text(combo3.read_text() + json.dumps(extra) + "\n")
-        result = runner.invoke(
-            main, ["--config", str(cfg), "evaluate", "--reference", str(reference)]
-        )
+        result = run_cli(["--config", str(cfg), "evaluate", "--reference", str(reference)])
         assert result.exit_code == 0, result.output
         counts = json.loads((out / "manifest_evaluate.json").read_text())["counts"]
         assert counts["no_reference"] == 1
@@ -384,18 +367,16 @@ class TestGenerateEvaluate:
         with open(out / "scores_per_site.csv") as fh:
             assert "site9" not in {r["site_id"] for r in csv.DictReader(fh)}
 
-    def test_evaluate_reports_pipeline_error_without_traceback(self, tmp_path, runner):
-        cfg, out = self._generate_all(tmp_path, runner)
+    def test_evaluate_reports_pipeline_error_without_traceback(self, tmp_path):
+        cfg, out = self._generate_all(tmp_path)
         reference = tmp_path / "reference.jsonl"
         reference.write_text(json.dumps({
             "site_id": "elsewhere", "source": "human", "title": "T", "abstract": "A",
         }) + "\n")
-        result = runner.invoke(
-            main, ["--config", str(cfg), "evaluate", "--reference", str(reference)]
-        )
+        result = run_cli(["--config", str(cfg), "evaluate", "--reference", str(reference)])
         # every combination is skipped for no overlap, which leaves none to rank
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # a ClickException, not a crash
+        assert isinstance(result.exception, SystemExit)  # a reported error, not a crash
         assert "Error: InsufficientCombinations" in result.output
 
     @pytest.mark.parametrize("key, value", [
@@ -403,8 +384,8 @@ class TestGenerateEvaluate:
         ("title", 5), ("abstract", None),  # not a string
     ])
     def test_evaluate_reference_row_lacking_a_string_is_config_error(
-            self, tmp_path, runner, key, value):
-        cfg, out = self._generate_all(tmp_path, runner)
+            self, tmp_path, key, value):
+        cfg, out = self._generate_all(tmp_path)
         rows = [json.loads(l) for l in (out / "generated_combo2.jsonl").read_text().splitlines()]
         rows[1].pop(key)
         if value is not ...:
@@ -412,11 +393,9 @@ class TestGenerateEvaluate:
         rows.append({"site_id": "site9", "error": "not catalogued"})  # an error row needs none
         reference = tmp_path / "reference.jsonl"
         reference.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        result = runner.invoke(
-            main, ["--config", str(cfg), "evaluate", "--reference", str(reference)]
-        )
+        result = run_cli(["--config", str(cfg), "evaluate", "--reference", str(reference)])
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # a ClickException, not a KeyError
+        assert isinstance(result.exception, SystemExit)  # a reported error, not a KeyError
         assert (f"Error: ConfigError: {reference}: a reference row has no '{key}' string"
                 in result.output)
         assert not (out / "ranked_summary.csv").exists()
@@ -426,34 +405,32 @@ class TestGenerateEvaluate:
         ("[1, 2]", "a JSON list, not an object"),
     ])
     def test_evaluate_reference_line_not_an_object_is_config_error(
-            self, tmp_path, runner, line, problem):
-        cfg, out = self._generate_all(tmp_path, runner)
+            self, tmp_path, line, problem):
+        cfg, out = self._generate_all(tmp_path)
         reference = tmp_path / "reference.jsonl"
         reference.write_text((out / "generated_combo2.jsonl").read_text() + "\n" + line)
-        result = runner.invoke(
-            main, ["--config", str(cfg), "evaluate", "--reference", str(reference)]
-        )
+        result = run_cli(["--config", str(cfg), "evaluate", "--reference", str(reference)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert f"Error: ConfigError: {reference}: line 5: {problem}" in result.output
 
-    def test_generate_torn_checkpoint_line_is_config_error(self, tmp_path, runner):
+    def test_generate_torn_checkpoint_line_is_config_error(self, tmp_path):
         with MockChatServer(reply_fn=_echo_reply) as server:
-            cfg = self._pipeline_to_selections(tmp_path, runner, server.base_url)
+            cfg = self._pipeline_to_selections(tmp_path, server.base_url)
             args = ["--config", str(cfg), "generate", "--heuristic", "1", "--prompt", "rules"]
-            assert runner.invoke(main, args).exit_code == 0
+            assert run_cli(args).exit_code == 0
             ckpt = tmp_path / "out" / "checkpoint_combo0.jsonl"
             n = len(ckpt.read_text().splitlines())
             with open(ckpt, "a") as fh:
                 fh.write('{"site_id": "x", "tit')  # a write cut off mid-row
             sent = len(server.requests)
-            result = runner.invoke(main, args)
+            result = run_cli(args)
             assert len(server.requests) == sent
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # no JSONDecodeError traceback
         assert f"Error: ConfigError: {ckpt}: line {n + 1}: Unterminated string" in result.output
 
-    def test_evaluate_embedding_batches_of_two_widths_are_api_error(self, tmp_path, runner):
+    def test_evaluate_embedding_batches_of_two_widths_are_api_error(self, tmp_path):
         def embeddings(body):  # 2-wide vectors for a full batch, 3-wide for the rest
             width = 2 if len(body["input"]) == EMBED_BATCH else 3
             return json.dumps({"data": [{"index": i, "embedding": [1.0] * width}
@@ -471,25 +448,22 @@ class TestGenerateEvaluate:
             raw = yaml.safe_load(cfg.read_text())
             raw["embedding_base_url"] = server.base_url
             cfg.write_text(yaml.safe_dump(raw))
-            result = runner.invoke(
-                main, ["--config", str(cfg), "evaluate", "--reference", str(reference)])
+            result = run_cli(["--config", str(cfg), "evaluate", "--reference", str(reference)])
             assert [len(body["input"]) for body in server.requests] == [EMBED_BATCH, 45]
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # no ValueError traceback
         assert result.output == "Error: ApiError: API error 200: embeddings of [2, 3] dimensions\n"
 
-    def test_evaluate_missing_reference(self, tmp_path, runner):
+    def test_evaluate_missing_reference(self, tmp_path):
         cfg = _write_config(tmp_path, _make_corpus(tmp_path))
-        result = runner.invoke(
-            main, ["--config", str(cfg), "evaluate", "--reference",
-                   str(tmp_path / "nope.jsonl")]
-        )
+        result = run_cli(["--config", str(cfg), "evaluate", "--reference",
+                          str(tmp_path / "nope.jsonl")])
         assert result.exit_code != 0
         assert "ConfigError" in result.output
 
 
 class TestStatsCommand:
-    def test_cochran_fixture(self, tmp_path, runner):
+    def test_cochran_fixture(self, tmp_path):
         path = tmp_path / "grades.csv"
         rows = ["item_id,source,grader_id,verdict"]
         fixture = [(1, 1, 0), (1, 0, 0), (1, 1, 1), (0, 0, 0)]
@@ -497,13 +471,13 @@ class TestStatsCommand:
             for label, v in zip(["Human", "Combo2", "Combo3"], row):
                 rows.append(f"i{i},{label},g1,{'pass' if v else 'fail'}")
         path.write_text("\n".join(rows) + "\n")
-        result = runner.invoke(main, ["stats", str(path), "--test", "cochran"])
+        result = run_cli(["stats", str(path), "--test", "cochran"])
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output.splitlines()[0])
         assert payload["statistic"] == pytest.approx(3.0)
         assert payload["df"] == 2
 
-    def test_mcnemar_pair(self, tmp_path, runner):
+    def test_mcnemar_pair(self, tmp_path):
         path = tmp_path / "grades.csv"
         rows = ["item_id,source,grader_id,verdict"]
         for i in range(15):
@@ -513,30 +487,123 @@ class TestStatsCommand:
             rows.append(f"b{i},Combo2,g1,fail")
             rows.append(f"b{i},Human,g1,pass")
         path.write_text("\n".join(rows) + "\n")
-        result = runner.invoke(
-            main, ["stats", str(path), "--test", "mcnemar", "--a", "Combo2",
-                   "--b", "Human"]
-        )
+        result = run_cli(["stats", str(path), "--test", "mcnemar", "--a", "Combo2",
+                          "--b", "Human"])
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output.splitlines()[0])
         assert payload["statistic"] == pytest.approx(5.0)
         assert payload["reject_null"] is True
 
-    def test_empty_csv(self, tmp_path, runner):
+    def test_empty_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        result = runner.invoke(main, ["stats", str(path)])
+        result = run_cli(["stats", str(path)])
         assert result.exit_code != 0
         assert "MalformedCsv" in result.output
 
+    @pytest.mark.parametrize("alpha", ["2", "1", "0", "-0.1", "nan", "inf", "five"])
+    def test_alpha_outside_zero_to_one_is_usage_error(self, tmp_path, alpha):
+        path = _grades(tmp_path)
+        result = run_cli(["stats", str(path), "--alpha", alpha])
+        assert result.exit_code == 2
+        assert f"argument --alpha: {alpha!r} is not a number between 0 and 1" in result.output
+
+    def test_alpha_sets_the_decision(self, tmp_path):
+        result = run_cli(["stats", str(_grades(tmp_path)), "--alpha", "0.5"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output.splitlines()[0])
+        assert payload["alpha"] == 0.5 and payload["p_value"] < 0.5
+        assert payload["reject_null"] is True
+
+    def test_row_shorter_than_header_is_malformed_csv(self, tmp_path):
+        path = tmp_path / "grades.csv"
+        path.write_text("verdict,item_id,source,grader_id\npass,i1,Human,g1\npass\n")
+        result = run_cli(["stats", str(path)])
+        assert (result.exit_code, result.output) == (
+            1, f"Error: MalformedCsv: {path}: line 3: too few fields\n")
+        assert isinstance(result.exception, SystemExit)  # no AttributeError traceback
+
+
+def _grades(tmp_path):
+    """A grading CSV whose Cochran's Q is 1.0 (p = 0.317)."""
+    path = tmp_path / "grades.csv"
+    path.write_text("item_id,source,grader_id,verdict\ni1,Human,g1,pass\ni1,Combo2,g1,fail\n")
+    return path
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args, message", [
+        (["select", "--heuristic", "2", "--all"],
+         "argument --all: not allowed with argument --heuristic"),
+        (["select", "--all", "--heuristic", "2"],
+         "argument --heuristic: not allowed with argument --all"),
+        (["generate", "--heuristic", "1", "--all-combinations"],
+         "argument --all-combinations: not allowed with --heuristic/--prompt"),
+        (["generate", "--all-combinations", "--prompt", "rules"],
+         "argument --all-combinations: not allowed with --heuristic/--prompt"),
+    ])
+    def test_an_option_the_command_would_ignore_is_refused(self, tmp_path, args, message):
+        cfg = _write_config(tmp_path, tmp_path)
+        result = run_cli(["--config", str(cfg), *args])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("call", [
+        lambda args: cli.main(args),
+        lambda args: cli.main.main(args=args, prog_name="warc2meta"),  # perfbench/tracer.py
+    ], ids=["main", "main.main"])
+    def test_exit_statuses(self, tmp_path, capsys, call):
+        def status(*args):
+            try:
+                call([str(a) for a in args])
+            except SystemExit as exc:
+                return exc.code
+            return 0
+
+        grades, missing = _grades(tmp_path), tmp_path / "none.csv"
+        assert status("stats", grades) == 0
+        assert "CochranQ" in capsys.readouterr().out
+        assert status("stats", missing) == (
+            f"Error: MalformedCsv: [Errno 2] No such file or directory: '{missing}'")
+        for args, error in [
+            (("stats",), "the following arguments are required: GRADING_CSV"),
+            (("bogus",), "invalid choice: 'bogus'"),
+            (("select", "--heur", "2"), "unrecognized arguments: --heur 2"),  # no abbreviations
+            (("generate", "--all"), "unrecognized arguments: --all"),
+            (("stats", grades, "--corr"), "unrecognized arguments: --corr"),
+        ]:
+            assert status(*args) == 2
+            assert error in capsys.readouterr().err
+
+    def test_interrupt_is_aborted_with_status_1(self, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "load_config", interrupted)
+        result = run_cli(["stats", "grades.csv"])
+        assert (result.exit_code, result.output) == (1, "\nAborted!\n")
+
+    def test_module_run_reports_an_error_on_stderr(self, tmp_path):
+        missing = tmp_path / "none.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "warc2meta.cli", "stats", str(missing)], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"Error: MalformedCsv: [Errno 2] No such file or directory: '{missing}'\n")
+
 
 # Runs one CLI stage in this interpreter, then prints its OPENBLAS_NUM_THREADS
-# and which of the heavy modules the stage loaded.
+# and which of the heavy modules the stage loaded. click is watched because it
+# may still be installed, where a leftover import of it would pass every other test.
 _STAGE_SCRIPT = """
 import os, sys
 from warc2meta.cli import main
-main.main(args=sys.argv[1:], prog_name="warc2meta", standalone_mode=False)
-watched = ("requests", "yaml", "numpy", "concurrent.futures", "urllib.request",
+main(sys.argv[1:])
+watched = ("click", "requests", "yaml", "numpy", "concurrent.futures", "urllib.request",
            "warc2meta.client", "warc2meta.heuristics", "warc2meta.ingest", "warc2meta.metrics",
            "warc2meta.ranking", "warc2meta.stats", "warc2meta.tokens", "warc2meta.urlnorm",
            "warc2meta.warc")
@@ -565,7 +632,7 @@ def _generated_outputs(tmp_path, server):
     rows, and a reference file of combination 2's rows."""
     cfg = _write_config(tmp_path, _make_corpus(tmp_path), server.base_url)
     for args in (["ingest"], ["select", "--all"], ["generate", "--all-combinations"]):
-        result = CliRunner().invoke(main, ["--config", str(cfg), *args])
+        result = run_cli(["--config", str(cfg), *args])
         assert result.exit_code == 0, result.output
     reference = tmp_path / "reference.jsonl"
     reference.write_text((tmp_path / "out" / "generated_combo2.jsonl").read_text())

@@ -5,10 +5,8 @@ from pathlib import Path
 
 import pytest
 import yaml
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from warc2meta.cli import main
 from warc2meta.config import (
     NOT_DIGESTED,
     ClientConfig,
@@ -19,6 +17,8 @@ from warc2meta.config import (
     load_config,
 )
 from warc2meta.errors import ConfigError
+
+from helpers import run_cli
 
 
 @pytest.fixture(autouse=True)
@@ -220,7 +220,7 @@ class TestLoad:
         with pytest.raises(ValueError, match="max_retries"):
             ClientConfig(max_retries=-1)
         Path("cfg.yaml").write_text("output_dir: out\nclient:\n  max_retries: -1\n")
-        result = CliRunner().invoke(main, ["--config", "cfg.yaml", "ingest", "--input", "."])
+        result = run_cli(["--config", "cfg.yaml", "ingest", "--input", "."])
         assert result.exit_code == 1
         assert "Error: ConfigError: cfg.yaml: client: max_retries must be >= 0" in result.output
         assert not Path("out").exists()
@@ -374,7 +374,7 @@ class TestReaderAgainstPyYAML:
         Path("cfg.yaml").write_text(text)
         with pytest.raises(ConfigError, match=r"^cfg\.yaml: nested too deeply$"):
             load_config("cfg.yaml")
-        result = CliRunner().invoke(main, ["--config", "cfg.yaml", "select"])
+        result = run_cli(["--config", "cfg.yaml", "select"])
         assert (result.exit_code, result.output) == (
             1, "Error: ConfigError: cfg.yaml: nested too deeply\n")
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -202,6 +203,16 @@ class TestIngestGrading:
     def test_unknown_verdict(self, tmp_path):
         path = self._write(tmp_path, ["i1,Human,g1,maybe"])
         with pytest.raises(UnknownVerdict):
+            ingest_grading(path)
+
+    @pytest.mark.parametrize("text", [
+        "verdict,item_id,source,grader_id\npass,i1,Human,g1\npass\n",
+        "item_id,source,grader_id,verdict\ni1,Human,g1,pass\ni1,Combo2,g1\n",  # no verdict
+    ])
+    def test_row_shorter_than_header(self, tmp_path, text):
+        path = tmp_path / "grades.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedCsv, match=rf"^{re.escape(str(path))}: line 3: too few fields$"):
             ingest_grading(path)
 
     def test_bad_header(self, tmp_path):
