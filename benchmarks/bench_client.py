@@ -32,13 +32,14 @@ def make_items(n, seed=0):
     for i in range(n):
         content = f"site {i} " + " ".join(rng.choice(WORDS) for _ in range(300))
         selection = Selection(
+            site_id=f"s{i}",
             heuristic=HeuristicId.SHORTEST_URL,
             chosen_url=normalize_url(f"https://site{i}.example.sg/"),
             content=content,
             original_token_estimate=len(content),
             reduced_token_estimate=len(content),
         )
-        items.append((f"s{i}", selection))
+        items.append(selection)
     return items
 
 
@@ -65,7 +66,7 @@ def main():
         requests, connections = len(server.requests), server.connections
 
     wrong = [
-        row.site_id for row, (_, sel) in zip(rows, items)
+        row.site_id for row, sel in zip(rows, items)
         if row.result is None
         or computed.get(sel.content) != {"title": row.result.title,
                                          "abstract": row.result.abstract}

@@ -10,19 +10,12 @@ loads no other stage's modules or libraries.
 
 import sys
 from argparse import ArgumentParser, ArgumentTypeError, RawDescriptionHelpFormatter
+from dataclasses import make_dataclass
 from pathlib import Path
 
 from . import store
 from .config import PipelineConfig, load_config
-from .errors import ConfigError, NoOverlap, Warc2MetaError
-
-
-def _site_id(source_file: str) -> str:
-    name = Path(source_file).name
-    for suffix in (".warc.gz", ".warc"):
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return name
+from .errors import NoOverlap, Warc2MetaError
 
 
 def ingest(cfg: PipelineConfig, args):
@@ -73,7 +66,7 @@ def select_cmd(cfg: PipelineConfig, args):
     from .tokens import count_tokens, load_vocabulary, reduction_report
 
     started = store.now()
-    rows = store.read_jsonl(cfg.output_dir / store.SITES, after="ingest")
+    docs = store.read_jsonl(cfg.output_dir / store.SITES, SiteDocument, after="ingest")
     rules = load_filter_rules(cfg.filter_rules_path) if cfg.filter_rules_path else None
     tok = load_vocabulary(cfg.tokenizer_path) if cfg.tokenizer_path else None
     which = list(HeuristicId) if args.all else [HeuristicId(args.heuristic or cfg.heuristic)]
@@ -82,19 +75,18 @@ def select_cmd(cfg: PipelineConfig, args):
     before = sites = errors = 0
     with ExitStack() as stack:
         writers = {h: stack.enter_context(store.jsonl_writer(paths[h])) for h in which}
-        for row in rows:
+        for doc in docs:
             sites += 1
-            before += count_tokens(" ".join(p["body_text"] for p in row["pages"]), tok)
-            doc = SiteDocument.from_json(row)
-            sid = _site_id(doc.source_file)
+            before += count_tokens(" ".join(p.body_text for p in doc.pages), tok)
             for h, write in writers.items():
                 try:
                     sel = select(doc, h, rules, tok, cfg.max_content_tokens)
                 except Warc2MetaError as exc:
-                    write(store.dumps({"site_id": sid, "error": f"{type(exc).__name__}: {exc}"}))
+                    error = f"{type(exc).__name__}: {exc}"
+                    write(store.dumps({"site_id": doc.site_id, "error": error}))
                     errors += 1
                     continue
-                write(sel.to_json(sid))
+                write(sel.to_json())
                 afters[h] += sel.reduced_token_estimate
     for h in which:
         print(f"heuristic {int(h)} -> {paths[h]}")
@@ -122,11 +114,11 @@ def generate(cfg: PipelineConfig, args):
     ]
     generated_total = error_total = 0
     for variant, h in combos:
-        selected = store.read_jsonl(cfg.output_dir / store.selections(h), after="select")
-        items = [(r["site_id"], Selection.from_json(r)) for r in selected if "error" not in r]
+        path = cfg.output_dir / store.selections(h)
+        selected = list(store.read_jsonl(path, Selection, after="select"))
         combo = combination_id(variant, h)
         ckpt = cfg.output_dir / store.checkpoint(combo)
-        rows = run_batch(items, variant, cfg.client, checkpoint_path=ckpt)
+        rows = run_batch(selected, variant, cfg.client, checkpoint_path=ckpt)
         out = cfg.output_dir / store.generated(combo)
         with store.jsonl_writer(out) as write:
             for row in rows:
@@ -137,6 +129,9 @@ def generate(cfg: PipelineConfig, args):
         print(f"combo {combo}: {ok}/{len(rows)} generated -> {out}")
     counts = {"generated": generated_total, "errors": error_total}
     store.write_manifest(cfg.output_dir, "generate", cfg.digest(), counts, started)
+
+
+Reference = make_dataclass("Reference", [("site_id", str), ("title", str), ("abstract", str)])
 
 
 def evaluate(cfg: PipelineConfig, args):
@@ -152,16 +147,12 @@ def evaluate(cfg: PipelineConfig, args):
     from .ranking import rank_combinations, score_combination, score_pairs
 
     started = store.now()
-    refs = [r for r in store.read_jsonl(args.reference) if "error" not in r]
-    for key in ("site_id", "title", "abstract"):
-        if any(not isinstance(r.get(key), str) for r in refs):
-            raise ConfigError(f"{args.reference}: a reference row has no {key!r} string")
-    reference = {r["site_id"]: (r["title"], r["abstract"]) for r in refs}
+    reference = {r.site_id: (r.title, r.abstract)
+                 for r in store.read_jsonl(args.reference, Reference)}
     combos = []  # (variant, heuristic, generated rows) of each combination that has any
     for variant, h in COMBINATIONS:
         path = cfg.output_dir / store.generated(combination_id(variant, h))
-        rows = store.read_jsonl(path) if path.is_file() else ()
-        generated = [GeneratedMetadata.from_json(r) for r in rows if "error" not in r]
+        generated = list(store.read_jsonl(path, GeneratedMetadata)) if path.is_file() else []
         if generated:
             combos.append((variant, h, generated))
     provider = (HttpEmbeddingProvider(cfg.embedding_base_url, cfg.embedding_model or "")
@@ -212,7 +203,7 @@ def evaluate(cfg: PipelineConfig, args):
     store.write_manifest(cfg.output_dir, "evaluate", cfg.digest(), counts, started)
 
 
-def stats(cfg: PipelineConfig, args):
+def stats(cfg, args):
     """Run Cochran's Q or McNemar's test on a grading CSV."""
     from .stats import cochran_q, ingest_grading, mcnemar
 
@@ -282,8 +273,8 @@ def main(args=None, prog_name: str = "warc2meta"):
     """Runs one command. A failed command exits with status 1 and an
     `Error: ...` line on stderr, a usage error with status 2."""
     ns = _parse(args, prog_name)
-    try:
-        ns.run(load_config(ns.config, ns.output), ns)
+    try:  # stats reads no setting, so it loads no config
+        ns.run(None if ns.run is stats else load_config(ns.config, ns.output), ns)
     except Warc2MetaError as exc:
         sys.exit(f"Error: {type(exc).__name__}: {exc}")
     except KeyboardInterrupt:

@@ -18,12 +18,12 @@ import os
 import re
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .config import ClientConfig
-from .errors import ApiError, RateLimited, SchemaViolation
+from .config import ClientConfig, build
+from .errors import ApiError, ConfigError, RateLimited, SchemaViolation
 from .prompts import COMBINATIONS, PromptVariant, build_prompt
 from .store import compact_jsonl, dumps, jsonl_writer, read_jsonl
 
@@ -47,12 +47,6 @@ class GeneratedMetadata:
 
     def to_json(self) -> str:
         return dumps(vars(self))
-
-    @classmethod
-    def from_json(cls, obj) -> "GeneratedMetadata":
-        """From a parsed generated row."""
-        return cls(obj["title"], obj["abstract"], obj["source"], obj["site_id"],
-                   obj.get("model_name"))
 
 
 _JSON_BLOB_RE = re.compile(r"\{.*\}", re.S)
@@ -115,7 +109,7 @@ def _post_chat(messages: List[Dict[str, str]], cfg: ClientConfig, conn: Connecti
 
 
 def generate_metadata(
-    selection: Selection, variant: PromptVariant, cfg: ClientConfig, site_id: str
+    selection: Selection, variant: PromptVariant, cfg: ClientConfig
 ) -> GeneratedMetadata:
     """One chat completion on one connection, re-asked with the parse
     error on schema failures."""
@@ -146,7 +140,7 @@ def generate_metadata(
                 title=parsed["title"],
                 abstract=parsed["abstract"],
                 source=f"combo{combination_id(variant, selection.heuristic)}",
-                site_id=site_id,
+                site_id=selection.site_id,
                 model_name=cfg.model_name,
             )
     raise last_error
@@ -179,49 +173,52 @@ class BatchRow:
 
 
 def run_batch(
-    items: Sequence[Tuple[str, Selection]],
+    selections: Sequence[Selection],
     variant: PromptVariant,
     cfg: ClientConfig,
     checkpoint_path=None,
 ) -> List[BatchRow]:
-    """Generate metadata for (site_id, selection) pairs, preserving order.
+    """Generate metadata for each selection's site, preserving order.
 
     Per-item failures become error rows; nothing aborts the batch. Each
     row is appended to the checkpoint as it completes. A checkpointed
     reply is served only while its site's request_key is unchanged; a
-    changed request, an error row or a row without a key is asked again.
+    changed request, an error row, a row without a key or one that does not
+    build as a GeneratedMetadata is asked again.
     The checkpoint ends the run with one row per site, the last.
     """
-    done = {}
+    done = {}  # site_id: (request key, reply)
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        # only replies carry a key; error rows and unkeyed rows are left out
-        done = {o["site_id"]: o for o in read_jsonl(checkpoint_path) if "key" in o}
+        for obj in read_jsonl(checkpoint_path):
+            if "key" in obj:  # only replies carry a key; one that does not build is asked again
+                with suppress(ConfigError):
+                    reply = build(GeneratedMetadata, obj, str(checkpoint_path))
+                    done[reply.site_id] = (obj["key"], reply)
     lock = threading.Lock()
     ckpt = jsonl_writer(checkpoint_path, append=True) if checkpoint_path else nullcontext()
     with ckpt as write:
 
-        def work(item) -> BatchRow:
-            site_id, selection = item
+        def work(selection) -> BatchRow:
             try:
-                hit = done.get(site_id)
-                if hit and hit["key"] == request_key(variant, selection, cfg):
-                    return BatchRow(site_id, GeneratedMetadata.from_json(hit))
-                result = generate_metadata(selection, variant, cfg, site_id)
-                row = BatchRow(site_id, result, key=request_key(variant, selection, cfg))
+                hit = done.get(selection.site_id)
+                if hit and hit[0] == request_key(variant, selection, cfg):
+                    return BatchRow(selection.site_id, hit[1])
+                result = generate_metadata(selection, variant, cfg)
+                row = BatchRow(selection.site_id, result, key=request_key(variant, selection, cfg))
             except Exception as exc:
-                row = BatchRow(site_id=site_id, error=f"{type(exc).__name__}: {exc}")
+                row = BatchRow(selection.site_id, error=f"{type(exc).__name__}: {exc}")
             if write is not None:
                 with lock:
                     write(row.to_json(checkpoint=True))
             return row
 
         if cfg.max_in_flight == 1:
-            rows = [work(item) for item in items]
+            rows = [work(selection) for selection in selections]
         else:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-                rows = list(pool.map(work, items))
+                rows = list(pool.map(work, selections))
     if checkpoint_path is not None:
         compact_jsonl(checkpoint_path)
     return rows

@@ -13,10 +13,11 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from decimal import Decimal
+from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Tuple, get_args
+from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 
 from .errors import ConfigError
@@ -126,28 +127,50 @@ def _check_http_url(name: str, url) -> None:
         raise ConfigError(f"{name} must be an http or https URL with a host, got {url!r}")
 
 
-def _build(cls, raw, name: str):
-    """cls from a parsed YAML mapping: each value converted to its field's type."""
-    raw = {} if raw is None else raw
+def build(cls, raw, name: str):
+    """cls from a parsed mapping, a config section or a stage file's row: a
+    key that names no field is passed over, a null or empty value takes its
+    field's default, and a field without one is required. A value must be
+    of its field's type, but an int may stand for a float or an IntEnum, a
+    str for a Path, and a str or a number for a Decimal."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be a mapping, got {type(raw).__name__}")
     values = {}
-    for f in dataclasses.fields(cls):
-        value = raw.get(f.name)
-        if value is None or value == "" or f.name in _NOT_IN_FILE:
-            continue
-        kind = (get_args(f.type) or (f.type,))[0]  # Optional[X] -> X
-        if dataclasses.is_dataclass(kind):
-            values[f.name] = _build(kind, value, f"{name}: {f.name}")
-            continue
-        try:  # str() first: a YAML float such as 2.5 is not a Decimal
-            values[f.name] = kind(str(value)) if kind is Decimal else kind(value)
-        except (ValueError, TypeError, ArithmeticError):
-            raise ConfigError(f"{name}: {f.name} must be {kind.__name__}, got {value!r}") from None
+    for key, base, kind, required in _fields(cls):
+        value = raw.get(key)
+        if type(value) is base and value != "":  # most values: kept as they are
+            values[key] = value
+        elif required or value is not None and value != "":
+            values[key] = _value(kind, value, f"{name}: {key}")
     try:
         return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from None
+
+
+@lru_cache(maxsize=None)
+def _fields(cls):
+    """(name, X of Optional[X] or List[X], or the type; type, required) per field."""
+    hints = get_type_hints(cls)  # evaluates annotations left as strings, too
+    return tuple((f.name, (get_args(t) or (t,))[0], t, f.default is f.default_factory is MISSING)
+                 for f in dataclasses.fields(cls) if f.name not in _NOT_IN_FILE
+                 for t in [hints[f.name]])
+
+
+def _value(kind, value, name: str):
+    if get_origin(kind) is Union:  # Optional[X]
+        return None if value is None else _value(get_args(kind)[0], value, name)
+    if dataclasses.is_dataclass(kind):
+        return build(kind, value, name)
+    if get_origin(kind) is list and type(value) is list:  # of dataclasses
+        return [_value(get_args(kind)[0], v, f"{name}[{i}]") for i, v in enumerate(value)]
+    if type(value) in {float: (float, int), Path: (str,), Decimal: (str, int, float)}.get(
+            kind, (kind, int) if isinstance(kind, type) and issubclass(kind, int) else (kind,)):
+        try:  # str() first: a float such as 2.5 is not a Decimal
+            return Decimal(str(value)) if kind is Decimal else kind(value)
+        except (ValueError, ArithmeticError):
+            pass
+    raise ConfigError(f"{name} must be {(get_origin(kind) or kind).__name__}, got {value!r}")
 
 
 # The YAML a config file may use, which yaml.safe_load reads the same way:
@@ -242,7 +265,7 @@ def load_config(path=None, output_dir=None) -> PipelineConfig:
             raw = _read_yaml(raw, path)
         except RecursionError:  # the reader recurses once per level
             raise ConfigError(f"{path}: nested too deeply") from None
-    cfg = _build(PipelineConfig, raw, str(path))
+    cfg = build(PipelineConfig, {} if raw is None else raw, str(path))
     if output_dir is not None:
         cfg.output_dir = Path(output_dir)
     cfg.validate()

@@ -30,22 +30,15 @@ ABOUT_TOKENS = frozenset(
 
 @dataclass(frozen=True)
 class Selection:
+    site_id: str
     heuristic: HeuristicId
     chosen_url: str
     content: str
     original_token_estimate: int
     reduced_token_estimate: int
 
-    def to_json(self, site_id: str) -> str:
-        """site_id's row in the selections of this heuristic."""
-        return dumps(dict(vars(self), site_id=site_id))
-
-    @classmethod
-    def from_json(cls, obj) -> "Selection":
-        """From a parsed selection row that is not an error row."""
-        return cls(HeuristicId(obj["heuristic"]), obj["chosen_url"],
-                   obj["content"], obj["original_token_estimate"],
-                   obj["reduced_token_estimate"])
+    def to_json(self) -> str:
+        return dumps(vars(self))
 
 
 @dataclass(frozen=True)
@@ -137,4 +130,4 @@ def select(
     if heuristic == HeuristicId.SHORTEST_URL_FILTERED:
         filtered = apply_reduction_filters(page.body_text, rules)
         content, _, reduced = truncate(filtered, max_tokens, tok)
-    return Selection(heuristic, page.url, content, original, reduced)
+    return Selection(site.site_id, heuristic, page.url, content, original, reduced)

@@ -50,12 +50,9 @@ class SiteDocument:
         return dumps(dict(vars(self), page_count=len(self.pages),
                           pages=[vars(p) for p in self.pages]))
 
-    @classmethod
-    def from_json(cls, obj) -> "SiteDocument":
-        """From a parsed site row."""
-        return cls(obj["source_file"], [PageRecord(**p) for p in obj["pages"]],
-                   obj["rejected_count"], obj["duplicate_count"],
-                   obj.get("undecodable_count", 0))
+    @property
+    def site_id(self) -> str:
+        return re.sub(r"\.warc(?:\.gz)?\Z", "", os.path.basename(self.source_file))
 
 
 # html.parser's grammar where it decides what is text: the tag names that

@@ -81,6 +81,8 @@ class GradingMatrix:
     dropped_incomplete: int = 0
 
     def column(self, label: str) -> List[int]:
+        if label not in self.treatments:
+            raise MalformedCsv(f"no source {label!r}; the sources are {self.treatments}")
         j = self.treatments.index(label)
         return [row[j] for row in self.cells]
 
@@ -117,6 +119,8 @@ def ingest_grading(path) -> GradingMatrix:
                 votes[(item, source)].append(1 if verdict == "pass" else 0)
     except OSError as exc:
         raise MalformedCsv(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedCsv(f"{path}: not UTF-8: {exc}") from exc
     if len(sources) < 2:
         raise MalformedCsv(f"{path}: need at least 2 sources")
 

@@ -14,8 +14,8 @@ module names these files:
     ranked_summary.csv          evaluate
     manifest_<stage>.json       ingest, select, generate, evaluate
 
-A JSONL row is one JSON object, keys sorted, non-ASCII kept. The row
-codecs live with their dataclasses, `to_json` and `from_json`.
+A JSONL row is one JSON object, keys sorted, non-ASCII kept. A row is
+written by its dataclass's `to_json` and read back by `config.build`.
 """
 
 import csv
@@ -25,6 +25,7 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
+from .config import build
 from .errors import ConfigError
 
 
@@ -51,30 +52,32 @@ def dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
-def read_jsonl(path, after=None):
-    """The object of each non-blank line, parsed once, as it is read.
+def read_jsonl(path, row=None, after=None):
+    """The object of each non-blank line, parsed once, as it is read, or
+    given a row type, each that is not an error row built by config.build.
 
     A missing file is a ConfigError, raised by this call, before any row
-    is read; `after` names the stage that writes it. A line that is not a
-    JSON object is a ConfigError naming the file and line.
+    is read; `after` names the stage that writes it. A line that is not
+    UTF-8, a JSON object or a row is a ConfigError naming the file and line.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"no {path}" + (f"; run `{after}` first" if after else ""))
-    return _rows(path)
+    return _rows(path, row)
 
 
-def _rows(path):
-    with open(path, encoding="utf-8") as fh:
+def _rows(path, row):
+    with open(path, "rb") as fh:
         for n, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    row = json.loads(line)
-                    if not isinstance(row, dict):
-                        raise ValueError(f"a JSON {type(row).__name__}, not an object")
-                except ValueError as exc:
+                    obj = json.loads(line.decode("utf-8"))
+                    if not isinstance(obj, dict):
+                        raise ValueError(f"a JSON {type(obj).__name__}, not an object")
+                except ValueError as exc:  # UnicodeDecodeError among them
                     raise ConfigError(f"{path}: line {n}: {exc}")
-                yield row
+                if row is None or "error" not in obj:  # an error row has an "error" key
+                    yield obj if row is None else build(row, obj, f"{path}: line {n}")
 
 
 @contextmanager
@@ -91,7 +94,8 @@ def jsonl_writer(path, append=False):
 
 
 def compact_jsonl(path):
-    """Keep each site's last row, in the order sites first appear.
+    """Keep each site's last row, in the order sites first appear; a row
+    with no site_id string is dropped.
 
     The file is rewritten, through a temporary file and os.replace, only
     when some site has more than one row.
@@ -99,7 +103,8 @@ def compact_jsonl(path):
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip()]
-    last = {json.loads(line)["site_id"]: line for line in lines}
+    rows = ((json.loads(line).get("site_id"), line) for line in lines)
+    last = {site: line for site, line in rows if isinstance(site, str)}
     if len(last) == len(lines):
         return
     tmp = path.with_name(path.name + ".tmp")

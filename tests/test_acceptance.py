@@ -14,6 +14,7 @@ import mpmath
 import pytest
 import yaml
 
+from warc2meta.config import build
 from warc2meta.heuristics import HeuristicId, select
 from warc2meta.ingest import PageRecord, SiteDocument, ingest_many
 from warc2meta.metrics import levenshtein
@@ -102,7 +103,7 @@ def _fixture_corpus(root):
 def _ingest_all(paths):
     """ingest_many's results as (documents, [(path, error line)])."""
     results = list(ingest_many(paths))
-    docs = [SiteDocument.from_json(json.loads(r.row)) for r in results if r.row is not None]
+    docs = [build(SiteDocument, json.loads(r.row), "row") for r in results if r.row is not None]
     return docs, [(p, r.error) for p, r in zip(paths, results) if r.row is None]
 
 

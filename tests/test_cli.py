@@ -1,15 +1,23 @@
 import base64
 import csv
+import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
+import typing
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from warc2meta import cli, tokens
+from warc2meta.client import GeneratedMetadata
+from warc2meta.heuristics import Selection
+from warc2meta.ingest import PageRecord, SiteDocument
 from warc2meta.metrics import EMBED_BATCH
 
 from helpers import MockChatServer, build_warc, html_page, response_record, run_cli
@@ -396,8 +404,9 @@ class TestGenerateEvaluate:
         result = run_cli(["--config", str(cfg), "evaluate", "--reference", str(reference)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a reported error, not a KeyError
-        assert (f"Error: ConfigError: {reference}: a reference row has no '{key}' string"
-                in result.output)
+        got = None if value is ... else value
+        assert result.output == (
+            f"Error: ConfigError: {reference}: line 2: {key} must be str, got {got!r}\n")
         assert not (out / "ranked_summary.csv").exists()
 
     @pytest.mark.parametrize("line, problem", [
@@ -581,7 +590,7 @@ class TestUsageErrors:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "load_config", interrupted)
-        result = run_cli(["stats", "grades.csv"])
+        result = run_cli(["select"])
         assert (result.exit_code, result.output) == (1, "\nAborted!\n")
 
     def test_module_run_reports_an_error_on_stderr(self, tmp_path):
@@ -697,3 +706,182 @@ class TestBlasThreads:
         assert [blas for blas, *_ in runs] == ["1", "4"]
         assert runs[0][1:] == runs[1][1:]
         assert runs[0][1].count(b"\n") > 1  # scores were written
+
+
+@pytest.fixture(scope="module")
+def pipeline_out(tmp_path_factory):
+    """A valid output directory of the 3-site corpus, every stage run, and
+    its reference file (combination 2's rows)."""
+    root = tmp_path_factory.mktemp("pipeline")
+    with MockChatServer(reply_fn=_echo_reply) as server:
+        _, reference = _generated_outputs(root, server)
+    return root / "out", reference
+
+
+# each stage file, the row type it is read as and the command that reads it
+_STAGE_FILES = {
+    "sites.jsonl": (SiteDocument, ["select", "--all"]),
+    **{f"selections_h{h}.jsonl": (Selection, ["generate", "--heuristic", str(h),
+                                              "--prompt", "rules"]) for h in (1, 2, 3)},
+    **{f"generated_combo{c}.jsonl": (GeneratedMetadata, ["evaluate"]) for c in range(6)},
+    "reference.jsonl": (cli.Reference, ["evaluate"]),
+}
+
+
+def _run_on_copy(pipeline_out, root, name, mutate):
+    """The result of the stage that reads `name`, run on a copy of pipeline_out
+    whose file `name` (its bytes) was replaced by mutate(bytes)."""
+    out, reference = pipeline_out
+    shutil.copytree(out, root / "out")
+    shutil.copy(reference, root / "reference.jsonl")
+    path = root / "reference.jsonl" if name == "reference.jsonl" else root / "out" / name
+    path.write_bytes(mutate(path.read_bytes()))
+    args = _STAGE_FILES[name][1]
+    if args == ["evaluate"]:
+        args = ["evaluate", "--reference", root / "reference.jsonl"]
+    cfg = _write_config(root, root)  # a closed port, should a stage get as far as asking
+    return path, run_cli(["--config", cfg, "--output", root / "out", *args])
+
+
+def _keyed(obj, at):
+    """The mapping and key that the key path `at` names in obj."""
+    for step in at[:-1]:
+        obj = obj[step]
+    return obj, at[-1]
+
+
+def _field_paths(cls, obj, required_only):
+    """Key paths to the fields of obj, a row of type cls, and of its pages."""
+    paths = []
+    for f in dataclasses.fields(cls):
+        optional = type(None) in typing.get_args(typing.get_type_hints(cls)[f.name])
+        has_default = (f.default, f.default_factory) != (dataclasses.MISSING,) * 2
+        if not required_only or not (optional or has_default):
+            paths.append([f.name])
+    if cls is SiteDocument:
+        paths += [["pages", i, *p] for i, page in enumerate(obj["pages"])
+                  for p in _field_paths(PageRecord, page, required_only)]
+    return paths
+
+
+class TestStageFilesAreChecked:
+    """A stage file that does not hold rows of its type ends the stage that
+    reads it with one `Error:` line naming the file and line, never a traceback."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_mutation_is_one_error_line(self, pipeline_out, data):
+        name = data.draw(st.sampled_from(sorted(_STAGE_FILES)))
+        kind = data.draw(st.sampled_from(["drop", "retype", "byte", "cut"]))
+        cls = _STAGE_FILES[name][0]
+        expected = {}
+
+        def mutate(raw):
+            lines = raw.split(b"\n")
+            if kind == "byte":
+                at = data.draw(st.integers(0, len(raw)))
+                expected["line"] = raw.count(b"\n", 0, at) + 1
+                return raw[:at] + b"\xff" + raw[at:]
+            n = data.draw(st.integers(0, len(lines) - 2))  # the last is the empty tail
+            expected["line"] = n + 1
+            if kind == "cut":
+                lines[n] = lines[n][:data.draw(st.integers(1, len(lines[n]) - 1))]
+                return b"\n".join(lines)
+            obj = json.loads(lines[n])
+            at = data.draw(st.sampled_from(_field_paths(cls, obj, kind == "drop")))
+            parent, key = _keyed(obj, at)
+            expected["key"] = "".join(f"[{s}]" if isinstance(s, int) else f": {s}" for s in at)
+            if kind == "drop":
+                del parent[key]
+            else:
+                parent[key] = 7 if isinstance(parent[key], str) else "7"
+            lines[n] = json.dumps(obj).encode()
+            return b"\n".join(lines)
+
+        with tempfile.TemporaryDirectory() as root:
+            path, result = _run_on_copy(pipeline_out, Path(root), name, mutate)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # a reported error, not a crash
+        assert result.output.count("\n") == 1
+        assert result.output.startswith(f"Error: ConfigError: {path}: line {expected['line']}")
+        if "key" in expected:
+            assert f"line {expected['line']}{expected['key']} must be " in result.output
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("sites.jsonl", lambda row: row.pop("pages"), "pages must be list, got None"),
+        ("sites.jsonl", lambda row: row["pages"][1].pop("body_text"),
+         "pages[1]: body_text must be str, got None"),
+        ("selections_h2.jsonl", lambda row: row.pop("content"), "content must be str, got None"),
+        ("selections_h2.jsonl", lambda row: row.update(heuristic=7),
+         "heuristic must be HeuristicId, got 7"),
+        ("generated_combo2.jsonl", lambda row: row.pop("abstract"),
+         "abstract must be str, got None"),
+    ])
+    def test_probe(self, pipeline_out, tmp_path, name, change, message):
+        def mutate(raw):
+            first, rest = raw.split(b"\n", 1)
+            row = json.loads(first)
+            change(row)
+            return json.dumps(row).encode() + b"\n" + rest
+
+        path, result = _run_on_copy(pipeline_out, tmp_path, name, mutate)
+        assert (result.exit_code, result.output) == (
+            1, f"Error: ConfigError: {path}: line 1: {message}\n")
+        assert isinstance(result.exception, SystemExit)
+
+    def test_reference_not_utf8(self, pipeline_out, tmp_path):
+        at = pipeline_out[1].read_bytes().index(b"Title") + 4  # on the first line
+        path, result = _run_on_copy(pipeline_out, tmp_path, "reference.jsonl",
+                                    lambda raw: raw[:at] + b"\xe9" + raw[at + 1:])
+        assert (result.exit_code, result.output) == (1, (
+            f"Error: ConfigError: {path}: line 1: 'utf-8' codec can't decode byte 0xe9"
+            f" in position {at}: invalid continuation byte\n"))
+        assert isinstance(result.exception, SystemExit)  # no UnicodeDecodeError traceback
+
+    @pytest.mark.parametrize("bad_row", [
+        {"key": "k", "title": "T"},  # no site_id
+        {"key": "k", "site_id": "site0", "title": "T"},  # not a GeneratedMetadata row
+        {"key": "k", "site_id": ["site0"], "title": "T", "abstract": "A", "source": "combo2"},
+    ])
+    def test_bad_checkpoint_row_is_asked_again(self, tmp_path, bad_row):
+        with MockChatServer(reply_fn=_echo_reply) as server:
+            cfg, _ = _generated_outputs(tmp_path, server)
+            out = tmp_path / "out"
+            ckpt = out / "checkpoint_combo2.jsonl"
+            kept = ckpt.read_text().splitlines()
+            ckpt.write_text(json.dumps(bad_row) + "\n" + "\n".join(kept[1:]) + "\n")
+            before = (out / "generated_combo2.jsonl").read_text()
+            sent = len(server.requests)
+            result = run_cli(["--config", cfg, "generate", "--heuristic", "2", "--prompt", "rules"])
+            assert (result.exit_code, result.exception) == (0, None), result.output
+            assert len(server.requests) == sent + 1  # site0 only, whose row was replaced
+        assert (out / "generated_combo2.jsonl").read_text() == before
+        assert sorted(ckpt.read_text().splitlines()) == sorted(kept)
+
+
+class TestStatsInputs:
+    def test_unknown_label_names_the_sources(self, tmp_path):
+        result = run_cli(["stats", _grades(tmp_path), "--test", "mcnemar", "--a", "Nope",
+                          "--b", "Human"])
+        assert (result.exit_code, result.output) == (
+            1, "Error: MalformedCsv: no source 'Nope'; the sources are ['Human', 'Combo2']\n")
+        assert isinstance(result.exception, SystemExit)  # no ValueError traceback
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "grades.csv"
+        raw = b"item_id,source,grader_id,verdict\ni1,Hum\xe9n,g1,pass\ni1,Combo2,g1,fail\n"
+        path.write_bytes(raw)
+        result = run_cli(["stats", path])
+        assert (result.exit_code, result.output) == (1, (
+            f"Error: MalformedCsv: {path}: not UTF-8: 'utf-8' codec can't decode byte 0xe9"
+            f" in position {raw.index(0xe9)}: invalid continuation byte\n"))
+        assert isinstance(result.exception, SystemExit)
+
+    def test_pipeline_config_is_not_loaded(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("client:\n  max_retries: -1\n")
+        assert run_cli(["--config", bad, "select"]).exit_code == 1  # a stage reads it
+        result = run_cli(["--config", bad, "stats", _grades(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert "CochranQ" in result.output

@@ -21,9 +21,11 @@ from warc2meta.urlnorm import normalize_url
 from helpers import MockChatServer
 
 
-def _selection(content="acme corp builds instruments", heuristic=HeuristicId.SHORTEST_URL):
+def _selection(content="acme corp builds instruments", heuristic=HeuristicId.SHORTEST_URL,
+               site_id="s1"):
     url = normalize_url("https://acme.sg/")
     return Selection(
+        site_id=site_id,
         heuristic=heuristic,
         chosen_url=url,
         content=content,
@@ -72,7 +74,7 @@ class TestGenerateMetadata:
     def test_happy_path(self):
         reply = {"title": "Acme Pte Ltd", "abstract": "This is the website of Acme..."}
         with MockChatServer(script=[reply]) as server:
-            meta = generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url), "s1")
+            meta = generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
         assert meta.title == "Acme Pte Ltd"
         assert meta.source == "combo2"
         assert meta.site_id == "s1"
@@ -84,7 +86,7 @@ class TestGenerateMetadata:
             {"title": "Acme", "abstract": "An instrument maker."},
         ]
         with MockChatServer(script=script) as server:
-            meta = generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url), "s1")
+            meta = generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
             assert meta.title == "Acme"
             # the re-ask carries the parse error back to the model
             second = server.requests[1]
@@ -95,7 +97,7 @@ class TestGenerateMetadata:
         with MockChatServer(script=[429]) as server:
             with pytest.raises(RateLimited):
                 generate_metadata(
-                    _selection(), WITH_RULES, _cfg(server.base_url, max_retries=2), "s1"
+                    _selection(), WITH_RULES, _cfg(server.base_url, max_retries=2)
                 )
 
     @pytest.mark.parametrize("retry_after, slept", [
@@ -108,7 +110,7 @@ class TestGenerateMetadata:
         monkeypatch.setattr("warc2meta.client.time.sleep", delays.append)
         reply = {"title": "T", "abstract": "A"}
         with MockChatServer(script=[429, reply], retry_after=retry_after) as server:
-            meta = generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url), "s1")
+            meta = generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
         assert meta.title == "T"
         assert len(server.requests) == 2
         assert delays == [slept]
@@ -116,19 +118,19 @@ class TestGenerateMetadata:
     def test_server_error_surfaces(self):
         with MockChatServer(script=[500]) as server:
             with pytest.raises(ApiError):
-                generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url), "s1")
+                generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
 
     def test_schema_violation_after_retries(self):
         with MockChatServer(script=["never json"]) as server:
             with pytest.raises(SchemaViolation):
                 generate_metadata(
-                    _selection(), WITH_RULES, _cfg(server.base_url, max_retries=1), "s1"
+                    _selection(), WITH_RULES, _cfg(server.base_url, max_retries=1)
                 )
 
     def test_request_body_shape(self):
         reply = {"title": "T", "abstract": "A"}
         with MockChatServer(script=[reply]) as server:
-            generate_metadata(_selection(), WITHOUT_RULES, _cfg(server.base_url), "s1")
+            generate_metadata(_selection(), WITHOUT_RULES, _cfg(server.base_url))
             body = server.requests[0]
         assert body["model"] == "test-model"
         assert body["temperature"] == 0.0
@@ -139,7 +141,7 @@ class TestGenerateMetadata:
 
 class TestRunBatch:
     def _items(self, n=3):
-        return [(f"s{i}", _selection(content=f"site {i} content")) for i in range(n)]
+        return [_selection(content=f"site {i} content", site_id=f"s{i}") for i in range(n)]
 
     def _echo_fn(self, body):
         # deterministic reply derived from the request
@@ -210,7 +212,7 @@ class TestRunBatch:
         with MockChatServer(reply_fn=self._echo_fn) as server:
             cfg = _cfg(server.base_url)
             run_batch(self._items(2), WITH_RULES, cfg, checkpoint_path=ckpt)
-            changed = [("s0", _selection(content="site 0 new content")), self._items(2)[1]]
+            changed = [_selection(content="site 0 new content", site_id="s0"), self._items(2)[1]]
             rows = run_batch(changed, WITH_RULES, cfg, checkpoint_path=ckpt)
             assert len(server.requests) == 3  # only the changed site is asked again
             # another model or temperature changes every request
@@ -316,9 +318,9 @@ class TestWire:
         reply = {"title": "T", "abstract": "A"}
         monkeypatch.delenv("WARC2META_API_KEY", raising=False)
         with MockChatServer(script=[reply]) as server:
-            generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url), "s1")
+            generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
             monkeypatch.setenv("WARC2META_API_KEY", "sekrit")
-            generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url), "s1")
+            generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
             without, with_key = server.headers
         assert "Authorization" not in without
         assert with_key["Authorization"] == "Bearer sekrit"
@@ -328,10 +330,10 @@ class TestWire:
     def test_non_json_body_is_api_error(self):
         with MockChatServer(script=[b"<html>bad gateway</html>"]) as server:
             with pytest.raises(ApiError, match="malformed completion body"):
-                generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url), "s1")
+                generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
 
     def test_closed_port_gives_one_error_row_per_site(self):
-        items = [(f"s{i}", _selection(content=f"site {i} content")) for i in range(3)]
+        items = [_selection(content=f"site {i} content", site_id=f"s{i}") for i in range(3)]
         rows = run_batch(items, WITH_RULES, _cfg(f"http://127.0.0.1:{_closed_port()}/v1"))
         assert [r.site_id for r in rows] == ["s0", "s1", "s2"]
         assert all(r.result is None and r.error.startswith("ConnectionRefusedError: ")
@@ -344,7 +346,7 @@ class TestWire:
         with MockChatServer(script=[reply]) as server:
             monkeypatch.setenv("http_proxy", server.base_url)
             meta = generate_metadata(
-                _selection(), WITH_RULES, _cfg("http://warc2meta-proxy.invalid/v1"), "s1"
+                _selection(), WITH_RULES, _cfg("http://warc2meta-proxy.invalid/v1")
             )
         assert meta.title == "T"
         assert server.paths == ["http://warc2meta-proxy.invalid/v1/chat/completions"]
@@ -360,4 +362,4 @@ class TestWire:
         assert all(r.result is not None for r in rows)
 
     def _items(self, n):
-        return [(f"s{i}", _selection(content=f"site {i} content")) for i in range(n)]
+        return [_selection(content=f"site {i} content", site_id=f"s{i}") for i in range(n)]

@@ -12,7 +12,7 @@ from warc2meta.config import (
     ClientConfig,
     PipelineConfig,
     PriceConfig,
-    _build,
+    build,
     _read_yaml,
     load_config,
 )
@@ -216,6 +216,30 @@ class TestLoad:
         with pytest.raises(ConfigError, match=match):
             load_config("cfg.yaml")
 
+    @pytest.mark.parametrize("text, message", [
+        ("min_chars: 1.9\n", "min_chars must be int, got 1.9"),  # was read as 1
+        ("heuristic: 2.7\n", "heuristic must be int, got 2.7"),  # was read as 2
+        ("client:\n  model_name: 4\n", "client: model_name must be str, got 4"),
+        ('min_chars: "30"\n', "min_chars must be int, got '30'"),
+        ("input_dir: 5\n", "input_dir must be Path, got 5"),
+        ("prices:\n  price_per_million_input: [1]\n",
+         "prices: price_per_million_input must be Decimal, got [1]"),
+    ])
+    def test_value_of_another_type_rejected(self, text, message):
+        Path("cfg.yaml").write_text(text)
+        with pytest.raises(ConfigError) as caught:
+            load_config("cfg.yaml")
+        assert str(caught.value) == f"cfg.yaml: {message}"
+
+    def test_int_for_float_and_str_or_number_for_decimal_accepted(self):
+        Path("cfg.yaml").write_text("client:\n  temperature: 1\nprices:\n"
+                                    "  price_per_million_input: 3\n"
+                                    "  price_per_million_output: 0.5\n")
+        cfg = load_config("cfg.yaml")
+        assert cfg.client.temperature == 1.0 and type(cfg.client.temperature) is float
+        assert (cfg.prices.price_per_million_input, cfg.prices.price_per_million_output) == (
+            Decimal("3"), Decimal("0.5"))
+
     def test_negative_max_retries_rejected_before_any_stage(self):
         with pytest.raises(ValueError, match="max_retries"):
             ClientConfig(max_retries=-1)
@@ -235,11 +259,11 @@ def test_readme_configuration_block_is_the_defaults():
     assert cfg.digest() == PipelineConfig().digest()
 
 
-# PyYAML is the reader's oracle: load_config must give what _build and
+# PyYAML is the reader's oracle: load_config must give what build and
 # validate() give for yaml.safe_load's reading of the same file.
 def _oracle(text):
     try:
-        cfg = _build(PipelineConfig, yaml.safe_load(text), "cfg.yaml")
+        cfg = build(PipelineConfig, yaml.safe_load(text), "cfg.yaml")
         cfg.validate()
         return cfg, cfg.digest()
     except ConfigError as exc:

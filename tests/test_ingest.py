@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from warc2meta import ingest
+from warc2meta.config import build
 from warc2meta.ingest import (
     PageRecord,
     SiteDocument,
@@ -347,7 +348,7 @@ class TestIngestWarcFile:
         ]
         path = build_warc(tmp_path / "rt.warc", records)
         doc = ingest_warc_file(path)
-        again = SiteDocument.from_json(json.loads(doc.to_json()))
+        again = build(SiteDocument, json.loads(doc.to_json()), "row")
         assert again.to_json() == doc.to_json()
 
 
@@ -386,7 +387,7 @@ class TestIngestMany:
             "TruncatedRecord", "GzipError"}
         for r in results:
             if r.row is not None:
-                doc = SiteDocument.from_json(json.loads(r.row))
+                doc = build(SiteDocument, json.loads(r.row), "row")
                 assert r.counts == {
                     "pages_kept": len(doc.pages), "pages_rejected": doc.rejected_count,
                     "pages_duplicate": doc.duplicate_count,
