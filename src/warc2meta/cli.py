@@ -104,21 +104,22 @@ def select_cmd(cfg: PipelineConfig, args):
 
 def generate(cfg: PipelineConfig, args):
     """Call the chat model over selections; resumable via checkpoints."""
-    from .client import combination_id, run_batch
+    from .client import run_batch
     from .heuristics import HeuristicId, Selection
-    from .prompts import COMBINATIONS, VARIANTS
+    from .prompts import COMBINATIONS, VARIANTS, combination_id
 
     started = store.now()
     combos = COMBINATIONS if args.all_combinations else [
         (VARIANTS[args.prompt or cfg.prompt_variant], HeuristicId(args.heuristic or cfg.heuristic))
     ]
+    selected = {h: list(store.read_jsonl(cfg.output_dir / store.selections(h), Selection,
+                                         after="select"))  # each file built before any request
+                for h in dict.fromkeys(h for _, h in combos)}
     generated_total = error_total = 0
     for variant, h in combos:
-        path = cfg.output_dir / store.selections(h)
-        selected = list(store.read_jsonl(path, Selection, after="select"))
         combo = combination_id(variant, h)
         ckpt = cfg.output_dir / store.checkpoint(combo)
-        rows = run_batch(selected, variant, cfg.client, checkpoint_path=ckpt)
+        rows = run_batch(selected[h], variant, cfg.client, checkpoint_path=ckpt)
         out = cfg.output_dir / store.generated(combo)
         with store.jsonl_writer(out) as write:
             for row in rows:
@@ -141,9 +142,8 @@ def evaluate(cfg: PipelineConfig, args):
     (`no_reference`), and so are a pair with a text of no token
     (`unscored`) and a combination with no scored pair (`no_overlap`).
     """
-    from .client import GeneratedMetadata, combination_id
     from .metrics import HttpEmbeddingProvider, MockEmbeddingProvider, TokenTable
-    from .prompts import COMBINATIONS
+    from .prompts import COMBINATIONS, GeneratedMetadata, combination_id
     from .ranking import rank_combinations, score_combination, score_pairs
 
     started = store.now()

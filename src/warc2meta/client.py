@@ -24,29 +24,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from .config import ClientConfig, build
 from .errors import ApiError, ConfigError, RateLimited, SchemaViolation
-from .prompts import COMBINATIONS, PromptVariant, build_prompt
+from .prompts import GeneratedMetadata, PromptVariant, build_prompt, combination_id
 from .store import compact_jsonl, dumps, jsonl_writer, read_jsonl
 
 if TYPE_CHECKING:
-    from .heuristics import HeuristicId, Selection
+    from .heuristics import Selection
     from .transport import Connection
-
-
-def combination_id(variant: PromptVariant, heuristic: HeuristicId) -> int:
-    """The pair's index in prompts.COMBINATIONS, 0..5."""
-    return COMBINATIONS.index((variant, heuristic))
-
-
-@dataclass(frozen=True)
-class GeneratedMetadata:
-    title: str
-    abstract: str
-    source: str  # "human" or "combo<N>"
-    site_id: str
-    model_name: Optional[str] = None
-
-    def to_json(self) -> str:
-        return dumps(vars(self))
 
 
 _JSON_BLOB_RE = re.compile(r"\{.*\}", re.S)

@@ -76,9 +76,11 @@ DEFAULT_FILTER_RULES = [
 def load_filter_rules(path) -> List[FilterRule]:
     """Load rules from a text file, one per line: name<TAB>pattern<TAB>replacement."""
     rules = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
+            if any("\udc80" <= c <= "\udcff" for c in line):  # an escaped non-UTF-8 byte
+                raise InvalidPattern(f"{path}:{lineno}: not UTF-8 text")
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")

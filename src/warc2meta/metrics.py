@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import struct
 import unicodedata
 from typing import TYPE_CHECKING, Iterable, Protocol, Tuple
 
@@ -75,8 +77,11 @@ class EmbeddingProvider(Protocol):
 
 
 class MockEmbeddingProvider:
-    """Deterministic hash-seeded embeddings for offline tests: each token
-    maps to a fixed unit vector, the same in every process."""
+    """Deterministic offline embeddings from the standard library alone: a
+    token's shake_256 digest of 8 * dim bytes, read as dim little-endian
+    64-bit words w, gives the components (w >> 11) * 2**-52 - 1 in [-1, 1),
+    exactly, over their fsum-based norm. So a token's vector is
+    bit-identical on every platform and Python or numpy version."""
 
     def __init__(self, dim: int = 16):
         self.dim = dim
@@ -84,12 +89,13 @@ class MockEmbeddingProvider:
     def embed(self, tokens: Tuple[str, ...]) -> np.ndarray:
         import numpy as np
 
-        rows = np.empty((len(tokens), self.dim))
-        for i, token in enumerate(tokens):
-            seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
-            v = np.random.default_rng(seed).standard_normal(self.dim)
-            rows[i] = v / np.linalg.norm(v)
-        return rows
+        rows = []
+        for token in tokens:
+            digest = hashlib.shake_256(token.encode("utf-8")).digest(8 * self.dim)
+            v = [(w >> 11) * 2.0**-52 - 1 for w in struct.unpack(f"<{self.dim}Q", digest)]
+            norm = math.sqrt(math.fsum(x * x for x in v)) or 1.0  # a zero vector stays zero
+            rows.append([x / norm for x in v])
+        return np.array(rows).reshape(len(tokens), self.dim)
 
 
 class HttpEmbeddingProvider:

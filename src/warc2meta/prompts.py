@@ -1,4 +1,5 @@
-"""Prompt assembly for title/abstract generation.
+"""Prompt assembly for title/abstract generation, the prompt x heuristic
+combinations and the generated row each yields.
 
 The two system-prompt variants are pinned byte-for-byte by golden-file
 tests; edit with care.
@@ -6,9 +7,10 @@ tests; edit with care.
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .errors import EmptyContent
+from .store import dumps
 
 BASE_PROMPT = """\
 You are a diligent cataloguer working to create metadata for websites. Let's think step by step to ensure accurate and comprehensive metadata creation:
@@ -52,6 +54,23 @@ WITH_RULES = PromptVariant("rules", BASE_PROMPT + "\n\n" + RULES_ADDENDUM)
 VARIANTS = {v.name: v for v in (WITHOUT_RULES, WITH_RULES)}
 # every (prompt variant, heuristic) pair; a pair's index is its combination id
 COMBINATIONS = tuple((v, h) for h in HeuristicId for v in (WITH_RULES, WITHOUT_RULES))
+
+
+def combination_id(variant: PromptVariant, heuristic: HeuristicId) -> int:
+    """The pair's index in COMBINATIONS, 0..5."""
+    return COMBINATIONS.index((variant, heuristic))
+
+
+@dataclass(frozen=True)
+class GeneratedMetadata:  # here, not in client: evaluate loads no chat client
+    title: str
+    abstract: str
+    source: str  # "human" or "combo<N>"
+    site_id: str
+    model_name: Optional[str] = None
+
+    def to_json(self) -> str:
+        return dumps(vars(self))
 
 
 def build_prompt(

@@ -12,10 +12,9 @@ import statistics
 from dataclasses import dataclass
 from typing import List, Mapping, Sequence, Tuple
 
-from .client import GeneratedMetadata, combination_id
 from .errors import EmptyText, InsufficientCombinations, NoOverlap
 from .metrics import TokenTable, bertscore, levenshtein
-from .prompts import HeuristicId, PromptVariant
+from .prompts import GeneratedMetadata, HeuristicId, PromptVariant, combination_id
 
 
 @dataclass(frozen=True)

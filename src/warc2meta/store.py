@@ -18,7 +18,6 @@ A JSONL row is one JSON object, keys sorted, non-ASCII kept. A row is
 written by its dataclass's `to_json` and read back by `config.build`.
 """
 
-import csv
 import datetime
 import json
 import os
@@ -81,10 +80,26 @@ def _rows(path, row):
 
 
 @contextmanager
+def replacing(path, newline=None):
+    """A text file of a temporary name beside path, which replaces path
+    when the block ends without an error and is removed when it does not,
+    so a failed run leaves the previous file whole."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
+@contextmanager
 def jsonl_writer(path, append=False):
-    """A write(row) for one JSONL file. Each row is flushed as it is
-    written, so an interrupted run keeps every row it finished."""
-    with open(path, "a" if append else "w", encoding="utf-8") as fh:
+    """A write(row) for one JSONL file, new (see `replacing`) or appended
+    to. Each row is flushed as it is written, so an interrupted append
+    keeps every row it finished."""
+    with open(path, "a", encoding="utf-8") if append else replacing(path) as fh:
 
         def write(row: str):
             fh.write(row + "\n")
@@ -97,8 +112,8 @@ def compact_jsonl(path):
     """Keep each site's last row, in the order sites first appear; a row
     with no site_id string is dropped.
 
-    The file is rewritten, through a temporary file and os.replace, only
-    when some site has more than one row.
+    The file is rewritten, through `replacing`, only when some site has
+    more than one row.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -107,13 +122,14 @@ def compact_jsonl(path):
     last = {site: line for site, line in rows if isinstance(site, str)}
     if len(last) == len(lines):
         return
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("".join(last.values()), encoding="utf-8")
-    os.replace(tmp, path)
+    with replacing(path) as fh:
+        fh.write("".join(last.values()))
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    import csv  # here: ingest and generate write no CSV
+
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

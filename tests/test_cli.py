@@ -15,10 +15,10 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from warc2meta import cli, tokens
-from warc2meta.client import GeneratedMetadata
 from warc2meta.heuristics import Selection
 from warc2meta.ingest import PageRecord, SiteDocument
 from warc2meta.metrics import EMBED_BATCH
+from warc2meta.prompts import GeneratedMetadata
 
 from helpers import MockChatServer, build_warc, html_page, response_record, run_cli
 
@@ -612,10 +612,10 @@ _STAGE_SCRIPT = """
 import os, sys
 from warc2meta.cli import main
 main(sys.argv[1:])
-watched = ("click", "requests", "yaml", "numpy", "concurrent.futures", "urllib.request",
-           "warc2meta.client", "warc2meta.heuristics", "warc2meta.ingest", "warc2meta.metrics",
-           "warc2meta.ranking", "warc2meta.stats", "warc2meta.tokens", "warc2meta.urlnorm",
-           "warc2meta.warc")
+watched = ("click", "requests", "yaml", "numpy", "numpy.random", "concurrent.futures",
+           "urllib.request", "warc2meta.client", "warc2meta.heuristics", "warc2meta.ingest",
+           "warc2meta.metrics", "warc2meta.ranking", "warc2meta.stats", "warc2meta.tokens",
+           "warc2meta.urlnorm", "warc2meta.warc")
 print(os.environ.get("OPENBLAS_NUM_THREADS"))
 print(sorted(m for m in watched if m in sys.modules))
 """
@@ -676,7 +676,7 @@ class TestImportFootprint:
                        " 'warc2meta.urlnorm', 'warc2meta.warc']"),
             "generate": "['warc2meta.client', 'warc2meta.heuristics']",
             "stats": "['warc2meta.stats']",
-            "evaluate": "['numpy', 'warc2meta.client', 'warc2meta.metrics', 'warc2meta.ranking']",
+            "evaluate": "['numpy', 'warc2meta.metrics', 'warc2meta.ranking']",  # not numpy.random
         }
 
     def test_generate_loads_urllib_request_when_a_proxy_is_set(self, tmp_path):
@@ -858,6 +858,93 @@ class TestStageFilesAreChecked:
             assert len(server.requests) == sent + 1  # site0 only, whose row was replaced
         assert (out / "generated_combo2.jsonl").read_text() == before
         assert sorted(ckpt.read_text().splitlines()) == sorted(kept)
+
+
+def _outputs(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestFailedStageKeepsOutputs:
+    """A stage that fails on a bad input row leaves the previous run's
+    outputs whole, and leaves no temporary file behind."""
+
+    def test_select_keeps_the_previous_selections(self, pipeline_out, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out[0], out)
+        sites = [json.loads(line) for line in (out / "sites.jsonl").read_text().splitlines()]
+        sites = [dict(row, source_file=f"copy{i}-{row['source_file']}")
+                 for i in range(4) for row in sites]  # 12 rows
+
+        def select(rows):
+            (out / "sites.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+            return run_cli(["--config", _write_config(tmp_path, tmp_path), "--output", out,
+                            "select", "--all"])
+
+        assert select(sites).exit_code == 0
+        kept = _outputs(out)
+        assert kept["selections_h1.jsonl"].count(b"\n") == 12
+        del sites[10]["pages"]
+        result = select(sites)
+        assert (result.exit_code, result.output) == (1, (
+            f"Error: ConfigError: {out / 'sites.jsonl'}: line 11: pages must be list, got None\n"))
+        kept["sites.jsonl"] = (out / "sites.jsonl").read_bytes()
+        assert _outputs(out) == kept
+
+    def test_generate_reads_every_selections_file_before_asking(self, pipeline_out, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out[0], out)
+        for ckpt in out.glob("checkpoint_combo*.jsonl"):
+            ckpt.unlink()  # so that every row would be asked
+        path = out / "selections_h3.jsonl"
+        first, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(first[:20] + b"\n" + rest)  # its first line cut short
+        kept = _outputs(out)
+        with MockChatServer(reply_fn=_echo_reply) as server:
+            cfg = _write_config(tmp_path, tmp_path, server.base_url)
+            result = run_cli(["--config", cfg, "--output", out, "generate", "--all-combinations"])
+            assert server.requests == []
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: ConfigError: {path}: line 1: ")
+        assert result.output.count("\n") == 1
+        assert _outputs(out) == kept
+
+    def test_select_with_a_rules_file_not_utf8(self, pipeline_out, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out[0], out)
+        rules = tmp_path / "rules.tsv"
+        rules.write_bytes(b"footer\tAll rights\xff reserved\t\n")
+        cfg = _write_config(tmp_path, tmp_path)
+        cfg.write_text(cfg.read_text() + f"filter_rules_path: {rules}\n")
+        kept = _outputs(out)
+        result = run_cli(["--config", cfg, "--output", out, "select", "--all"])
+        assert (result.exit_code, result.output) == (
+            1, f"Error: InvalidPattern: {rules}:1: not UTF-8 text\n")
+        assert isinstance(result.exception, SystemExit)  # no UnicodeDecodeError traceback
+        assert _outputs(out) == kept
+
+
+def _token_embeddings(body):
+    """An OpenAI-style reply whose vector for a token is fixed by its characters."""
+    return json.dumps({"data": [
+        {"index": i, "embedding": [len(t), sum(map(ord, t)) % 97, ord(t[0]) % 13 - 6]}
+        for i, t in enumerate(body["input"])]}).encode()
+
+
+def test_evaluate_with_http_embeddings_is_pinned(pipeline_out, tmp_path):
+    """The HTTP provider's scores and ranking, byte for byte: the mock
+    provider's recipe does not reach them."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out[0], out)
+    with MockChatServer(reply_fn=_token_embeddings) as server:
+        cfg = _write_config(tmp_path, tmp_path)
+        cfg.write_text(cfg.read_text() + f"embedding_base_url: {server.base_url}\n")
+        result = run_cli(["--config", cfg, "--output", out, "evaluate",
+                          "--reference", pipeline_out[1]])
+        assert len(server.requests) == 1
+    assert result.exit_code == 0, result.output
+    golden = Path(__file__).parent / "golden"
+    for name in ("scores_per_site.csv", "ranked_summary.csv"):
+        assert (out / name).read_bytes() == (golden / f"http_embeddings_{name}").read_bytes()
 
 
 class TestStatsInputs:

@@ -8,14 +8,13 @@ import pytest
 
 from warc2meta.client import (
     ClientConfig,
-    combination_id,
     generate_metadata,
     run_batch,
     _parse_reply,
 )
 from warc2meta.errors import ApiError, RateLimited, SchemaViolation
 from warc2meta.heuristics import HeuristicId, Selection
-from warc2meta.prompts import WITH_RULES, WITHOUT_RULES
+from warc2meta.prompts import WITH_RULES, WITHOUT_RULES, combination_id
 from warc2meta.urlnorm import normalize_url
 
 from helpers import MockChatServer

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -166,6 +168,15 @@ class TestReductionFilters:
         path.write_text("broken\t([\t\n", encoding="utf-8")
         with pytest.raises(InvalidPattern):
             load_filter_rules(path)
+
+    def test_rules_file_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "rules.tsv"
+        rules = b"# r\xc3\xa8gles\nsquash\t[0-9]+\tN\r\n"  # UTF-8, a CRLF line end
+        path.write_bytes(rules + b"footer\tAll rights\xff reserved\t\n")
+        with pytest.raises(InvalidPattern, match=f"^{re.escape(str(path))}:3: not UTF-8 text$"):
+            load_filter_rules(path)
+        path.write_bytes(rules)
+        assert load_filter_rules(path) == [FilterRule("squash", "[0-9]+", "N")]
 
 
 class TestShortestUrlFiltered:

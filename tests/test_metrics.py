@@ -181,6 +181,25 @@ class TestBertscore:
         assert a.shape == b.shape == (2, 16)  # a row per token
         np.testing.assert_array_equal(a, b)
 
+    def test_mock_vectors_are_pinned(self):
+        # shake_256 words through (w >> 11) * 2**-52 - 1, exactly: the same
+        # bits on every platform and Python and numpy version
+        got = MockEmbeddingProvider().embed(("hello", "\u6f22\u5b57"))
+        assert [[x.hex() for x in row] for row in got.tolist()] == [
+            ["-0x1.69dd06ff2fa6cp-5", "0x1.3067e4ef1e9bap-8", "0x1.323ebefabd7fap-2",
+             "-0x1.bec932f5129f0p-4", "-0x1.d65cb89bcd7d6p-2", "-0x1.62ff4c489c8b6p-2",
+             "-0x1.0f8fbdc41b55cp-4", "0x1.7445ccd896c78p-2", "0x1.7cb34383ae964p-3",
+             "0x1.231694cb74c4cp-6", "-0x1.808219c82c327p-3", "0x1.4484d00f8df3fp-2",
+             "-0x1.ac389775ca67cp-3", "0x1.807c7b472032fp-2", "-0x1.beaf346e91451p-3",
+             "-0x1.4b0386fe5441ap-3"],
+            ["0x1.290b81d196f20p-2", "0x1.e89061f072b6dp-4", "0x1.972af8fde0610p-2",
+             "0x1.d6f458dac225ap-5", "-0x1.95dd848868032p-2", "-0x1.6f827309281dcp-4",
+             "0x1.d33276dd1bc27p-3", "0x1.ef8e8ac58e2ccp-4", "0x1.752e1cee8185cp-3",
+             "-0x1.a6fe963e0e10ap-3", "-0x1.e12f825b75b31p-3", "-0x1.12f4448a8a77fp-5",
+             "-0x1.851a2563fdb18p-2", "-0x1.4378cbfce7034p-2", "0x1.735c19e00b994p-2",
+             "-0x1.705ae095f54c0p-6"],
+        ]
+
     def test_mock_vectors_unit_norm(self):
         m = MockEmbeddingProvider().embed(tuple("a few test tokens".split()))
         assert m.shape == (4, 16)

@@ -1,10 +1,9 @@
 import pytest
 
-from warc2meta.client import GeneratedMetadata
 from warc2meta.errors import InsufficientCombinations, NoOverlap
 from warc2meta.heuristics import HeuristicId
 from warc2meta.metrics import MockEmbeddingProvider, TokenTable
-from warc2meta.prompts import WITH_RULES
+from warc2meta.prompts import WITH_RULES, GeneratedMetadata
 from warc2meta.ranking import (
     CombinationStats,
     rank_combinations,
