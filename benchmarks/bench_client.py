@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import random
 import sys
+import tempfile
 import time
 
 from helpers import MockChatServer
@@ -58,10 +59,11 @@ def main():
         return reply
 
     items = make_items(args.rows)
-    with MockChatServer(reply_fn=reply_fn, keep_alive=True) as server:
+    with MockChatServer(reply_fn=reply_fn, keep_alive=True) as server, \
+            tempfile.TemporaryDirectory() as tmp:
         cfg = ClientConfig(base_url=server.base_url + "/v1", model_name="bench-model")
         started = time.perf_counter()
-        rows = run_batch(items, WITH_RULES, cfg)
+        rows = run_batch(items, WITH_RULES, cfg, f"{tmp}/checkpoint.jsonl")
         elapsed = time.perf_counter() - started
         requests, connections = len(server.requests), server.connections
 

@@ -23,29 +23,28 @@ def ingest(cfg: PipelineConfig, args):
     written as each file is done."""
     from .ingest import PAGE_COUNTS, ingest_many
 
-    started = store.now()
-    if args.input:
-        cfg.input_dir = Path(args.input)
-    if not cfg.input_dir.is_dir():
-        sys.exit(f"Error: input directory not found: {cfg.input_dir}")
-    paths = sorted(cfg.input_dir.glob("*.warc")) + sorted(cfg.input_dir.glob("*.warc.gz"))
-    if not paths:
-        sys.exit(f"Error: NoInput: no WARC files in {cfg.input_dir}")
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    counts = {"files": len(paths), **dict.fromkeys(("ingested", "failed", *PAGE_COUNTS), 0)}
-    sites = cfg.output_dir / store.SITES
-    with store.jsonl_writer(sites) as write:
-        for path, result in zip(paths, ingest_many(paths, cfg.min_chars)):
-            if result.row is None:
-                counts["failed"] += 1
-                print(f"error: {path}: {result.error}", file=sys.stderr)
-                continue
-            write(result.row)
-            counts["ingested"] += 1
-            for key, n in result.counts.items():
-                counts[key] += n
-    store.write_manifest(cfg.output_dir, "ingest", cfg.digest(), counts, started)
-    print(f"ingested {counts['ingested']}/{len(paths)} files -> {sites}")
+    with store.stage(cfg, "ingest") as counts:
+        if args.input:
+            cfg.input_dir = Path(args.input)
+        if not cfg.input_dir.is_dir():
+            sys.exit(f"Error: input directory not found: {cfg.input_dir}")
+        paths = sorted(cfg.input_dir.glob("*.warc")) + sorted(cfg.input_dir.glob("*.warc.gz"))
+        if not paths:
+            sys.exit(f"Error: NoInput: no WARC files in {cfg.input_dir}")
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        counts.update(files=len(paths), **dict.fromkeys(("ingested", "failed", *PAGE_COUNTS), 0))
+        sites = cfg.output_dir / store.SITES
+        with store.jsonl_writer(sites) as write:
+            for path, result in zip(paths, ingest_many(paths, cfg.min_chars)):
+                if result.row is None:
+                    counts["failed"] += 1
+                    print(f"error: {path}: {result.error}", file=sys.stderr)
+                    continue
+                write(result.row)
+                counts["ingested"] += 1
+                for key, n in result.counts.items():
+                    counts[key] += n
+        print(f"ingested {counts['ingested']}/{len(paths)} files -> {sites}")
     if counts["ingested"] == 0 and counts["failed"]:
         sys.exit(1)
 
@@ -65,41 +64,41 @@ def select_cmd(cfg: PipelineConfig, args):
     from .ingest import SiteDocument
     from .tokens import count_tokens, load_vocabulary, reduction_report
 
-    started = store.now()
-    docs = store.read_jsonl(cfg.output_dir / store.SITES, SiteDocument, after="ingest")
-    rules = load_filter_rules(cfg.filter_rules_path) if cfg.filter_rules_path else None
-    tok = load_vocabulary(cfg.tokenizer_path) if cfg.tokenizer_path else None
-    which = list(HeuristicId) if args.all else [HeuristicId(args.heuristic or cfg.heuristic)]
-    paths = {h: cfg.output_dir / store.selections(h) for h in which}
-    afters = dict.fromkeys(which, 0)
-    before = sites = errors = 0
-    with ExitStack() as stack:
-        writers = {h: stack.enter_context(store.jsonl_writer(paths[h])) for h in which}
-        for doc in docs:
-            sites += 1
-            before += count_tokens(" ".join(p.body_text for p in doc.pages), tok)
-            for h, write in writers.items():
-                try:
-                    sel = select(doc, h, rules, tok, cfg.max_content_tokens)
-                except Warc2MetaError as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    write(store.dumps({"site_id": doc.site_id, "error": error}))
-                    errors += 1
-                    continue
-                write(sel.to_json())
-                afters[h] += sel.reduced_token_estimate
-    for h in which:
-        print(f"heuristic {int(h)} -> {paths[h]}")
-    reports = {h: reduction_report(before, after, cfg.prices, tok) for h, after in afters.items()}
-    store.write_csv(
-        cfg.output_dir / store.COST_REPORT,
-        ["heuristic", "tokens_before", "tokens_after", "reduction_ratio", "cost_before",
-         "cost_after", "approximate"],
-        [[int(h), r.tokens_before, r.tokens_after, f"{float(r.reduction_ratio):.6f}",
-          str(r.cost_before), str(r.cost_after), int(r.approximate)] for h, r in reports.items()],
-    )
-    counts = {"sites": sites, "heuristics": len(which), "errors": errors}
-    store.write_manifest(cfg.output_dir, "select", cfg.digest(), counts, started)
+    with store.stage(cfg, "select") as counts:
+        docs = store.read_jsonl(cfg.output_dir / store.SITES, SiteDocument, after="ingest")
+        rules = load_filter_rules(cfg.filter_rules_path) if cfg.filter_rules_path else None
+        tok = load_vocabulary(cfg.tokenizer_path) if cfg.tokenizer_path else None
+        which = list(HeuristicId) if args.all else [HeuristicId(args.heuristic or cfg.heuristic)]
+        paths = {h: cfg.output_dir / store.selections(h) for h in which}
+        afters = dict.fromkeys(which, 0)
+        counts.update(sites=0, heuristics=len(which), errors=0)
+        before = 0
+        with ExitStack() as stack:
+            writers = {h: stack.enter_context(store.jsonl_writer(paths[h])) for h in which}
+            for doc in docs:
+                counts["sites"] += 1
+                before += count_tokens(" ".join(p.body_text for p in doc.pages), tok)
+                for h, write in writers.items():
+                    try:
+                        sel = select(doc, h, rules, tok, cfg.max_content_tokens)
+                    except Warc2MetaError as exc:
+                        error = f"{type(exc).__name__}: {exc}"
+                        write(store.dumps({"site_id": doc.site_id, "error": error}))
+                        counts["errors"] += 1
+                        continue
+                    write(sel.to_json())
+                    afters[h] += sel.reduced_token_estimate
+        for h in which:
+            print(f"heuristic {int(h)} -> {paths[h]}")
+        reports = {h: reduction_report(before, n, cfg.prices, tok) for h, n in afters.items()}
+        store.write_csv(
+            cfg.output_dir / store.COST_REPORT,
+            ["heuristic", "tokens_before", "tokens_after", "reduction_ratio", "cost_before",
+             "cost_after", "approximate"],
+            [[int(h), r.tokens_before, r.tokens_after, f"{float(r.reduction_ratio):.6f}",
+              str(r.cost_before), str(r.cost_after), int(r.approximate)]
+             for h, r in reports.items()],
+        )
 
 
 def generate(cfg: PipelineConfig, args):
@@ -108,28 +107,25 @@ def generate(cfg: PipelineConfig, args):
     from .heuristics import HeuristicId, Selection
     from .prompts import COMBINATIONS, VARIANTS, combination_id
 
-    started = store.now()
-    combos = COMBINATIONS if args.all_combinations else [
-        (VARIANTS[args.prompt or cfg.prompt_variant], HeuristicId(args.heuristic or cfg.heuristic))
-    ]
-    selected = {h: list(store.read_jsonl(cfg.output_dir / store.selections(h), Selection,
-                                         after="select"))  # each file built before any request
-                for h in dict.fromkeys(h for _, h in combos)}
-    generated_total = error_total = 0
-    for variant, h in combos:
-        combo = combination_id(variant, h)
-        ckpt = cfg.output_dir / store.checkpoint(combo)
-        rows = run_batch(selected[h], variant, cfg.client, checkpoint_path=ckpt)
-        out = cfg.output_dir / store.generated(combo)
-        with store.jsonl_writer(out) as write:
-            for row in rows:
-                write(row.to_json())
-        ok = sum(1 for r in rows if r.result is not None)
-        generated_total += ok
-        error_total += len(rows) - ok
-        print(f"combo {combo}: {ok}/{len(rows)} generated -> {out}")
-    counts = {"generated": generated_total, "errors": error_total}
-    store.write_manifest(cfg.output_dir, "generate", cfg.digest(), counts, started)
+    with store.stage(cfg, "generate") as counts:
+        combos = COMBINATIONS if args.all_combinations else [(VARIANTS[
+            args.prompt or cfg.prompt_variant], HeuristicId(args.heuristic or cfg.heuristic))]
+        selected = {h: list(store.read_jsonl(cfg.output_dir / store.selections(h), Selection,
+                                             after="select"))  # each built before any request
+                    for h in dict.fromkeys(h for _, h in combos)}
+        counts.update(generated=0, errors=0)
+        for variant, h in combos:
+            combo = combination_id(variant, h)
+            ckpt = cfg.output_dir / store.checkpoint(combo)
+            rows = run_batch(selected[h], variant, cfg.client, checkpoint_path=ckpt)
+            out = cfg.output_dir / store.generated(combo)
+            with store.jsonl_writer(out) as write:
+                for row in rows:
+                    write(row.to_json())
+            ok = sum(1 for r in rows if r.result is not None)
+            counts["generated"] += ok
+            counts["errors"] += len(rows) - ok
+            print(f"combo {combo}: {ok}/{len(rows)} generated -> {out}")
 
 
 Reference = make_dataclass("Reference", [("site_id", str), ("title", str), ("abstract", str)])
@@ -143,64 +139,60 @@ def evaluate(cfg: PipelineConfig, args):
     (`unscored`) and a combination with no scored pair (`no_overlap`).
     """
     from .metrics import HttpEmbeddingProvider, MockEmbeddingProvider, TokenTable
-    from .prompts import COMBINATIONS, GeneratedMetadata, combination_id
+    from .prompts import COMBINATIONS, GeneratedMetadata
     from .ranking import rank_combinations, score_combination, score_pairs
 
-    started = store.now()
-    reference = {r.site_id: (r.title, r.abstract)
-                 for r in store.read_jsonl(args.reference, Reference)}
-    combos = []  # (variant, heuristic, generated rows) of each combination that has any
-    for variant, h in COMBINATIONS:
-        path = cfg.output_dir / store.generated(combination_id(variant, h))
-        generated = list(store.read_jsonl(path, GeneratedMetadata)) if path.is_file() else []
-        if generated:
-            combos.append((variant, h, generated))
-    provider = (HttpEmbeddingProvider(cfg.embedding_base_url, cfg.embedding_model or "")
-                if cfg.embedding_base_url else MockEmbeddingProvider())
-    table = TokenTable(provider, (
-        text for _, _, generated in combos for g in generated if g.site_id in reference
-        for text in (g.title, g.abstract, *reference[g.site_id])))
-    all_stats, score_rows = [], []
-    no_reference = unscored = no_overlap = 0
-    for variant, h, generated in combos:
-        pairs = score_pairs(generated, reference, table)
-        missing = sum(g.site_id not in reference for g in generated)
-        no_reference += missing
-        unscored += len(generated) - missing - len(pairs)
-        try:
-            all_stats.append(score_combination(pairs, variant, h))
-        except NoOverlap:
-            no_overlap += 1
-            continue
-        combo = combination_id(variant, h)
-        score_rows += [
-            [p.site_id, combo, p.title_levenshtein, f"{p.title_bertscore_f1:.6f}",
-             f"{p.abstract_bertscore_f1:.6f}"]
-            for p in pairs
-        ]
-    ranked = rank_combinations(all_stats)
-    store.write_csv(
-        cfg.output_dir / store.SCORES,
-        ["site_id", "combination_id", "title_lev", "title_bs_f1", "abstract_bs_f1"],
-        score_rows,
-    )
-    summary = cfg.output_dir / store.RANKED_SUMMARY
-    store.write_csv(
-        summary,
-        ["prompt", "heuristic", "combination", "ranked_aggregated_score", "shortlisted"],
-        [
-            [r.stats.prompt.name, int(r.stats.heuristic),
-             r.stats.combination_id, r.final_score, int(r.final_score == 1)]
-            for r in ranked
-        ],
-    )
-    shortlist = [r.stats.combination_id for r in ranked if r.final_score == 1]
-    print(f"ranked summary -> {summary}")
-    print(f"shortlisted for manual review: combos {shortlist}")
-    counts = {"combinations": len(all_stats), "shortlisted": len(shortlist),
-              "no_reference": no_reference, "unscored": unscored, "no_overlap": no_overlap,
-              "embed_tokens": len(table.rows), "embed_requests": table.requests}
-    store.write_manifest(cfg.output_dir, "evaluate", cfg.digest(), counts, started)
+    with store.stage(cfg, "evaluate") as counts:
+        reference = {r.site_id: (r.title, r.abstract)
+                     for r in store.read_jsonl(args.reference, Reference)}
+        counts.update(no_reference=0, unscored=0, no_overlap=0)
+        joined = {}  # combination id: (row, reference) of its rows, if it has any
+        for combo in range(len(COMBINATIONS)):
+            path = cfg.output_dir / store.generated(combo)
+            generated = list(store.read_jsonl(path, GeneratedMetadata)) if path.is_file() else []
+            if generated:
+                joined[combo] = [(g, reference[g.site_id]) for g in generated
+                                 if g.site_id in reference]
+                counts["no_reference"] += len(generated) - len(joined[combo])
+        provider = (HttpEmbeddingProvider(cfg.embedding_base_url, cfg.embedding_model or "")
+                    if cfg.embedding_base_url else MockEmbeddingProvider())
+        table = TokenTable(provider, (text for rows in joined.values() for g, ref in rows
+                                      for text in (g.title, g.abstract, *ref)))
+        all_stats, score_rows = [], []
+        for combo, rows in joined.items():
+            pairs = score_pairs(rows, table)
+            counts["unscored"] += len(rows) - len(pairs)
+            try:
+                all_stats.append(score_combination(pairs, *COMBINATIONS[combo]))
+            except NoOverlap:
+                counts["no_overlap"] += 1
+                continue
+            score_rows += [
+                [p.site_id, combo, p.title_levenshtein, f"{p.title_bertscore_f1:.6f}",
+                 f"{p.abstract_bertscore_f1:.6f}"]
+                for p in pairs
+            ]
+        ranked = rank_combinations(all_stats)
+        store.write_csv(
+            cfg.output_dir / store.SCORES,
+            ["site_id", "combination_id", "title_lev", "title_bs_f1", "abstract_bs_f1"],
+            score_rows,
+        )
+        summary = cfg.output_dir / store.RANKED_SUMMARY
+        store.write_csv(
+            summary,
+            ["prompt", "heuristic", "combination", "ranked_aggregated_score", "shortlisted"],
+            [
+                [r.stats.prompt.name, int(r.stats.heuristic),
+                 r.stats.combination_id, r.final_score, int(r.final_score == 1)]
+                for r in ranked
+            ],
+        )
+        shortlist = [r.stats.combination_id for r in ranked if r.final_score == 1]
+        print(f"ranked summary -> {summary}")
+        print(f"shortlisted for manual review: combos {shortlist}")
+        counts.update(combinations=len(all_stats), shortlisted=len(shortlist),
+                      embed_tokens=len(table.rows), embed_requests=table.requests)
 
 
 def stats(cfg, args):

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import threading
 import time
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -33,6 +32,8 @@ if TYPE_CHECKING:
 
 
 _JSON_BLOB_RE = re.compile(r"\{.*\}", re.S)
+# seconds before each retry of a 429 with no usable Retry-After; the last repeats
+RETRY_BACKOFF = (0.5, 1.0, 2.0, 4.0)
 
 
 def _parse_reply(content: str) -> Dict[str, str]:
@@ -79,7 +80,7 @@ def _post_chat(messages: List[Dict[str, str]], cfg: ClientConfig, conn: Connecti
                 if not 0 <= delay < float("inf"):
                     raise ValueError(delay)
             except (TypeError, ValueError):  # absent, or not a finite number of seconds >= 0
-                delay = cfg.retry_backoff[min(attempts, len(cfg.retry_backoff) - 1)]
+                delay = RETRY_BACKOFF[min(attempts, len(RETRY_BACKOFF) - 1)]
             time.sleep(delay)
             attempts += 1
             continue
@@ -100,7 +101,7 @@ def generate_metadata(
 
     messages = build_prompt(variant, selection.content, selection.chosen_url)
     last_error: Optional[SchemaViolation] = None
-    with Connection(cfg.base_url, cfg.timeout) as conn:
+    with Connection(cfg.base_url) as conn:
         for _ in range(cfg.max_retries + 1):
             reply = _post_chat(messages, cfg, conn)
             try:
@@ -159,7 +160,7 @@ def run_batch(
     selections: Sequence[Selection],
     variant: PromptVariant,
     cfg: ClientConfig,
-    checkpoint_path=None,
+    checkpoint_path,
 ) -> List[BatchRow]:
     """Generate metadata for each selection's site, preserving order.
 
@@ -167,19 +168,18 @@ def run_batch(
     row is appended to the checkpoint as it completes. A checkpointed
     reply is served only while its site's request_key is unchanged; a
     changed request, an error row, a row without a key or one that does not
-    build as a GeneratedMetadata is asked again.
+    build as a GeneratedMetadata is asked again, and so is the site of a
+    last line that an interrupted append left without its newline.
     The checkpoint ends the run with one row per site, the last.
     """
     done = {}  # site_id: (request key, reply)
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
+    lock = threading.Lock()
+    with jsonl_writer(checkpoint_path, append=True) as write:  # drops a torn last line
         for obj in read_jsonl(checkpoint_path):
             if "key" in obj:  # only replies carry a key; one that does not build is asked again
                 with suppress(ConfigError):
                     reply = build(GeneratedMetadata, obj, str(checkpoint_path))
                     done[reply.site_id] = (obj["key"], reply)
-    lock = threading.Lock()
-    ckpt = jsonl_writer(checkpoint_path, append=True) if checkpoint_path else nullcontext()
-    with ckpt as write:
 
         def work(selection) -> BatchRow:
             try:
@@ -190,9 +190,8 @@ def run_batch(
                 row = BatchRow(selection.site_id, result, key=request_key(variant, selection, cfg))
             except Exception as exc:
                 row = BatchRow(selection.site_id, error=f"{type(exc).__name__}: {exc}")
-            if write is not None:
-                with lock:
-                    write(row.to_json(checkpoint=True))
+            with lock:
+                write(row.to_json(checkpoint=True))
             return row
 
         if cfg.max_in_flight == 1:
@@ -202,6 +201,5 @@ def run_batch(
 
             with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
                 rows = list(pool.map(work, selections))
-    if checkpoint_path is not None:
-        compact_jsonl(checkpoint_path)
+    compact_jsonl(checkpoint_path)
     return rows

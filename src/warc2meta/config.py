@@ -17,15 +17,13 @@ from dataclasses import MISSING, dataclass, field
 from decimal import Decimal
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 
 from .errors import ConfigError
 
-# settings that cannot change an output, so the digest leaves them out
-NOT_DIGESTED = frozenset({"api_key_source", "retry_backoff", "timeout"})
-# settings a config file does not set
-_NOT_IN_FILE = frozenset({"retry_backoff", "timeout"})
+# the setting that cannot change an output, so the digest leaves it out
+NOT_DIGESTED = frozenset({"api_key_source"})
 # settings that name a file: it must be readable, and is digested by content
 _FILES = ("tokenizer_path", "filter_rules_path")
 
@@ -40,8 +38,6 @@ class ClientConfig:
     temperature: float = 0.0
     max_in_flight: int = 1
     max_retries: int = 3
-    retry_backoff: Tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    timeout: float = 60.0
 
     def __post_init__(self):
         if self.max_in_flight < 1:
@@ -153,8 +149,7 @@ def _fields(cls):
     """(name, X of Optional[X] or List[X], or the type; type, required) per field."""
     hints = get_type_hints(cls)  # evaluates annotations left as strings, too
     return tuple((f.name, (get_args(t) or (t,))[0], t, f.default is f.default_factory is MISSING)
-                 for f in dataclasses.fields(cls) if f.name not in _NOT_IN_FILE
-                 for t in [hints[f.name]])
+                 for f in dataclasses.fields(cls) for t in [hints[f.name]])
 
 
 def _value(kind, value, name: str):

@@ -48,8 +48,6 @@ class EmptyContent(Warc2MetaError):
 class ApiError(Warc2MetaError):
     def __init__(self, status, body):
         super().__init__(f"API error {status}: {body[:200]}")
-        self.status = status
-        self.body = body
 
 
 class RateLimited(Warc2MetaError):

@@ -23,7 +23,6 @@ import struct
 import unicodedata
 from typing import TYPE_CHECKING, Iterable, Protocol, Tuple
 
-from .config import ClientConfig
 from .errors import ApiError, EmptyText
 
 if TYPE_CHECKING:
@@ -83,8 +82,7 @@ class MockEmbeddingProvider:
     exactly, over their fsum-based norm. So a token's vector is
     bit-identical on every platform and Python or numpy version."""
 
-    def __init__(self, dim: int = 16):
-        self.dim = dim
+    dim = 16
 
     def embed(self, tokens: Tuple[str, ...]) -> np.ndarray:
         import numpy as np
@@ -107,11 +105,11 @@ class HttpEmbeddingProvider:
     call. A reply that is not 2xx or not that shape raises ApiError.
     """
 
-    def __init__(self, base_url: str, model: str, timeout: float = ClientConfig.timeout):
+    def __init__(self, base_url: str, model: str):
         from .transport import Connection
 
         self.model = model
-        self.conn = Connection(base_url, timeout)
+        self.conn = Connection(base_url)
 
     def embed(self, tokens: Tuple[str, ...]) -> np.ndarray:
         import numpy as np

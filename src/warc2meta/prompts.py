@@ -10,7 +10,6 @@ from enum import IntEnum
 from typing import Dict, List, Optional
 
 from .errors import EmptyContent
-from .store import dumps
 
 BASE_PROMPT = """\
 You are a diligent cataloguer working to create metadata for websites. Let's think step by step to ensure accurate and comprehensive metadata creation:
@@ -68,9 +67,6 @@ class GeneratedMetadata:  # here, not in client: evaluate loads no chat client
     source: str  # "human" or "combo<N>"
     site_id: str
     model_name: Optional[str] = None
-
-    def to_json(self) -> str:
-        return dumps(vars(self))
 
 
 def build_prompt(

@@ -10,7 +10,7 @@ than one combination can hold score 1.
 
 import statistics
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import EmptyText, InsufficientCombinations, NoOverlap
 from .metrics import TokenTable, bertscore, levenshtein
@@ -43,18 +43,13 @@ class RankedCombination:
 
 
 def score_pairs(
-    generated: Sequence[GeneratedMetadata],
-    reference: Mapping[str, Tuple[str, str]],
-    table: TokenTable,
+    joined: Sequence[Tuple[GeneratedMetadata, Tuple[str, str]]], table: TokenTable
 ) -> List[ScorePair]:
-    """Inner-join generated rows with reference ({site_id: (title, abstract)})
-    on site_id and score each pair, with every token's vector from table;
-    a pair with a text of no token cannot be scored and is left out."""
+    """Score each generated row against its site's reference (title,
+    abstract), with every token's vector from table; a pair with a text of
+    no token cannot be scored and is left out."""
     pairs = []
-    for gen in generated:
-        if gen.site_id not in reference:
-            continue
-        title, abstract = reference[gen.site_id]
+    for gen, (title, abstract) in joined:
         try:
             title_f1 = bertscore(gen.title, title, table)[2]
             abstract_f1 = bertscore(gen.abstract, abstract, table)[2]

@@ -98,7 +98,12 @@ def replacing(path, newline=None):
 def jsonl_writer(path, append=False):
     """A write(row) for one JSONL file, new (see `replacing`) or appended
     to. Each row is flushed as it is written, so an interrupted append
-    keeps every row it finished."""
+    keeps every row it finished; the next append first cuts off the last
+    line if it has no newline, the row that was being written."""
+    if append:
+        with open(path, "ab+") as fh:
+            fh.seek(0)
+            fh.truncate(fh.read().rfind(b"\n") + 1)
     with open(path, "a", encoding="utf-8") if append else replacing(path) as fh:
 
         def write(row: str):
@@ -135,21 +140,20 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def now() -> str:
-    """A manifest timestamp: UTC, ISO 8601."""
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def write_manifest(out_dir, stage: str, config_digest: str, counts, started: str):
-    """manifest_<stage>.json: a fresh run id, start and end times, the
-    config digest and the stage's counts."""
-    manifest = {
-        "run_id": os.urandom(16).hex(),
-        "stage": stage,
-        "started_at": started,
-        "finished_at": now(),
-        "config_digest": config_digest,
-        "counts": counts,
-    }
-    path = Path(out_dir) / f"manifest_{stage}.json"
+@contextmanager
+def stage(cfg, name: str):
+    """A stage's run: yields its counts, which the block fills in. When the
+    block ends without an error, manifest_<name>.json is written last: a
+    fresh run id, the start and end times (UTC, ISO 8601), the digest of
+    cfg as it is then, and the counts."""
+    started = _now()
+    counts = {}
+    yield counts
+    manifest = {"run_id": os.urandom(16).hex(), "stage": name, "started_at": started,
+                "finished_at": _now(), "config_digest": cfg.digest(), "counts": counts}
+    path = Path(cfg.output_dir) / f"manifest_{name}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def _now() -> str:
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()

@@ -48,7 +48,9 @@ def _proxy_auth(proxy):
 class Connection:
     """One HTTP(S) connection to base_url's host; each post reuses it."""
 
-    def __init__(self, base_url: str, timeout: float):
+    TIMEOUT = 60.0  # seconds to connect, and for each read of a reply
+
+    def __init__(self, base_url: str):
         url = urlsplit(base_url)
         tls = url.scheme == "https"
         cls = http.client.HTTPSConnection if tls else http.client.HTTPConnection
@@ -58,9 +60,9 @@ class Connection:
         self.headers = {"Content-Type": "application/json"}
         proxy = _proxy(url)
         if proxy is None:
-            self.conn = cls(host, port, timeout=timeout, **extra)
+            self.conn = cls(host, port, timeout=self.TIMEOUT, **extra)
             return
-        self.conn = cls(proxy.hostname, proxy.port or 80, timeout=timeout, **extra)
+        self.conn = cls(proxy.hostname, proxy.port or 80, timeout=self.TIMEOUT, **extra)
         if tls:
             self.conn.set_tunnel(host, port, headers=_proxy_auth(proxy))
         else:  # absolute-form target

@@ -12,12 +12,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 def http_response_payload(status=200, content_type="text/html; charset=utf-8",
-                          body=b""):
+                          body=b"", headers=()):
+    """An HTTP response message; `headers` are extra "Name: value" lines."""
     reason = {200: "OK", 404: "Not Found", 500: "Server Error"}.get(status, "X")
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"
         f"Content-Type: {content_type}\r\n"
-        f"Content-Length: {len(body)}\r\n\r\n"
+        + "".join(f"{line}\r\n" for line in headers)
+        + f"Content-Length: {len(body)}\r\n\r\n"
     ).encode("ascii")
     return head + body
 
@@ -46,9 +48,9 @@ def html_page(title, body_text, extra=""):
 
 
 def response_record(uri, status=200, content_type="text/html; charset=utf-8",
-                    body=b"", declared_length=None):
+                    body=b"", declared_length=None, headers=()):
     return warc_record(
-        "response", uri, http_response_payload(status, content_type, body),
+        "response", uri, http_response_payload(status, content_type, body, headers),
         declared_length=declared_length,
     )
 
@@ -103,6 +105,90 @@ def warc_corpus(root, n_files, pages=30, seed=0):
             build_warc(path, records if kind == "ok" else [])
         paths.append(path)
     return paths
+
+
+def _chunked(data, size=16):
+    """data in HTTP/1.1 chunked transfer coding, `size` bytes a chunk."""
+    chunks = [data[i:i + size] for i in range(0, len(data), size)]
+    return b"".join(b"%x\r\n%s\r\n" % (len(c), c) for c in chunks) + b"0\r\n\r\n"
+
+
+def defect_corpus(root):
+    """Write one WARC file per site under root; return the directory.
+
+    Two clean sites, then one site per known extraction, filter or decoding
+    defect, each named for it: a nav of glued links, a one-line copyright
+    page, a two-paragraph Chinese page, "404 Orchard Road", gb2312 with a
+    GBK-only character, cp1252 quotes labelled iso-8859-1, UTF-16 with a
+    BOM, a gzip Content-Encoding body, a chunked body, one page under four
+    URLs, and a contact page with an email address and a phone number.
+    Every byte is fixed, so the pipeline's outputs on it can be pinned.
+    """
+    root.mkdir(parents=True, exist_ok=True)
+    fish = "We sell fresh fish at the harbour market every morning."
+    chinese = ("<p>新加坡国家图书馆收藏了大量的历史文献和老照片。</p>"
+               "<p>我们的网站介绍本地的文化遗产和社区活动。</p>")
+    bread = html_page("Tiong Bahru Bakery", "We bake sourdough bread every morning in Tiong Bahru.")
+    same = html_page("Kopi House", "Kopi House serves local coffee and kaya toast since 1968.")
+    sites = {
+        "clean-bakery": [
+            response_record("https://bakery.sg/", body=html_page(
+                "Bakery", "Fresh bread and cakes baked daily for the neighbourhood " * 3)),
+            response_record("https://bakery.sg/about", body=html_page(
+                "About us", "A family bakery founded in 1985 by the Tan family " * 3)),
+            response_record("https://bakery.sg/products/breads", body=html_page(
+                "Breads", "Sourdough, wholemeal and rye loaves with prices " * 6)),
+        ],
+        "clean-clinic": [
+            response_record("https://clinic.sg/", body=html_page(
+                "Family Clinic", "General practice and vaccinations for all ages " * 3)),
+            response_record("https://clinic.sg/about-us", body=html_page(
+                "Who we are", "Three doctors serving Toa Payoh residents since 2001 " * 3)),
+            response_record("https://clinic.sg/services/list", body=html_page(
+                "Services", "Health screening, travel vaccines and chronic care " * 5)),
+        ],
+        "glued-nav": [response_record("https://fish.sg/", body=(
+            "<html><head><title>Harbour Fish</title></head><body><nav><a>Home</a>"
+            f"<a>About</a><a>Contact</a></nav><p>{fish}</p></body></html>").encode())],
+        "copyright-footer": [response_record("https://footer.sg/", body=html_page(
+            "Footer Co", "Copyright 2024 Footer Trading Pte Ltd. All rights reserved."))],
+        "chinese-page": [response_record("https://library.sg/", body=(
+            f"<html><head><title>文化遗产</title></head><body>{chinese}</body></html>").encode())],
+        "orchard-road": [
+            response_record("https://tailor.sg/", body=html_page(
+                "Orchard Tailor", "Bespoke suits and shirts made to measure in two weeks.")),
+            response_record("https://tailor.sg/contact", body=html_page(
+                "Contact", "Visit our shop at 404 Orchard Road, Singapore 238879, daily.")),
+        ],
+        "gb2312-label": [response_record(
+            "https://news.sg/", content_type="text/html; charset=gb2312", body=html_page(
+                "新闻", "朱镕基总理访问新加坡的新闻报道和照片收藏在这里。").decode().encode("gbk"))],
+        "cp1252-quotes": [response_record(
+            "https://quotes.sg/", content_type="text/html; charset=iso-8859-1", body=html_page(
+                "Quotes", "Our motto is \u201cquality first\u201d for every customer we serve."
+            ).decode().encode("cp1252"))],
+        "utf16-bom": [response_record("https://wide.sg/", content_type="text/html", body=(
+            b"\xff\xfe" + html_page("Wide", "A page saved as UTF-16 with a byte order mark.")
+            .decode().encode("utf-16-le")))],
+        "gzip-body": [response_record("https://zipped.sg/", body=gzip.compress(
+            html_page("Zipped", "This page was sent with a gzip content coding."), mtime=0),
+            headers=["Content-Encoding: gzip"])],
+        "chunked-body": [response_record("https://chunks.sg/", body=_chunked(bread),
+                                         headers=["Transfer-Encoding: chunked"])],
+        "same-page-urls": [
+            response_record(url, body=same)
+            for url in ("http://kopi.sg/", "https://kopi.sg/", "https://kopi.sg/index.html",
+                        "https://kopi.sg/?jsessionid=A1B2")],
+        "contact-details": [
+            response_record("https://movers.sg/", body=html_page(
+                "Lion Movers", "House and office moving across the island, seven days a week.")),
+            response_record("https://movers.sg/contact", body=html_page(
+                "Contact", "Email hello@lionmovers.sg or call +65 6123 4567 for a quote.")),
+        ],
+    }
+    for name, records in sites.items():
+        build_warc(root / f"{name}.warc", records)
+    return root
 
 
 class MockChatServer:

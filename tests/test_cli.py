@@ -14,7 +14,9 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from warc2meta import cli, tokens
+from warc2meta import cli, store, tokens
+from warc2meta.config import PipelineConfig
+from warc2meta.errors import ConfigError
 from warc2meta.heuristics import Selection
 from warc2meta.ingest import PageRecord, SiteDocument
 from warc2meta.metrics import EMBED_BATCH
@@ -430,14 +432,14 @@ class TestGenerateEvaluate:
             assert run_cli(args).exit_code == 0
             ckpt = tmp_path / "out" / "checkpoint_combo0.jsonl"
             n = len(ckpt.read_text().splitlines())
-            with open(ckpt, "a") as fh:
-                fh.write('{"site_id": "x", "tit')  # a write cut off mid-row
+            with open(ckpt, "a") as fh:  # a row cut off mid-write, then a newline: only a
+                fh.write('{"site_id": "x", "tit\n')  # last line without one is unwritten
             sent = len(server.requests)
             result = run_cli(args)
             assert len(server.requests) == sent
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # no JSONDecodeError traceback
-        assert f"Error: ConfigError: {ckpt}: line {n + 1}: Unterminated string" in result.output
+        assert f"Error: ConfigError: {ckpt}: line {n + 1}: Invalid control" in result.output
 
     def test_evaluate_embedding_batches_of_two_widths_are_api_error(self, tmp_path):
         def embeddings(body):  # 2-wide vectors for a full batch, 3-wide for the rest
@@ -921,6 +923,51 @@ class TestFailedStageKeepsOutputs:
             1, f"Error: InvalidPattern: {rules}:1: not UTF-8 text\n")
         assert isinstance(result.exception, SystemExit)  # no UnicodeDecodeError traceback
         assert _outputs(out) == kept
+
+
+class TestStageManifest:
+    """`store.stage` writes a stage's manifest last, and only when the
+    stage ends without an error."""
+
+    def test_written_after_the_block_ends_without_an_error(self, tmp_path):
+        cfg = PipelineConfig(output_dir=tmp_path)
+        path = tmp_path / "manifest_select.json"
+        with store.stage(cfg, "select") as counts:
+            counts["sites"] = 2
+            assert not path.exists()
+        manifest = json.loads(path.read_text())
+        assert sorted(manifest) == ["config_digest", "counts", "finished_at", "run_id", "stage",
+                                    "started_at"]
+        assert manifest["stage"] == "select" and manifest["counts"] == {"sites": 2}
+        assert manifest["config_digest"] == cfg.digest()
+        assert manifest["started_at"] <= manifest["finished_at"]
+        with pytest.raises(ConfigError), store.stage(cfg, "evaluate"):
+            raise ConfigError("stopped")
+        assert not (tmp_path / "manifest_evaluate.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["ingest", "--input", "missing"],
+        ["ingest", "--input", "warcs"],
+        ["select"],
+        ["generate"],
+        ["evaluate", "--reference", "missing.jsonl"],
+    ], ids=["no-input-dir", "no-warc-file", "no-sites", "no-selections", "no-reference"])
+    def test_a_stage_stopped_before_its_work_writes_none(self, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        Path("warcs").mkdir()
+        Path("out").mkdir()
+        result = run_cli(["--config", _write_config(tmp_path, "warcs"), "--output", "out", *args])
+        assert result.exit_code == 1, result.output
+        assert list(Path("out").iterdir()) == []
+
+    def test_ingest_with_every_file_failed_writes_it_then_exits_1(self, tmp_path):
+        warcs = tmp_path / "warcs"
+        warcs.mkdir()
+        (warcs / "broken.warc").write_bytes(b"garbage not a warc\r\n\r\n")
+        result = run_cli(["--config", _write_config(tmp_path, warcs), "ingest"])
+        assert result.exit_code == 1
+        counts = json.loads((tmp_path / "out" / "manifest_ingest.json").read_text())["counts"]
+        assert (counts["files"], counts["ingested"], counts["failed"]) == (1, 0, 1)
 
 
 def _token_embeddings(body):

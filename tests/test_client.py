@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from warc2meta.client import (
+    RETRY_BACKOFF,
     ClientConfig,
     generate_metadata,
     run_batch,
@@ -34,7 +35,6 @@ def _selection(content="acme corp builds instruments", heuristic=HeuristicId.SHO
 
 
 def _cfg(base_url, **kw):
-    kw.setdefault("retry_backoff", (0.01, 0.01, 0.01))
     return ClientConfig(base_url=base_url, model_name="test-model", **kw)
 
 
@@ -101,7 +101,7 @@ class TestGenerateMetadata:
 
     @pytest.mark.parametrize("retry_after, slept", [
         ("0.02", 0.02),  # a finite number of seconds >= 0 is honoured
-        ("-1", 0.01), ("nan", 0.01), ("inf", 0.01), ("1e999", 0.01), ("soon", 0.01),
+        *((bad, RETRY_BACKOFF[0]) for bad in ("-1", "nan", "inf", "1e999", "soon")),
     ])
     def test_bad_retry_after_takes_the_backoff(self, retry_after, slept, monkeypatch):
         """A Retry-After that is not a finite number >= 0 counts as absent."""
@@ -147,14 +147,14 @@ class TestRunBatch:
         site = body["messages"][1]["content"].splitlines()[1]
         return {"title": f"Title for {site}", "abstract": f"Abstract for {site}"}
 
-    def test_sequential_mode(self):
+    def test_sequential_mode(self, tmp_path):
         with MockChatServer(reply_fn=self._echo_fn) as server:
-            rows = run_batch(self._items(), WITH_RULES, _cfg(server.base_url))
+            rows = run_batch(self._items(), WITH_RULES, _cfg(server.base_url), tmp_path / "ck")
             assert server.high_water == 1
         assert [r.site_id for r in rows] == ["s0", "s1", "s2"]
         assert all(r.result is not None for r in rows)
 
-    def test_concurrent_mode_overlaps(self):
+    def test_concurrent_mode_overlaps(self, tmp_path):
         barrier = threading.Barrier(3, timeout=10)
 
         def slow_fn(body):
@@ -163,17 +163,18 @@ class TestRunBatch:
 
         with MockChatServer(reply_fn=slow_fn) as server:
             run_batch(self._items(3), WITH_RULES,
-                      _cfg(server.base_url, max_in_flight=3))
+                      _cfg(server.base_url, max_in_flight=3), tmp_path / "ck")
             assert server.high_water == 3
 
-    def test_partial_failure_recorded(self):
+    def test_partial_failure_recorded(self, tmp_path):
         def fn(body):
             if "site 1" in body["messages"][1]["content"]:
                 return 500
             return self._echo_fn(body)
 
         with MockChatServer(reply_fn=fn) as server:
-            rows = run_batch(self._items(), WITH_RULES, _cfg(server.base_url, max_retries=0))
+            rows = run_batch(self._items(), WITH_RULES, _cfg(server.base_url, max_retries=0),
+                             tmp_path / "ck")
         assert rows[1].error is not None and rows[1].result is None
         assert rows[0].result is not None and rows[2].result is not None
 
@@ -241,6 +242,23 @@ class TestRunBatch:
         assert all(r.result is not None for r in rows)
         assert rows[1].result.title == "Title for site 1 content"
 
+    def test_torn_last_checkpoint_line_is_asked_again(self, tmp_path):
+        """A last line with no newline, an append cut off mid-row, counts
+        as unwritten: its site is asked again, on a line of its own."""
+        ckpt = tmp_path / "ckpt.jsonl"
+        with MockChatServer(reply_fn=self._echo_fn) as server:
+            cfg = _cfg(server.base_url)
+            run_batch(self._items(2), WITH_RULES, cfg, checkpoint_path=ckpt)
+            whole = ckpt.read_text()
+            torn = run_batch(self._items(3)[2:], WITH_RULES, cfg, tmp_path / "other")
+            ckpt.write_text(whole + torn[0].to_json(checkpoint=True)[:25])
+            rows = run_batch(self._items(3), WITH_RULES, cfg, checkpoint_path=ckpt)
+            assert len(server.requests) == 4  # s2 only, once more
+        assert [r.result.title for r in rows] == [f"Title for site {i} content" for i in range(3)]
+        lines = ckpt.read_text().splitlines()
+        assert "\n".join(lines[:2]) + "\n" == whole
+        assert [json.loads(line)["site_id"] for line in lines] == ["s0", "s1", "s2"]
+
     def test_checkpoint_row_without_key_requested_again(self, tmp_path):
         # rows written before checkpoints carried a request key
         ckpt = tmp_path / "ckpt.jsonl"
@@ -281,11 +299,11 @@ class TestRunBatch:
         assert rows[1]["error"].startswith("ApiError: API error 500")
         assert len(replaced) == 1
 
-    def test_deterministic_output(self):
+    def test_deterministic_output(self, tmp_path):
         with MockChatServer(reply_fn=self._echo_fn) as server:
             cfg = _cfg(server.base_url)
-            a = [r.to_json() for r in run_batch(self._items(), WITH_RULES, cfg)]
-            b = [r.to_json() for r in run_batch(self._items(), WITH_RULES, cfg)]
+            a = [r.to_json() for r in run_batch(self._items(), WITH_RULES, cfg, tmp_path / "a")]
+            b = [r.to_json() for r in run_batch(self._items(), WITH_RULES, cfg, tmp_path / "b")]
         assert a == b
 
 
@@ -331,9 +349,10 @@ class TestWire:
             with pytest.raises(ApiError, match="malformed completion body"):
                 generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
 
-    def test_closed_port_gives_one_error_row_per_site(self):
+    def test_closed_port_gives_one_error_row_per_site(self, tmp_path):
         items = [_selection(content=f"site {i} content", site_id=f"s{i}") for i in range(3)]
-        rows = run_batch(items, WITH_RULES, _cfg(f"http://127.0.0.1:{_closed_port()}/v1"))
+        rows = run_batch(items, WITH_RULES, _cfg(f"http://127.0.0.1:{_closed_port()}/v1"),
+                         tmp_path / "ck")
         assert [r.site_id for r in rows] == ["s0", "s1", "s2"]
         assert all(r.result is None and r.error.startswith("ConnectionRefusedError: ")
                    for r in rows)
@@ -351,11 +370,11 @@ class TestWire:
         assert server.paths == ["http://warc2meta-proxy.invalid/v1/chat/completions"]
         assert server.headers[0]["Host"] == "warc2meta-proxy.invalid"
 
-    def test_one_connection_per_row_reused_for_its_retries(self):
+    def test_one_connection_per_row_reused_for_its_retries(self, tmp_path):
         # row 1: a 429, then a reply that breaks the schema, then a valid one
         script = [429, "no json here", {"title": "T", "abstract": "A"}]
         with MockChatServer(script=script, keep_alive=True) as server:
-            rows = run_batch(self._items(2), WITH_RULES, _cfg(server.base_url))
+            rows = run_batch(self._items(2), WITH_RULES, _cfg(server.base_url), tmp_path / "ck")
             assert len(server.requests) == 4
             assert server.connections == 2
         assert all(r.result is not None for r in rows)

@@ -80,8 +80,6 @@ OTHER_VALUES = {
     "temperature": 0.7,
     "max_in_flight": 4,
     "max_retries": 5,
-    "retry_backoff": (0.0,),
-    "timeout": 5.0,
     "price_per_million_input": Decimal("3.00"),
     "price_per_million_output": Decimal("12.00"),
 }
@@ -164,10 +162,10 @@ class TestEndpointUrls:
 
 class TestLoad:
     def test_every_file_key_sets_its_setting(self):
-        """The 18 keys a file can set; the timeout and backoff are not among them."""
+        """The 18 keys a file can set."""
         leaves = [(section, name) for section, name in SETTINGS
-                  if name not in ("client", "prices", "retry_backoff", "timeout")]
-        raw = {"client": {"timeout": 5}}
+                  if name not in ("client", "prices")]
+        raw = {}
         for section, name in leaves:
             value = OTHER_VALUES[name]
             if isinstance(value, (Path, Decimal)):
@@ -178,7 +176,6 @@ class TestLoad:
         assert len(leaves) == 18
         for section, name in leaves:
             assert getattr(getattr(cfg, section) if section else cfg, name) == OTHER_VALUES[name]
-        assert cfg.client.timeout == ClientConfig().timeout
 
     def test_no_file_takes_defaults(self):
         assert load_config() == PipelineConfig()

@@ -23,6 +23,11 @@ def _ref(rows):
     return {r.site_id: (r.title, r.abstract) for r in rows}
 
 
+def _joined(generated, reference):
+    """Each generated row that has a reference row, with it."""
+    return [(g, reference[g.site_id]) for g in generated if g.site_id in reference]
+
+
 def _table(generated, reference):
     """A mock-embedding token table of every generated and reference text."""
     texts = [t for g in generated for t in (g.title, g.abstract)]
@@ -50,7 +55,7 @@ class TestScoreCombination:
             _meta("s1", "Acme", "Makes instruments for labs"),
             _meta("s2", "Beta", "Sells fresh produce daily"),
         ]
-        pairs = score_pairs(rows, _ref(rows), _table(rows, _ref(rows)))
+        pairs = score_pairs(_joined(rows, _ref(rows)), _table(rows, _ref(rows)))
         stats = _combination(pairs)
         assert stats.lev_median == 0
         assert abs(stats.bs_median - 1.0) < 1e-9
@@ -69,7 +74,8 @@ class TestScoreCombination:
         # title distances {2, 4}: even-length median is the central mean
         assert levenshtein("ax", "by") == 2
         assert levenshtein("abcd", "abwxyz") == 4
-        stats = _combination(score_pairs(generated, reference, _table(generated, reference)))
+        pairs = score_pairs(_joined(generated, reference), _table(generated, reference))
+        stats = _combination(pairs)
         assert stats.lev_median == 3.0
 
     def test_three_site_hand_computed(self):
@@ -84,7 +90,7 @@ class TestScoreCombination:
             "s3": ("Crown", "iota kappa"),
         }
         table = _table(generated, reference)
-        pairs = score_pairs(generated, reference, table)
+        pairs = score_pairs(_joined(generated, reference), table)
         import statistics
 
         from warc2meta.metrics import bertscore, levenshtein
@@ -100,18 +106,10 @@ class TestScoreCombination:
         assert abs(stats.bs_median - statistics.median(exp_f1s)) < 1e-12
         assert abs(stats.bs_std - statistics.pstdev(exp_f1s)) < 1e-12
 
-    def test_inner_join_unmatched_counted(self):
-        # the unmatched row's count is the evaluate manifest's no_reference
-        generated = [_meta("s1", "A", "text one"), _meta("s9", "X", "text nine")]
-        reference = {"s1": ("A", "text one")}
-        pairs = score_pairs(generated, reference, _table(generated, reference))
-        assert len(pairs) == 1
-        assert pairs[0].site_id == "s1"
-
     def test_no_overlap(self):
         generated, reference = [_meta("s1", "A", "t")], {"s2": ("A", "t")}
         with pytest.raises(NoOverlap):
-            pairs = score_pairs(generated, reference, _table(generated, reference))
+            pairs = score_pairs(_joined(generated, reference), _table(generated, reference))
             _combination(pairs)
 
 
