@@ -20,8 +20,7 @@ import time
 from helpers import MockChatServer
 from warc2meta.config import ClientConfig
 from warc2meta.client import run_batch
-from warc2meta.heuristics import HeuristicId, Selection
-from warc2meta.prompts import WITH_RULES
+from warc2meta.prompts import WITH_RULES, HeuristicId, Selection
 from warc2meta.urlnorm import normalize_url
 
 WORDS = "service quality customer project design build support team office café".split()

@@ -61,7 +61,7 @@ def select_cmd(cfg: PipelineConfig, args):
     from contextlib import ExitStack
 
     from .heuristics import HeuristicId, load_filter_rules, select
-    from .ingest import SiteDocument
+    from .sites import SiteDocument
     from .tokens import count_tokens, load_vocabulary, reduction_report
 
     with store.stage(cfg, "select") as counts:
@@ -104,8 +104,7 @@ def select_cmd(cfg: PipelineConfig, args):
 def generate(cfg: PipelineConfig, args):
     """Call the chat model over selections; resumable via checkpoints."""
     from .client import run_batch
-    from .heuristics import HeuristicId, Selection
-    from .prompts import COMBINATIONS, VARIANTS, combination_id
+    from .prompts import COMBINATIONS, VARIANTS, HeuristicId, Selection, combination_id
 
     with store.stage(cfg, "generate") as counts:
         combos = COMBINATIONS if args.all_combinations else [(VARIANTS[

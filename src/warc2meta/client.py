@@ -23,11 +23,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from .config import ClientConfig, build
 from .errors import ApiError, ConfigError, RateLimited, SchemaViolation
-from .prompts import GeneratedMetadata, PromptVariant, build_prompt, combination_id
+from .prompts import GeneratedMetadata, PromptVariant, Selection, build_prompt, combination_id
 from .store import compact_jsonl, dumps, jsonl_writer, read_jsonl
 
 if TYPE_CHECKING:
-    from .heuristics import Selection
     from .transport import Connection
 
 

@@ -10,35 +10,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
-from urllib.parse import urlsplit
+from typing import List, Optional
 
 from .config import PipelineConfig
 from .errors import EmptySite, InvalidPattern
-from .prompts import HeuristicId
-from .store import dumps
-
-if TYPE_CHECKING:  # generate reads selections without loading ingest or tokens
-    from .ingest import PageRecord, SiteDocument
-    from .tokens import TokenizerHandle
+from .prompts import HeuristicId, Selection
+from .sites import SiteDocument
+from .tokens import TokenizerHandle, truncate
 
 
 ABOUT_TOKENS = frozenset(
     {"about", "about-us", "aboutus", "about_us", "who-we-are"}
 )
-
-
-@dataclass(frozen=True)
-class Selection:
-    site_id: str
-    heuristic: HeuristicId
-    chosen_url: str
-    content: str
-    original_token_estimate: int
-    reduced_token_estimate: int
-
-    def to_json(self) -> str:
-        return dumps(vars(self))
 
 
 @dataclass(frozen=True)
@@ -103,9 +86,10 @@ def apply_reduction_filters(text: str, rules: Optional[List[FilterRule]] = None)
     return text.strip()
 
 
-def _is_about_page(page: PageRecord) -> bool:
-    path = urlsplit(page.url).path
-    return any(seg.lower() in ABOUT_TOKENS for seg in path.split("/") if seg)
+def _path_segments(url: str) -> List[str]:
+    """urlsplit(url).path.split("/")[1:] of a normalized URL, whose path
+    runs from its third "/" to its first "?"."""
+    return url.partition("?")[0].split("/")[3:]
 
 
 def select(
@@ -119,14 +103,13 @@ def select(
     among the About pages under heuristic 1 when the site has one, and cut
     its text to max_tokens. Heuristic 3 cuts the text after the filter
     rules, and still counts the unfiltered page as original_token_estimate."""
-    from .tokens import truncate
-
     heuristic = HeuristicId(heuristic)
     if not site.pages:
         raise EmptySite(site.source_file)
     about = []
     if heuristic == HeuristicId.ABOUT_PRIORITY:
-        about = [p for p in site.pages if _is_about_page(p)]
+        about = [p for p in site.pages
+                 if any(seg.lower() in ABOUT_TOKENS for seg in _path_segments(p.url))]
     page = min(about or site.pages, key=lambda p: (len(p.url), p.url))
     content, original, reduced = truncate(page.body_text, max_tokens, tok)
     if heuristic == HeuristicId.SHORTEST_URL_FILTERED:

@@ -1,13 +1,12 @@
 """HTML page extraction, quality filtering, and per-file consolidation.
 
-One WARC file becomes one SiteDocument: HTML records are extracted,
-low-quality pages dropped, and duplicate URLs collapsed to the variant
-with the most body text.
+One WARC file becomes one SiteDocument (see `sites`): HTML records are
+extracted, low-quality pages dropped, and duplicate URLs collapsed to the
+variant with the most body text.
 """
 
 import os
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from html import unescape
 from itertools import compress, repeat
@@ -15,44 +14,18 @@ from typing import List, NamedTuple, Optional
 
 from .config import PipelineConfig
 from .errors import InvalidUrl
-from .store import dumps
+from .sites import PageRecord, SiteDocument
 from .urlnorm import normalize_url
 from .warc import RawWarcRecord, open_warc_stream
 
 HTML_CONTENT_TYPES = ("text/html", "application/xhtml+xml")
 REJECT_MARKERS = ("404", "page not found", "lorem ipsum")
+_REJECT_BYTES = tuple(marker.encode() for marker in REJECT_MARKERS)
 
 _META_CHARSET_RE = re.compile(
     rb"""<meta[^>]+charset\s*=\s*["']?\s*([a-zA-Z0-9_\-]+)""", re.I
 )
 _CHARSET_PARAM_RE = re.compile(r"charset\s*=\s*([a-zA-Z0-9_\-]+)", re.I)
-
-
-@dataclass(frozen=True)
-class PageRecord:
-    url: str  # normalized
-    raw_url: str
-    title: str
-    body_text: str
-    http_status: Optional[int]
-    char_count: int
-
-
-@dataclass
-class SiteDocument:
-    source_file: str
-    pages: List[PageRecord]
-    rejected_count: int = 0
-    duplicate_count: int = 0
-    undecodable_count: int = 0
-
-    def to_json(self) -> str:
-        return dumps(dict(vars(self), page_count=len(self.pages),
-                          pages=[vars(p) for p in self.pages]))
-
-    @property
-    def site_id(self) -> str:
-        return re.sub(r"\.warc(?:\.gz)?\Z", "", os.path.basename(self.source_file))
 
 
 # html.parser's grammar where it decides what is text: the tag names that
@@ -79,14 +52,17 @@ _OPENERS = (
 def _scanner(openers):
     """The scan regex for a page whose `openers` may still find their close."""
     # Dropped: other start and end tags, closed comments and marked
-    # sections, processing instructions and declarations. The first two
-    # are the ordinary start and end tags that make up most of a page: an
-    # ASCII name and ` name="value"` attributes. They match only what the
-    # general tag alternatives after them match, at the same span, but
-    # with no capture and no atomic group, so the scan tries them first.
+    # sections, processing instructions and declarations. The ordinary
+    # start and end tags that make up most of a page (an ASCII name and
+    # ` name="value"` attributes) match only what the general tag
+    # alternatives after them match, at the same span, but with no capture
+    # and no atomic group, so the scan tries them first. A run of them with
+    # no text between is one match: each tag in it is what a match starting
+    # there would take, and the empty text runs it skips add nothing.
+    ordinary = (rf'(?:(?!{_SPECIAL}[ >])[a-zA-Z][a-zA-Z0-9]*(?: [a-zA-Z][a-zA-Z-]*="[^"]*")*>'
+                rf"|/(?!{_SPECIAL}>)[a-zA-Z][a-zA-Z0-9]*>)")
     dropped = (
-        rf'(?!{_SPECIAL}[ >])[a-zA-Z][a-zA-Z0-9]*(?: [a-zA-Z][a-zA-Z-]*="[^"]*")*>',
-        rf"/(?!{_SPECIAL}>)[a-zA-Z][a-zA-Z0-9]*>",
+        rf"{ordinary}(?:<{ordinary})*",
         rf"(?!{_SPECIAL}{_WHOLE}){_atomic('tag', _TAG_NAME + _ATTRS)}/?>",
         rf"/(?!\s*{_SPECIAL}\s*>|{_SPECIAL}[\t\n\r\f /\x00])[^>]*>",
         *(rf"{opener}(?s:.*?){close}" for opener, close in openers),
@@ -126,9 +102,9 @@ def extract_text(page: str) -> tuple[str, str]:
     title, body = [], []
     depth, in_title, title_done = 0, False, False
     openers = _OPENERS
-    # The scanner compiles on the first page, not at import: the stages that
-    # import this module for its types never scan. Every scanner has the
-    # same groups, and split() yields a text run, then every group.
+    # The scanner compiles on the first page, not at import, so a process
+    # that scans no page pays nothing for it. Every scanner has the same
+    # groups, and split() yields a text run, then every group.
     scanner = _scanner(openers)
     sp, groups = scanner.groupindex["sp"], scanner.groups + 1
     while page:
@@ -196,7 +172,7 @@ def _decode_body(payload: bytes, content_type: Optional[str]) -> str:
     for enc in encodings:
         try:
             return payload.decode(enc)
-        except (UnicodeDecodeError, LookupError):
+        except (UnicodeError, LookupError):  # `undefined` raises a plain UnicodeError
             continue
     return payload.decode("utf-8", errors="replace")
 
@@ -229,8 +205,12 @@ def quality_filter(page: PageRecord, min_chars: int = PipelineConfig.min_chars) 
     """Return a rejection reason, or None to keep the page."""
     if page.http_status is not None and page.http_status >= 400:
         return "status"
-    haystack = (page.title + " " + page.body_text).lower()
-    for marker in REJECT_MARKERS:
+    # The ASCII-lowered UTF-8 bytes hold the markers str.lower() finds, far
+    # faster on non-ASCII text: only U+0130 and U+212A lower to ASCII letters
+    # ("i" before U+0307, and "k"), and no marker can take either. A utf-7
+    # page can decode to a lone surrogate, hence "surrogatepass".
+    haystack = (page.title + " " + page.body_text).encode("utf-8", "surrogatepass").lower()
+    for marker in _REJECT_BYTES:
         if marker in haystack:
             return "placeholder"
     if page.char_count < min_chars:

@@ -1,5 +1,5 @@
-"""Prompt assembly for title/abstract generation, the prompt x heuristic
-combinations and the generated row each yields.
+"""Prompt assembly for title/abstract generation from a selection, the
+prompt x heuristic combinations and the generated row each yields.
 
 The two system-prompt variants are pinned byte-for-byte by golden-file
 tests; edit with care.
@@ -10,6 +10,7 @@ from enum import IntEnum
 from typing import Dict, List, Optional
 
 from .errors import EmptyContent
+from .store import dumps
 
 BASE_PROMPT = """\
 You are a diligent cataloguer working to create metadata for websites. Let's think step by step to ensure accurate and comprehensive metadata creation:
@@ -39,6 +40,19 @@ class HeuristicId(IntEnum):  # defined here, not in heuristics: evaluate loads n
     ABOUT_PRIORITY = 1
     SHORTEST_URL = 2
     SHORTEST_URL_FILTERED = 3
+
+
+@dataclass(frozen=True)
+class Selection:  # here, not in heuristics: generate loads no select layer
+    site_id: str
+    heuristic: HeuristicId
+    chosen_url: str
+    content: str
+    original_token_estimate: int
+    reduced_token_estimate: int
+
+    def to_json(self) -> str:
+        return dumps(vars(self))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,35 @@
+"""The row of sites.jsonl, one WARC file's kept pages: select reads it without ingest."""
+
+import os
+import re
+from dataclasses import dataclass
+from typing import List, Optional
+
+from .store import dumps
+
+
+@dataclass(frozen=True)
+class PageRecord:
+    url: str  # normalized
+    raw_url: str
+    title: str
+    body_text: str
+    http_status: Optional[int]
+    char_count: int
+
+
+@dataclass
+class SiteDocument:
+    source_file: str
+    pages: List[PageRecord]
+    rejected_count: int = 0
+    duplicate_count: int = 0
+    undecodable_count: int = 0
+
+    def to_json(self) -> str:
+        return dumps(dict(vars(self), page_count=len(self.pages),
+                          pages=[vars(p) for p in self.pages]))
+
+    @property
+    def site_id(self) -> str:
+        return re.sub(r"\.warc(?:\.gz)?\Z", "", os.path.basename(self.source_file))

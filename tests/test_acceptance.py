@@ -16,10 +16,11 @@ import yaml
 
 from warc2meta.config import build
 from warc2meta.heuristics import HeuristicId, select
-from warc2meta.ingest import PageRecord, SiteDocument, ingest_many
+from warc2meta.ingest import ingest_many
 from warc2meta.metrics import levenshtein
 from warc2meta.prompts import WITH_RULES, WITHOUT_RULES
 from warc2meta.ranking import CombinationStats, rank_combinations
+from warc2meta.sites import PageRecord, SiteDocument
 from warc2meta.stats import GradingMatrix, chi_square_survival, cochran_q, mcnemar
 from warc2meta.tokens import PriceConfig, count_tokens, reduction_report
 from warc2meta.urlnorm import normalize_url

@@ -17,10 +17,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from warc2meta import cli, store, tokens
 from warc2meta.config import PipelineConfig
 from warc2meta.errors import ConfigError
-from warc2meta.heuristics import Selection
-from warc2meta.ingest import PageRecord, SiteDocument
 from warc2meta.metrics import EMBED_BATCH
-from warc2meta.prompts import GeneratedMetadata
+from warc2meta.prompts import GeneratedMetadata, Selection
+from warc2meta.sites import PageRecord, SiteDocument
 
 from helpers import MockChatServer, build_warc, html_page, response_record, run_cli
 
@@ -674,9 +673,8 @@ class TestImportFootprint:
         loaded["evaluate"] = self._loaded("--config", cfg, "evaluate", "--reference", reference)
         assert loaded == {
             "ingest": "['warc2meta.ingest', 'warc2meta.urlnorm', 'warc2meta.warc']",
-            "select": ("['warc2meta.heuristics', 'warc2meta.ingest', 'warc2meta.tokens',"
-                       " 'warc2meta.urlnorm', 'warc2meta.warc']"),
-            "generate": "['warc2meta.client', 'warc2meta.heuristics']",
+            "select": "['warc2meta.heuristics', 'warc2meta.tokens']",
+            "generate": "['warc2meta.client']",
             "stats": "['warc2meta.stats']",
             "evaluate": "['numpy', 'warc2meta.metrics', 'warc2meta.ranking']",  # not numpy.random
         }
@@ -687,7 +685,7 @@ class TestImportFootprint:
             (tmp_path / "out" / "checkpoint_combo2.jsonl").unlink()  # so each row is asked
             (tmp_path / "out" / "generated_combo2.jsonl").unlink()
             loaded = self._loaded("--config", cfg, "generate", http_proxy=server.base_url)
-        assert loaded == "['urllib.request', 'warc2meta.client', 'warc2meta.heuristics']"
+        assert loaded == "['urllib.request', 'warc2meta.client']"
         assert (tmp_path / "out" / "generated_combo2.jsonl").read_text() == reference.read_text()
         # an absolute-form target: the request went through the proxy
         assert server.paths[-3:] == [f"{server.base_url}/chat/completions"] * 3

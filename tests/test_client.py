@@ -14,8 +14,7 @@ from warc2meta.client import (
     _parse_reply,
 )
 from warc2meta.errors import ApiError, RateLimited, SchemaViolation
-from warc2meta.heuristics import HeuristicId, Selection
-from warc2meta.prompts import WITH_RULES, WITHOUT_RULES, combination_id
+from warc2meta.prompts import WITH_RULES, WITHOUT_RULES, HeuristicId, Selection, combination_id
 from warc2meta.urlnorm import normalize_url
 
 from helpers import MockChatServer

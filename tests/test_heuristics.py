@@ -1,10 +1,11 @@
 import re
+from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, reject, strategies as st
 
-from warc2meta import tokens
-from warc2meta.errors import EmptySite, InvalidPattern
+from warc2meta import heuristics, tokens
+from warc2meta.errors import EmptySite, InvalidPattern, InvalidUrl
 from warc2meta.heuristics import (
     DEFAULT_FILTER_RULES,
     FilterRule,
@@ -13,7 +14,7 @@ from warc2meta.heuristics import (
     load_filter_rules,
     select,
 )
-from warc2meta.ingest import PageRecord, SiteDocument
+from warc2meta.sites import PageRecord, SiteDocument
 from warc2meta.tokens import TokenizerHandle, count_tokens
 from warc2meta.urlnorm import normalize_url
 
@@ -36,7 +37,37 @@ def _site(*urls_or_pages):
     return SiteDocument(source_file="fixture.warc", pages=pages)
 
 
+# absolute URLs with ports, IP literals, userinfo, escapes, trailing
+# slashes, and queries and fragments that hold a path
+_RAW_URLS = st.builds(
+    "{}://{}{}{}{}{}{}".format,
+    st.sampled_from(["http", "https", "HTTP"]),
+    st.sampled_from(["a.sg", "www.A.sg", "u:p@a.sg", "[::1]", "[2001:DB8::1]", "127.0.0.1", ""]),
+    st.sampled_from(["", ":80", ":443", ":8080"]),
+    st.lists(st.sampled_from(["about", "About", "about-us", "a%2Fb", "%61bout", "", "x y",
+                              ";p", "a?b"]), max_size=4).map(lambda s: "".join("/" + x for x in s)),
+    st.sampled_from(["", "/", "//"]),
+    st.sampled_from(["", "?", "?next=/about", "?a=1&utm_x=/about", "?q=/about/us?x"]),
+    st.sampled_from(["", "#/about"]),
+)
+
+
+@given(_RAW_URLS)
+@example("https://a.sg:8080/About/?next=/about")
+@example("http://[::1]:80//about//")
+def test_path_segments_are_urlsplits(raw):
+    try:
+        url = normalize_url(raw)
+    except InvalidUrl:
+        reject()
+    assert heuristics._path_segments(url) == urlsplit(url).path.split("/")[1:]
+
+
 class TestAboutPriority:
+    def test_about_in_query_is_not_an_about_page(self):
+        site = _site("https://a.sg/x?next=/about", "https://a.sg/products")
+        assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url == "https://a.sg/products"
+
     def test_about_wins(self):
         site = _site("https://a.sg/", "https://a.sg/about", "https://a.sg/products")
         sel = select(site, HeuristicId.ABOUT_PRIORITY)

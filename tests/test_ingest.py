@@ -10,10 +10,9 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from warc2meta import ingest
-from warc2meta.config import build
+from warc2meta.config import PipelineConfig, build
 from warc2meta.ingest import (
-    PageRecord,
-    SiteDocument,
+    REJECT_MARKERS,
     deduplicate,
     extract_page,
     extract_text,
@@ -21,6 +20,7 @@ from warc2meta.ingest import (
     ingest_warc_file,
     quality_filter,
 )
+from warc2meta.sites import PageRecord, SiteDocument
 from warc2meta.urlnorm import normalize_url
 from warc2meta.warc import RawWarcRecord
 
@@ -125,6 +125,18 @@ EDGE_CASES = [
     ('<a b="1"c="2">t</a>', "", "t"),
     ("</p >", "", ""),
     ("<title2>x", "", "x"),
+    # a run of ordinary tags is one scan match, which each of these ends
+    ("<div><p><b>x</b></p><script>y</script><i></i>z", "", "xz"),
+    ('<div><p class="a"></p><title>T</title><b></b>b', "T", "b"),
+    ("<p><i>a</i></style><b></b>b", "", "ab"),
+    ("<p><b>a</b><!-- c --></p>d", "", "ad"),
+    ("<p><b>a</b><!-- c </p>d", "", "a<!-- c </p>d"),
+    ("<p><b>a</b><![CDATA[c]]></p>d", "", "ad"),
+    ("<p><b>a</b><?pi c?></p>d", "", "ad"),
+    ("<p></p><!DOCTYPE html><b>a</b>", "", "a"),
+    ("<p><b>a</b><a href='x'>b</a></p>", "", "ab"),
+    ('<p><b>a</b><a href="x', "", 'a<a href="x'),
+    ("<p><b></b>a>b</p>", "", "a>b"),
 ]
 
 _TAG_NAMES = ("script", "style", "noscript", "template", "title", "p", "scriptx",
@@ -164,6 +176,7 @@ _MARKUP = st.sampled_from([
     "<![CDATA[", "<![if !IE]>", "<![endif]>", "<!DOCTYPE html>", "<!x>", "<?php x ?>",
     "<?", "</>", "</ 3>", "<", "<3", "<b>", "<title>", "</title>", "<script>", "</script>",
     "<noscript>", "</noscript>", "&am", "p;", "x", " ",
+    "a>", "/b>",  # text that reads as a tag after a '<'
 ])
 _PAGES = st.lists(st.one_of(_MARKUP, _TEXT, _START, _END), max_size=12).map("".join)
 
@@ -218,11 +231,24 @@ def _python(*args):
 
 
 def test_import_compiles_no_scanner():
-    # select, generate and evaluate import ingest for its types only
+    # a process that imports ingest and scans no page compiles nothing
     proc = _python("-c", "import warc2meta.heuristics, warc2meta.ingest as m;"
                    " n = m._scanner.cache_info().currsize; m.extract_text('<p>x</p>');"
                    " print(n, m._scanner.cache_info().currsize)")
     assert proc.stdout.split() == ["0", "1"], proc.stderr
+
+
+# text around the reject markers: mixed case, the two non-ASCII letters
+# that str.lower() makes ASCII (U+0130, U+212A), sharp s, digits and a
+# lone surrogate, which a utf-7 page can decode to
+_MARKER_TEXT = st.lists(st.one_of(
+    st.sampled_from(["\u0130", "\u212a", "\u0307", "ß", "\u1e9e", "©", "\ud83d", "4", "0",
+                     "40", " ", "i", "k", "I", "K"]),
+    st.builds(lambda text, upper: "".join(c.upper() if u else c for c, u in zip(text, upper)),
+              st.sampled_from([*REJECT_MARKERS, "lorem \u0130psum", "lorem", "ipsum",
+                               "page not", "not found"]),
+              st.lists(st.booleans(), min_size=14, max_size=14)),
+), max_size=12).map("".join)
 
 
 class TestQualityFilter:
@@ -247,6 +273,21 @@ class TestQualityFilter:
 
     def test_min_chars_configurable(self):
         assert quality_filter(_page(body_text="tiny"), min_chars=3) is None
+
+    @pytest.mark.parametrize("body, reason", [
+        ("LOREM \u0130PSUM dolor sit amet " * 5, None),  # lowered, "i" and a dot above
+        ("Page Not Found, sorry " * 5, "placeholder"),
+    ])
+    def test_non_ascii_lowering(self, body, reason):
+        assert quality_filter(_page(body_text=body)) == reason
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MARKER_TEXT, _MARKER_TEXT)
+    def test_agrees_with_str_lower(self, title, body):
+        haystack = (title + " " + body).lower()
+        want = ("placeholder" if any(m in haystack for m in REJECT_MARKERS)
+                else "too_short" if len(body) < PipelineConfig.min_chars else None)
+        assert quality_filter(_page(body_text=body, title=title)) == want
 
 
 class TestDeduplicate:
@@ -275,6 +316,22 @@ class TestDeduplicate:
 
 
 class TestIngestWarcFile:
+    @pytest.mark.parametrize("codec", ["undefined", "punycode"])
+    @pytest.mark.parametrize("label", ["content-type", "meta"])
+    def test_unusable_charset_read_as_utf8(self, tmp_path, codec, label):
+        # both codecs raise a plain UnicodeError, not a UnicodeDecodeError
+        header = f"text/html; charset={codec}" if label == "content-type" else "text/html"
+        meta = f'<meta charset="{codec}">' if label == "meta" else ""
+        records = [
+            response_record("https://a.sg/", content_type=header,
+                            body=html_page("Caf\u00e9", "caf\u00e9 menu " * 10, meta)),
+            response_record("https://a.sg/x", body=html_page("X", "content " * 20)),
+        ]
+        doc = ingest_warc_file(build_warc(tmp_path / "f.warc", records))
+        assert [(p.title, p.body_text[:9]) for p in doc.pages] == [
+            ("Caf\u00e9", "caf\u00e9 menu"), ("X", "content c")]
+        assert doc.undecodable_count == 0
+
     def test_rejects_counted(self, tmp_path):
         records = [
             response_record("https://a.sg/", body=html_page("Home", "welcome " * 20)),
