@@ -162,7 +162,7 @@ def evaluate(cfg: PipelineConfig, args):
             pairs = score_pairs(rows, table)
             counts["unscored"] += len(rows) - len(pairs)
             try:
-                all_stats.append(score_combination(pairs, *COMBINATIONS[combo]))
+                all_stats.append(score_combination(pairs, combo))
             except NoOverlap:
                 counts["no_overlap"] += 1
                 continue
@@ -171,6 +171,8 @@ def evaluate(cfg: PipelineConfig, args):
                  f"{p.abstract_bertscore_f1:.6f}"]
                 for p in pairs
             ]
+        if not all_stats:
+            raise NoOverlap("no generated combination has a scored pair")
         ranked = rank_combinations(all_stats)
         store.write_csv(
             cfg.output_dir / store.SCORES,
@@ -181,11 +183,8 @@ def evaluate(cfg: PipelineConfig, args):
         store.write_csv(
             summary,
             ["prompt", "heuristic", "combination", "ranked_aggregated_score", "shortlisted"],
-            [
-                [r.stats.prompt.name, int(r.stats.heuristic),
-                 r.stats.combination_id, r.final_score, int(r.final_score == 1)]
-                for r in ranked
-            ],
+            [[variant.name, int(h), r.stats.combination_id, r.final_score, int(r.final_score == 1)]
+             for r in ranked for variant, h in [COMBINATIONS[r.stats.combination_id]]],
         )
         shortlist = [r.stats.combination_id for r in ranked if r.final_score == 1]
         print(f"ranked summary -> {summary}")
@@ -208,6 +207,9 @@ def stats(cfg, args):
                          alpha=args.alpha)
     print(result.to_json())
     print(result.summary())
+    if matrix.dropped_incomplete:
+        print(f"{matrix.dropped_incomplete} items left out: no verdict from every source",
+              file=sys.stderr)
 
 
 def _alpha(text: str) -> float:

@@ -68,10 +68,6 @@ class NoOverlap(Warc2MetaError):
     pass
 
 
-class InsufficientCombinations(Warc2MetaError):
-    pass
-
-
 # --- statistical evaluation ---
 
 class MalformedCsv(Warc2MetaError):

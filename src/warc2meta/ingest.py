@@ -5,6 +5,7 @@ extracted, low-quality pages dropped, and duplicate URLs collapsed to the
 variant with the most body text.
 """
 
+import codecs
 import os
 import re
 from functools import lru_cache
@@ -171,7 +172,10 @@ def _decode_body(payload: bytes, content_type: Optional[str]) -> str:
         encodings.append(m.group(1).decode("ascii", "ignore"))
     for enc in encodings:
         try:
-            return payload.decode(enc)
+            text = payload.decode(enc)
+            if codecs.lookup(enc).name != "utf-8":  # strict UTF-8 yields no surrogate
+                text.encode("utf-8")  # a lone surrogate (utf-7 "+2D0-") fails the label
+            return text
         except (UnicodeError, LookupError):  # `undefined` raises a plain UnicodeError
             continue
     return payload.decode("utf-8", errors="replace")
@@ -207,8 +211,8 @@ def quality_filter(page: PageRecord, min_chars: int = PipelineConfig.min_chars) 
         return "status"
     # The ASCII-lowered UTF-8 bytes hold the markers str.lower() finds, far
     # faster on non-ASCII text: only U+0130 and U+212A lower to ASCII letters
-    # ("i" before U+0307, and "k"), and no marker can take either. A utf-7
-    # page can decode to a lone surrogate, hence "surrogatepass".
+    # ("i" before U+0307, and "k"), and no marker can take either. A page
+    # not made by extract_page may hold a lone surrogate, hence "surrogatepass".
     haystack = (page.title + " " + page.body_text).encode("utf-8", "surrogatepass").lower()
     for marker in _REJECT_BYTES:
         if marker in haystack:

@@ -12,9 +12,9 @@ import statistics
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .errors import EmptyText, InsufficientCombinations, NoOverlap
+from .errors import EmptyText, NoOverlap
 from .metrics import TokenTable, bertscore, levenshtein
-from .prompts import GeneratedMetadata, HeuristicId, PromptVariant, combination_id
+from .prompts import GeneratedMetadata
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,6 @@ class ScorePair:
 @dataclass(frozen=True)
 class CombinationStats:
     combination_id: int
-    prompt: PromptVariant
-    heuristic: HeuristicId
     lev_median: float
     bs_median: float
     bs_std: float
@@ -59,17 +57,13 @@ def score_pairs(
     return pairs
 
 
-def score_combination(
-    pairs: Sequence[ScorePair], prompt: PromptVariant, heuristic: HeuristicId
-) -> CombinationStats:
-    """Aggregate one combination's score_pairs output into medians and dispersion."""
+def score_combination(pairs: Sequence[ScorePair], combo: int) -> CombinationStats:
+    """Aggregate combination combo's score_pairs output into medians and dispersion."""
     if not pairs:
         raise NoOverlap("no site_id overlap between generated and reference")
     abstract_f1s = [p.abstract_bertscore_f1 for p in pairs]
     return CombinationStats(
-        combination_id=combination_id(prompt, heuristic),
-        prompt=prompt,
-        heuristic=heuristic,
+        combination_id=combo,
         lev_median=statistics.median(p.title_levenshtein for p in pairs),
         bs_median=statistics.median(abstract_f1s),
         bs_std=statistics.pstdev(abstract_f1s),
@@ -83,9 +77,8 @@ def _competition_ranks(values: Sequence, reverse: bool = False) -> List[int]:
 
 
 def rank_combinations(all_stats: Sequence[CombinationStats]) -> List[RankedCombination]:
-    """Rank per criterion, sum, and rank the sums into final scores."""
-    if len(all_stats) < 2:
-        raise InsufficientCombinations("need at least 2 combinations to rank")
+    """Rank per criterion, sum, and rank the sums into final scores; a lone
+    combination has rank sum 3 and final score 1."""
     rank_lev = _competition_ranks([s.lev_median for s in all_stats])
     rank_bs = _competition_ranks([s.bs_median for s in all_stats], reverse=True)
     rank_std = _competition_ranks([s.bs_std for s in all_stats])

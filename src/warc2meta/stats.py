@@ -94,8 +94,6 @@ def ingest_grading(path) -> GradingMatrix:
     Items missing a verdict for any source are dropped and counted.
     """
     votes: Dict[Tuple[str, str], List[int]] = defaultdict(list)
-    sources: List[str] = []
-    items: List[str] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -110,39 +108,21 @@ def ingest_grading(path) -> GradingMatrix:
                 verdict = row["verdict"].strip().lower()
                 if verdict not in ("pass", "fail"):
                     raise UnknownVerdict(f"{path}: verdict {row['verdict']!r}")
-                item = row["item_id"].strip()
-                source = row["source"].strip()
-                if item not in items:
-                    items.append(item)
-                if source not in sources:
-                    sources.append(source)
-                votes[(item, source)].append(1 if verdict == "pass" else 0)
+                votes[(row["item_id"].strip(), row["source"].strip())].append(verdict == "pass")
     except OSError as exc:
         raise MalformedCsv(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not UTF-8: {exc}") from exc
+    items = list(dict.fromkeys(item for item, _ in votes))  # in order of first appearance
+    sources = list(dict.fromkeys(source for _, source in votes))
     if len(sources) < 2:
         raise MalformedCsv(f"{path}: need at least 2 sources")
-
-    cells = []
-    kept = []
-    dropped = 0
-    for item in items:
-        if any((item, s) not in votes for s in sources):
-            dropped += 1
-            continue
-        row = []
-        for s in sources:
-            ballots = votes[(item, s)]
-            passes = sum(ballots)
-            row.append(1 if passes * 2 > len(ballots) else 0)
-        cells.append(row)
-        kept.append(item)
-    if not cells:
+    kept = [item for item in items if all((item, s) in votes for s in sources)]
+    if not kept:
         raise EmptyAfterFiltering(f"{path}: no complete items")
-    return GradingMatrix(
-        subjects=kept, treatments=sources, cells=cells, dropped_incomplete=dropped
-    )
+    cells = [[int(sum(votes[(item, s)]) * 2 > len(votes[(item, s)])) for s in sources]
+             for item in kept]
+    return GradingMatrix(kept, sources, cells, dropped_incomplete=len(items) - len(kept))
 
 
 def cochran_q(m: GradingMatrix, alpha: float = DEFAULT_ALPHA) -> TestResult:

@@ -251,8 +251,7 @@ def test_criterion_4_metric_oracles():
 
 def _stats_fixture(combo, lev, bs, std):
     return CombinationStats(
-        combination_id=combo, prompt=WITH_RULES, heuristic=HeuristicId.SHORTEST_URL,
-        lev_median=lev, bs_median=bs, bs_std=std,
+        combination_id=combo, lev_median=lev, bs_median=bs, bs_std=std,
     )
 
 

@@ -76,6 +76,21 @@ class TestIngestCommand:
         manifest = json.loads((tmp_path / "out" / "manifest_ingest.json").read_text())
         assert manifest["counts"]["files"] == 3
 
+    def test_page_decoding_to_a_surrogate_is_kept(self, tmp_path):
+        warc_dir = tmp_path / "warcs"
+        warc_dir.mkdir()
+        build_warc(warc_dir / "site.warc", [
+            response_record("https://a.sg/", body=html_page("Home", "welcome " * 20)),
+            response_record("https://a.sg/x", content_type="text/html; charset=utf-7",
+                            body=html_page("X", "content +2D0- " * 20)),
+        ])
+        result = run_cli(["--config", str(_write_config(tmp_path, warc_dir)), "ingest"])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "out" / "manifest_ingest.json").read_text())
+        assert manifest["counts"]["pages_kept"] == 2
+        [site] = (tmp_path / "out" / "sites.jsonl").read_text().splitlines()
+        assert json.loads(site)["pages"][1]["body_text"].startswith("content +2D0- content")
+
     def test_empty_dir_is_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -270,6 +285,24 @@ class TestGenerateEvaluate:
         assert len(summary) == 6
         assert summary[0]["ranked_aggregated_score"] == "1"
 
+    def test_one_combination_is_ranked(self, tmp_path):
+        with MockChatServer(reply_fn=_echo_reply) as server:
+            cfg = _write_config(tmp_path, _make_corpus(tmp_path), base_url=server.base_url)
+            for stage in (["ingest"], ["select", "--heuristic", "2"],
+                          ["generate", "--heuristic", "2", "--prompt", "rules"]):
+                result = run_cli(["--config", str(cfg), *stage])
+                assert result.exit_code == 0, result.output
+        out = tmp_path / "out"
+        reference = tmp_path / "reference.jsonl"
+        reference.write_text((out / "generated_combo2.jsonl").read_text())
+        result = run_cli(["--config", str(cfg), "evaluate", "--reference", str(reference)])
+        assert result.exit_code == 0, result.output
+        assert (out / "ranked_summary.csv").read_text().splitlines() == [
+            "prompt,heuristic,combination,ranked_aggregated_score,shortlisted", "rules,2,2,1,1"]
+        with open(out / "scores_per_site.csv") as fh:
+            scored = [(r["site_id"], r["combination_id"]) for r in csv.DictReader(fh)]
+        assert scored == [(f"site{i}", "2") for i in range(3)]
+
     def test_generate_resume_skips_done(self, tmp_path):
         with MockChatServer(reply_fn=_echo_reply) as server:
             cfg = self._pipeline_to_selections(tmp_path, server.base_url)
@@ -386,7 +419,7 @@ class TestGenerateEvaluate:
         # every combination is skipped for no overlap, which leaves none to rank
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a reported error, not a crash
-        assert "Error: InsufficientCombinations" in result.output
+        assert "Error: NoOverlap: no generated combination has a scored pair" in result.output
 
     @pytest.mark.parametrize("key, value", [
         ("site_id", ...), ("title", ...), ("abstract", ...),  # the key left out
@@ -503,6 +536,20 @@ class TestStatsCommand:
         payload = json.loads(result.output.splitlines()[0])
         assert payload["statistic"] == pytest.approx(5.0)
         assert payload["reject_null"] is True
+
+    def test_left_out_items_are_counted_on_stderr(self, tmp_path, capsys):
+        path = tmp_path / "grades.csv"
+        path.write_text("item_id,source,grader_id,verdict\ni1,Human,g1,pass\ni1,Combo2,g1,fail\n"
+                        "i2,Human,g1,pass\ni3,Combo2,g1,pass\n")
+        cli.main(["stats", str(path)])
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 2 and json.loads(out.splitlines()[0])["statistic"] == 1.0
+        assert err == "2 items left out: no verdict from every source\n"
+
+    def test_complete_grading_prints_no_left_out_line(self, tmp_path, capsys):
+        cli.main(["stats", str(_grades(tmp_path))])
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 2 and err == ""
 
     def test_empty_csv(self, tmp_path):
         path = tmp_path / "empty.csv"

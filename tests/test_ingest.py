@@ -1,3 +1,4 @@
+import encodings.aliases
 import json
 import os
 import subprocess
@@ -26,6 +27,9 @@ from warc2meta.warc import RawWarcRecord
 
 from helpers import build_warc, html_page, response_record, warc_corpus
 from html_oracle import oracle_text
+
+
+_LABELS = sorted({*encodings.aliases.aliases, *encodings.aliases.aliases.values()})
 
 
 def _record(content_type="text/html", body=b"", uri="https://a.sg/", status=200):
@@ -91,6 +95,26 @@ class TestExtractPage:
                     body=html_page("X", "xhtml body"))
         )
         assert page is not None
+
+    def test_label_decoding_to_a_surrogate_falls_back_to_utf8(self):
+        # utf-7 decodes "+2D0-" to U+D83D, a lone surrogate no store row can hold
+        page = extract_page(_record(content_type="text/html; charset=utf-7",
+                                    body=html_page("T+AGE-", "a +2D0- b")))
+        assert (page.title, page.body_text) == ("T+AGE-", "a +2D0- b")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(_LABELS), st.booleans(), st.lists(st.one_of(
+        st.binary(max_size=6), st.sampled_from([b"+2D0-", b"+AGE-", b"\\ud800", b"\\U0000dfff",
+                                                b"\xed\xa0\x80", b"\x00\xd8", b"&#xd800;"])),
+        max_size=6).map(b"".join))
+    @example("utf_7", False, b"+2D0-")
+    @example("unicode_escape", True, b"\\ud800")
+    @example("raw_unicode_escape", False, b"\\udfff")
+    def test_any_label_yields_utf8_text(self, label, in_meta, payload):
+        content_type = "text/html" if in_meta else f"text/html; charset={label}"
+        meta = f'<meta charset="{label}">'.encode() if in_meta else b""
+        page = extract_page(_record(content_type=content_type, body=meta + b"<p>" + payload))
+        (page.title + page.body_text).encode("utf-8")  # strict: no lone surrogate
 
 
 # html.parser's reading of edge cases: (page, title, body text)

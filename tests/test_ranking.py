@@ -1,9 +1,8 @@
 import pytest
 
-from warc2meta.errors import InsufficientCombinations, NoOverlap
-from warc2meta.heuristics import HeuristicId
+from warc2meta.errors import NoOverlap
 from warc2meta.metrics import MockEmbeddingProvider, TokenTable
-from warc2meta.prompts import WITH_RULES, GeneratedMetadata
+from warc2meta.prompts import GeneratedMetadata
 from warc2meta.ranking import (
     CombinationStats,
     rank_combinations,
@@ -37,8 +36,6 @@ def _table(generated, reference):
 def _stats(combo, lev, bs, std):
     return CombinationStats(
         combination_id=combo,
-        prompt=WITH_RULES,
-        heuristic=HeuristicId.SHORTEST_URL,
         lev_median=lev,
         bs_median=bs,
         bs_std=std,
@@ -46,7 +43,7 @@ def _stats(combo, lev, bs, std):
 
 
 def _combination(pairs):
-    return score_combination(pairs, WITH_RULES, HeuristicId.SHORTEST_URL)
+    return score_combination(pairs, 2)
 
 
 class TestScoreCombination:
@@ -164,9 +161,12 @@ class TestRankCombinations:
         b = [(r.stats.combination_id, r.final_score) for r in rank_combinations(transformed)]
         assert a == b
 
-    def test_insufficient(self):
-        with pytest.raises(InsufficientCombinations):
-            rank_combinations([_stats(0, 1, 0.9, 0.01)])
+    def test_single_combination_scores_one(self):
+        [ranked] = rank_combinations([_stats(2, 1, 0.9, 0.01)])
+        assert (ranked.stats.combination_id, ranked.rank_sum, ranked.final_score) == (2, 3, 1)
+
+    def test_no_combination_ranks_to_nothing(self):
+        assert rank_combinations([]) == []
 
     def test_output_sorted(self):
         stats = [_stats(i, 6 - i, 0.5 + i / 20, 0.05 - i / 200) for i in range(6)]
