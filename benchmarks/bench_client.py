@@ -4,14 +4,18 @@
 Each row is one site with its own selection of seeded random words. The
 server derives each reply from the request it received and keeps it; the
 script fails if any row's title and abstract differ from the reply the
-server computed for that row's request, then prints milliseconds per row
-with the server's request and connection counts.
+server computed for that row's request. A second run on the same checkpoint
+must resume: the script fails unless that run sends no request, returns the
+rows of the first, and leaves one checkpoint line per site. It prints
+milliseconds per row for both runs, with the server's request and
+connection counts.
 
 Usage: PYTHONPATH=src:tests python3 benchmarks/bench_client.py [--rows N]
 """
 
 import argparse
 import hashlib
+import json
 import random
 import sys
 import tempfile
@@ -61,10 +65,17 @@ def main():
     with MockChatServer(reply_fn=reply_fn, keep_alive=True) as server, \
             tempfile.TemporaryDirectory() as tmp:
         cfg = ClientConfig(base_url=server.base_url + "/v1", model_name="bench-model")
+        checkpoint = f"{tmp}/checkpoint.jsonl"
         started = time.perf_counter()
-        rows = run_batch(items, WITH_RULES, cfg, f"{tmp}/checkpoint.jsonl")
+        rows = run_batch(items, WITH_RULES, cfg, checkpoint)
         elapsed = time.perf_counter() - started
         requests, connections = len(server.requests), server.connections
+        started = time.perf_counter()
+        resumed = run_batch(items, WITH_RULES, cfg, checkpoint)
+        resume_elapsed = time.perf_counter() - started
+        resent = len(server.requests) - requests
+        with open(checkpoint, encoding="utf-8") as fh:
+            checkpointed = [json.loads(line)["site_id"] for line in fh]
 
     wrong = [
         row.site_id for row, sel in zip(rows, items)
@@ -76,8 +87,17 @@ def main():
         print(f"FAIL: {len(wrong)} of {len(rows)} rows differ from the server's "
               f"replies, first {wrong[:5]}", file=sys.stderr)
         return 1
+    if resent or [r.to_json() for r in resumed] != [r.to_json() for r in rows]:
+        print(f"FAIL: the resumed run sent {resent} requests, or its rows differ "
+              "from the first run's", file=sys.stderr)
+        return 1
+    if sorted(checkpointed) != sorted(sel.site_id for sel in items):
+        print(f"FAIL: the checkpoint holds {len(checkpointed)} lines for "
+              f"{len(items)} sites", file=sys.stderr)
+        return 1
     print(f"{len(rows)} rows: {elapsed * 1000 / len(rows):.3f} ms/row "
-          f"({requests} requests on {connections} connections)")
+          f"({requests} requests on {connections} connections); resumed: "
+          f"{resume_elapsed * 1000 / len(rows):.3f} ms/row")
     return 0
 
 

@@ -71,7 +71,8 @@ def select_cmd(cfg: PipelineConfig, args):
         which = list(HeuristicId) if args.all else [HeuristicId(args.heuristic or cfg.heuristic)]
         paths = {h: cfg.output_dir / store.selections(h) for h in which}
         afters = dict.fromkeys(which, 0)
-        counts.update(sites=0, heuristics=len(which), errors=0)
+        counts.update(sites=0, heuristics=len(which), errors=0,
+                      **{f"empty_h{int(h)}": 0 for h in which})
         before = 0
         with ExitStack() as stack:
             writers = {h: stack.enter_context(store.jsonl_writer(paths[h])) for h in which}
@@ -88,6 +89,7 @@ def select_cmd(cfg: PipelineConfig, args):
                         continue
                     write(sel.to_json())
                     afters[h] += sel.reduced_token_estimate
+                    counts[f"empty_h{int(h)}"] += not sel.content.strip()  # generate refuses it
         for h in which:
             print(f"heuristic {int(h)} -> {paths[h]}")
         reports = {h: reduction_report(before, n, cfg.prices, tok) for h, n in afters.items()}
@@ -133,9 +135,10 @@ Reference = make_dataclass("Reference", [("site_id", str), ("title", str), ("abs
 def evaluate(cfg: PipelineConfig, args):
     """Score every generated combination against the reference and rank them.
 
-    A generated row whose site has no reference row is left out
-    (`no_reference`), and so are a pair with a text of no token
-    (`unscored`) and a combination with no scored pair (`no_overlap`).
+    A generated error row is left out (`error_rows`), and so are a row
+    whose site has no reference row (`no_reference`), a pair with a text
+    of no token (`unscored`) and a combination with no scored pair
+    (`no_overlap`).
     """
     from .metrics import HttpEmbeddingProvider, MockEmbeddingProvider, TokenTable
     from .prompts import COMBINATIONS, GeneratedMetadata
@@ -146,9 +149,11 @@ def evaluate(cfg: PipelineConfig, args):
                      for r in store.read_jsonl(args.reference, Reference)}
         counts.update(no_reference=0, unscored=0, no_overlap=0)
         joined = {}  # combination id: (row, reference) of its rows, if it has any
+        errors = []  # generated rows that hold an error, not a reply
         for combo in range(len(COMBINATIONS)):
             path = cfg.output_dir / store.generated(combo)
-            generated = list(store.read_jsonl(path, GeneratedMetadata)) if path.is_file() else []
+            generated = (list(store.read_jsonl(path, GeneratedMetadata, errors=errors))
+                         if path.is_file() else [])
             if generated:
                 joined[combo] = [(g, reference[g.site_id]) for g in generated
                                  if g.site_id in reference]
@@ -190,7 +195,8 @@ def evaluate(cfg: PipelineConfig, args):
         print(f"ranked summary -> {summary}")
         print(f"shortlisted for manual review: combos {shortlist}")
         counts.update(combinations=len(all_stats), shortlisted=len(shortlist),
-                      embed_tokens=len(table.rows), embed_requests=table.requests)
+                      error_rows=len(errors), embed_tokens=len(table.rows),
+                      embed_requests=table.requests)
 
 
 def stats(cfg, args):

@@ -6,8 +6,8 @@ parallelism where limits allow. Each site gets one connection (see
 `transport`), reused only for its own 429 retries and schema re-asks.
 Batches checkpoint after every completed site, keyed by the request, so
 an interrupted run resumes without asking again for a reply it already
-holds; a checkpoint that ends a run with more than one row for a site
-keeps only the last.
+holds; `run_batch` reads the checkpoint once, and a run that leaves a
+site more than one row rewrites it from memory with only the last.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .config import ClientConfig, build
 from .errors import ApiError, ConfigError, RateLimited, SchemaViolation
 from .prompts import GeneratedMetadata, PromptVariant, Selection, build_prompt, combination_id
-from .store import compact_jsonl, dumps, jsonl_writer, read_jsonl
+from .store import dumps, jsonl_writer, read_jsonl, replacing
 
 if TYPE_CHECKING:
     from .transport import Connection
@@ -35,8 +35,8 @@ _JSON_BLOB_RE = re.compile(r"\{.*\}", re.S)
 RETRY_BACKOFF = (0.5, 1.0, 2.0, 4.0)
 
 
-def _parse_reply(content: str) -> Dict[str, str]:
-    """Extract {title, abstract} from the model reply or raise SchemaViolation."""
+def _parse_reply(content: str) -> Tuple[str, str]:
+    """The (title, abstract) of the model reply, or raise SchemaViolation."""
     candidate = content.strip()
     try:
         obj = json.loads(candidate)
@@ -50,13 +50,10 @@ def _parse_reply(content: str) -> Dict[str, str]:
             raise SchemaViolation(f"unparseable JSON in reply: {exc}")
     if not isinstance(obj, dict):
         raise SchemaViolation("reply JSON is not an object")
-    title = obj.get("title")
-    abstract = obj.get("abstract")
-    if not isinstance(title, str) or not title.strip():
-        raise SchemaViolation("missing or empty 'title'")
-    if not isinstance(abstract, str) or not abstract.strip():
-        raise SchemaViolation("missing or empty 'abstract'")
-    return {"title": title, "abstract": abstract}
+    for name in ("title", "abstract"):
+        if not isinstance(obj.get(name), str) or not obj[name].strip():
+            raise SchemaViolation(f"missing or empty {name!r}")
+    return obj["title"], obj["abstract"]
 
 
 def _post_chat(messages: List[Dict[str, str]], cfg: ClientConfig, conn: Connection) -> str:
@@ -104,36 +101,19 @@ def generate_metadata(
         for _ in range(cfg.max_retries + 1):
             reply = _post_chat(messages, cfg, conn)
             try:
-                parsed = _parse_reply(reply)
+                title, abstract = _parse_reply(reply)
             except SchemaViolation as exc:
                 last_error = exc
                 messages = messages + [
                     {"role": "assistant", "content": reply},
-                    {
-                        "role": "user",
-                        "content": (
-                            f"Your previous reply was not valid: {exc}. "
-                            "Return only the JSON object "
-                            "{'title': ..., 'abstract': ...}."
-                        ),
-                    },
+                    {"role": "user", "content": f"Your previous reply was not valid: {exc}. "
+                     "Return only the JSON object {'title': ..., 'abstract': ...}."},
                 ]
                 continue
             return GeneratedMetadata(
-                title=parsed["title"],
-                abstract=parsed["abstract"],
-                source=f"combo{combination_id(variant, selection.heuristic)}",
-                site_id=selection.site_id,
-                model_name=cfg.model_name,
-            )
+                title, abstract, source=f"combo{combination_id(variant, selection.heuristic)}",
+                site_id=selection.site_id, model_name=cfg.model_name)
     raise last_error
-
-
-def request_key(variant: PromptVariant, selection: Selection, cfg: ClientConfig) -> str:
-    """sha256 of the chat request for a selection: messages, model, temperature."""
-    messages = build_prompt(variant, selection.content, selection.chosen_url)
-    blob = dumps([messages, cfg.model_name, cfg.temperature])
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -141,7 +121,7 @@ class BatchRow:
     site_id: str
     result: Optional[GeneratedMetadata] = None
     error: Optional[str] = None
-    key: Optional[str] = None  # request_key of result
+    key: Optional[str] = None  # sha256 of the request that result answers
 
     def to_json(self, checkpoint: bool = False) -> str:
         """The generated row; a checkpoint row adds the request key."""
@@ -165,32 +145,44 @@ def run_batch(
 
     Per-item failures become error rows; nothing aborts the batch. Each
     row is appended to the checkpoint as it completes. A checkpointed
-    reply is served only while its site's request_key is unchanged; a
-    changed request, an error row, a row without a key or one that does not
-    build as a GeneratedMetadata is asked again, and so is the site of a
-    last line that an interrupted append left without its newline.
-    The checkpoint ends the run with one row per site, the last.
+    reply is served only while the sha256 of its site's request (messages,
+    model, temperature) is unchanged; a changed request, an error row, a row
+    without a key or one that does not build as a GeneratedMetadata is asked
+    again, and so is the site of a last line that an interrupted append left
+    without its newline. The checkpoint ends the run with one row per site,
+    the last; it is rewritten from memory only when some row had to go.
     """
     done = {}  # site_id: (request key, reply)
+    last = {}  # site_id: its last checkpoint row
+    lines = 0  # checkpoint rows read and appended
     lock = threading.Lock()
     with jsonl_writer(checkpoint_path, append=True) as write:  # drops a torn last line
         for obj in read_jsonl(checkpoint_path):
+            lines += 1
+            if isinstance(obj.get("site_id"), str):
+                last[obj["site_id"]] = dumps(obj)
             if "key" in obj:  # only replies carry a key; one that does not build is asked again
                 with suppress(ConfigError):
                     reply = build(GeneratedMetadata, obj, str(checkpoint_path))
                     done[reply.site_id] = (obj["key"], reply)
 
         def work(selection) -> BatchRow:
+            nonlocal lines
             try:
+                messages = build_prompt(variant, selection.content, selection.chosen_url)
+                blob = dumps([messages, cfg.model_name, cfg.temperature])
+                key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
                 hit = done.get(selection.site_id)
-                if hit and hit[0] == request_key(variant, selection, cfg):
+                if hit and hit[0] == key:
                     return BatchRow(selection.site_id, hit[1])
                 result = generate_metadata(selection, variant, cfg)
-                row = BatchRow(selection.site_id, result, key=request_key(variant, selection, cfg))
+                row = BatchRow(selection.site_id, result, key=key)
             except Exception as exc:
                 row = BatchRow(selection.site_id, error=f"{type(exc).__name__}: {exc}")
             with lock:
-                write(row.to_json(checkpoint=True))
+                last[row.site_id] = line = row.to_json(checkpoint=True)
+                write(line)
+                lines += 1
             return row
 
         if cfg.max_in_flight == 1:
@@ -200,5 +192,7 @@ def run_batch(
 
             with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
                 rows = list(pool.map(work, selections))
-    compact_jsonl(checkpoint_path)
+    if lines > len(last):  # a site written twice, or a row of no site
+        with replacing(checkpoint_path) as fh:
+            fh.write("".join(f"{line}\n" for line in last.values()))
     return rows

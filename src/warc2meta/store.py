@@ -16,6 +16,7 @@ module names these files:
 
 A JSONL row is one JSON object, keys sorted, non-ASCII kept. A row is
 written by its dataclass's `to_json` and read back by `config.build`.
+Only `client.run_batch` reads, appends to and compacts a checkpoint.
 """
 
 import datetime
@@ -51,9 +52,10 @@ def dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
-def read_jsonl(path, row=None, after=None):
+def read_jsonl(path, row=None, after=None, errors=None):
     """The object of each non-blank line, parsed once, as it is read, or
-    given a row type, each that is not an error row built by config.build.
+    given a row type, each that is not an error row built by config.build;
+    the list `errors`, if given, gets the error rows passed over.
 
     A missing file is a ConfigError, raised by this call, before any row
     is read; `after` names the stage that writes it. A line that is not
@@ -62,10 +64,10 @@ def read_jsonl(path, row=None, after=None):
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"no {path}" + (f"; run `{after}` first" if after else ""))
-    return _rows(path, row)
+    return _rows(path, row, errors)
 
 
-def _rows(path, row):
+def _rows(path, row, errors):
     with open(path, "rb") as fh:
         for n, line in enumerate(fh, 1):
             if line.strip():
@@ -77,6 +79,8 @@ def _rows(path, row):
                     raise ConfigError(f"{path}: line {n}: {exc}")
                 if row is None or "error" not in obj:  # an error row has an "error" key
                     yield obj if row is None else build(row, obj, f"{path}: line {n}")
+                elif errors is not None:
+                    errors.append(obj)
 
 
 @contextmanager
@@ -111,24 +115,6 @@ def jsonl_writer(path, append=False):
             fh.flush()
 
         yield write
-
-
-def compact_jsonl(path):
-    """Keep each site's last row, in the order sites first appear; a row
-    with no site_id string is dropped.
-
-    The file is rewritten, through `replacing`, only when some site has
-    more than one row.
-    """
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
-    rows = ((json.loads(line).get("site_id"), line) for line in lines)
-    last = {site: line for site, line in rows if isinstance(site, str)}
-    if len(last) == len(lines):
-        return
-    with replacing(path) as fh:
-        fh.write("".join(last.values()))
 
 
 def write_csv(path, header, rows):

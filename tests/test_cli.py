@@ -21,7 +21,8 @@ from warc2meta.metrics import EMBED_BATCH
 from warc2meta.prompts import GeneratedMetadata, Selection
 from warc2meta.sites import PageRecord, SiteDocument
 
-from helpers import MockChatServer, build_warc, html_page, response_record, run_cli
+from helpers import (MockChatServer, build_warc, defect_corpus, html_page, response_record,
+                     run_cli)
 
 
 def _make_corpus(root, n_sites=3):
@@ -251,6 +252,27 @@ class TestSelectCommand:
             assert (out / f"selections_h{h}.jsonl").read_bytes() == single[h]
         assert report_rows() == [header, *single_rows]
 
+    def test_manifest_counts_empty_selections_per_heuristic(self, tmp_path):
+        """empty_h<N> counts the selections of no text, which generate refuses."""
+        cfg = _write_config(tmp_path, defect_corpus(tmp_path / "warcs"))
+        out = tmp_path / "out"
+        assert run_cli(["--config", str(cfg), "ingest"]).exit_code == 0
+
+        def empty(h):
+            rows = map(json.loads, (out / f"selections_h{h}.jsonl").read_text().splitlines())
+            return sum(1 for row in rows if not row["content"].strip())
+
+        def counts():
+            return json.loads((out / "manifest_select.json").read_text())["counts"]
+
+        assert run_cli(["--config", str(cfg), "select", "--all"]).exit_code == 0
+        assert {k: v for k, v in counts().items() if k.startswith("empty_")} == {
+            f"empty_h{h}": empty(h) for h in (1, 2, 3)}
+        assert empty(3) > 0
+        assert run_cli(["--config", str(cfg), "select", "--heuristic", "1"]).exit_code == 0
+        assert [k for k in counts() if k.startswith("empty_")] == ["empty_h1"]
+        assert counts()["empty_h1"] == empty(1)
+
 
 class TestGenerateEvaluate:
     def _pipeline_to_selections(self, tmp_path, base_url):
@@ -408,6 +430,25 @@ class TestGenerateEvaluate:
         assert (counts["embed_tokens"], counts["embed_requests"]) == (len(tokens), 1)
         with open(out / "scores_per_site.csv") as fh:
             assert "site9" not in {r["site_id"] for r in csv.DictReader(fh)}
+
+    def test_evaluate_counts_error_rows(self, tmp_path):
+        """A generated error row is left out and counted, also in a
+        combination that has no other row."""
+        out = tmp_path / "out"
+        out.mkdir()
+        good = {"site_id": "s1", "source": "combo2", "title": "Acme", "abstract": "Acme builds."}
+        (out / "generated_combo0.jsonl").write_text(
+            json.dumps({"site_id": "s1", "error": "EmptyContent: https://s1.sg/"}) + "\n")
+        (out / "generated_combo2.jsonl").write_text(json.dumps(good) + "\n" + json.dumps(
+            {"site_id": "s2", "error": "ApiError: API error 500: down"}) + "\n")
+        reference = tmp_path / "reference.jsonl"
+        reference.write_text(json.dumps(good) + "\n")
+        cfg = _write_config(tmp_path, tmp_path)
+        result = run_cli(["--config", str(cfg), "evaluate", "--reference", str(reference)])
+        assert result.exit_code == 0, result.output
+        counts = json.loads((out / "manifest_evaluate.json").read_text())["counts"]
+        assert (counts["error_rows"], counts["combinations"]) == (2, 1)
+        assert (counts["no_reference"], counts["unscored"], counts["no_overlap"]) == (0, 0, 0)
 
     def test_evaluate_reports_pipeline_error_without_traceback(self, tmp_path):
         cfg, out = self._generate_all(tmp_path)

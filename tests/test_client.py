@@ -2,9 +2,13 @@ import json
 import os
 import socket
 import sys
+import tempfile
 import threading
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from warc2meta.client import (
     RETRY_BACKOFF,
@@ -15,6 +19,7 @@ from warc2meta.client import (
 )
 from warc2meta.errors import ApiError, RateLimited, SchemaViolation
 from warc2meta.prompts import WITH_RULES, WITHOUT_RULES, HeuristicId, Selection, combination_id
+from warc2meta.store import dumps
 from warc2meta.urlnorm import normalize_url
 
 from helpers import MockChatServer
@@ -50,11 +55,11 @@ class TestCombinationId:
 class TestParseReply:
     def test_clean_json(self):
         out = _parse_reply('{"title": "T", "abstract": "A"}')
-        assert out == {"title": "T", "abstract": "A"}
+        assert out == ("T", "A")
 
     def test_json_inside_prose(self):
         out = _parse_reply('Sure! Here it is:\n{"title": "T", "abstract": "A"}\nDone.')
-        assert out["title"] == "T"
+        assert out == ("T", "A")
 
     @pytest.mark.parametrize("bad", [
         "no json here",
@@ -304,6 +309,95 @@ class TestRunBatch:
             a = [r.to_json() for r in run_batch(self._items(), WITH_RULES, cfg, tmp_path / "a")]
             b = [r.to_json() for r in run_batch(self._items(), WITH_RULES, cfg, tmp_path / "b")]
         assert a == b
+
+
+def compact_reference(text):
+    """The checkpoint rule, as a reader of the whole file applies it: each
+    site's last row, in the order sites first appear, and no row without a
+    site_id string; the text as it is when no row has to go."""
+    lines = [line for line in text.splitlines(keepends=True) if line.strip()]
+    rows = ((json.loads(line).get("site_id"), line) for line in lines)
+    last = {site: line for site, line in rows if isinstance(site, str)}
+    return text if len(last) == len(lines) else "".join(last.values())
+
+
+SITES = [f"s{i}" for i in range(5)]
+
+
+class TestCheckpointRule:
+    """run_batch, call after call on one checkpoint, leaves what the
+    reference compaction makes of the rows it held and appended."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_calls_match_the_reference_compaction(self, data):
+        version = dict.fromkeys(SITES, 0)
+        down = set()
+
+        def fn(body):
+            content = body["messages"][1]["content"].splitlines()[1]
+            if content.split()[1] in down:
+                return 500
+            return {"title": f"Title for {content}", "abstract": f"Abstract for {content}"}
+
+        real_replace = os.replace
+        with MockChatServer(reply_fn=fn) as server, tempfile.TemporaryDirectory() as tmp:
+            ckpt = Path(tmp) / "ckpt.jsonl"
+            for _ in range(data.draw(st.integers(2, 3), label="calls")):
+                sites = data.draw(st.permutations(SITES), label="order")[
+                    :data.draw(st.integers(1, len(SITES)), label="sites")]
+                down = data.draw(st.sets(st.sampled_from(sites)), label="down")
+                for site in data.draw(st.sets(st.sampled_from(sites)), label="changed"):
+                    version[site] += 1
+                inject = data.draw(st.sampled_from([None, "torn", "no-site", "error"]),
+                                   label="inject")
+                text = ckpt.read_text() if ckpt.exists() else ""
+                if inject == "torn":
+                    row = dumps({"site_id": data.draw(st.sampled_from(SITES)), "title": "T"})
+                    text += row[:data.draw(st.integers(1, len(row) - 1), label="cut")]
+                elif inject == "no-site":
+                    text += dumps({"title": "T", "abstract": "A", "key": "0" * 64}) + "\n"
+                elif inject == "error":
+                    site = data.draw(st.sampled_from(SITES))
+                    text += dumps({"site_id": site, "error": "ApiError: injected"}) + "\n"
+                ckpt.write_text(text)
+                before = text[:text.rfind("\n") + 1]  # the torn-line cut
+                held = {}  # site_id: title of its last keyed row
+                for line in before.splitlines():
+                    obj = json.loads(line)
+                    if "key" in obj and isinstance(obj.get("site_id"), str):
+                        held[obj["site_id"]] = obj["title"]
+                content = {site: f"{site} v{version[site]}" for site in sites}
+                snapshots = []
+
+                def replace(src, dst):
+                    snapshots.append(Path(dst).read_text())
+                    real_replace(src, dst)
+
+                sent = len(server.requests)
+                cfg = _cfg(server.base_url, max_retries=0,
+                           max_in_flight=data.draw(st.sampled_from([1, 3])))
+                with mock.patch("os.replace", replace):
+                    rows = run_batch([_selection(content=f"site {content[s]}", site_id=s)
+                                      for s in sites], WITH_RULES, cfg, ckpt)
+                pre = snapshots[0] if snapshots else ckpt.read_text()
+                assert len(snapshots) <= 1 and pre.startswith(before)
+                expected = compact_reference(pre)
+                assert ckpt.read_text() == expected
+                assert bool(snapshots) == (expected != pre)  # rewritten only when a row goes
+                asked = [r for r in rows if r.key is not None or r.error is not None]
+                assert sorted(pre[len(before):].splitlines()) == sorted(
+                    r.to_json(checkpoint=True) for r in asked)
+                assert len(server.requests) - sent == len(asked)
+                assert [r.site_id for r in rows] == list(sites)
+                for row in rows:
+                    title = f"Title for site {content[row.site_id]}"
+                    served = row.key is None and row.error is None
+                    assert served == (held.get(row.site_id) == title)
+                    if row.site_id in down and not served:
+                        assert row.error.startswith("ApiError: API error 500")
+                    else:
+                        assert row.result.title == title
 
 
 class TestClientConfig:
