@@ -6,8 +6,8 @@ parallelism where limits allow. Each site gets one connection (see
 `transport`), reused only for its own 429 retries and schema re-asks.
 Batches checkpoint after every completed site, keyed by the request, so
 an interrupted run resumes without asking again for a reply it already
-holds; `run_batch` reads the checkpoint once, and a run that leaves a
-site more than one row rewrites it from memory with only the last.
+holds; `run_batch` parses the checkpoint's rows once, and a run that
+leaves a site more than one row rewrites it from memory with the last.
 """
 
 from __future__ import annotations
