@@ -6,7 +6,8 @@ server derives each reply from the request it received and keeps it; the
 script fails if any row's title and abstract differ from the reply the
 server computed for that row's request. A second run on the same checkpoint
 must resume: the script fails unless that run sends no request, returns the
-rows of the first, and leaves one checkpoint line per site. It prints
+rows of the first, and leaves the checkpoint's bytes as they were, one line
+per site. It prints
 milliseconds per row for both runs, with the server's request and
 connection counts.
 
@@ -70,12 +71,15 @@ def main():
         rows = run_batch(items, WITH_RULES, cfg, checkpoint)
         elapsed = time.perf_counter() - started
         requests, connections = len(server.requests), server.connections
+        with open(checkpoint, "rb") as fh:
+            held = fh.read()
         started = time.perf_counter()
         resumed = run_batch(items, WITH_RULES, cfg, checkpoint)
         resume_elapsed = time.perf_counter() - started
         resent = len(server.requests) - requests
-        with open(checkpoint, encoding="utf-8") as fh:
-            checkpointed = [json.loads(line)["site_id"] for line in fh]
+        with open(checkpoint, "rb") as fh:
+            after = fh.read()
+        checkpointed = [json.loads(line)["site_id"] for line in after.splitlines()]
 
     wrong = [
         row.site_id for row, sel in zip(rows, items)
@@ -90,6 +94,9 @@ def main():
     if resent or [r.to_json() for r in resumed] != [r.to_json() for r in rows]:
         print(f"FAIL: the resumed run sent {resent} requests, or its rows differ "
               "from the first run's", file=sys.stderr)
+        return 1
+    if after != held:
+        print("FAIL: the resumed run changed the checkpoint's bytes", file=sys.stderr)
         return 1
     if sorted(checkpointed) != sorted(sel.site_id for sel in items):
         print(f"FAIL: the checkpoint holds {len(checkpointed)} lines for "

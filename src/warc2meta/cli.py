@@ -104,17 +104,22 @@ def select_cmd(cfg: PipelineConfig, args):
 
 
 def generate(cfg: PipelineConfig, args):
-    """Call the chat model over selections; resumable via checkpoints."""
+    """Call the chat model over selections; resumable via checkpoints.
+
+    Per combination, counts `generated` rows (`served` of them from the
+    checkpoint), `errors`, and `selection_errors`, sites select failed on.
+    """
     from .client import run_batch
     from .prompts import COMBINATIONS, VARIANTS, HeuristicId, Selection, combination_id
 
     with store.stage(cfg, "generate") as counts:
         combos = COMBINATIONS if args.all_combinations else [(VARIANTS[
             args.prompt or cfg.prompt_variant], HeuristicId(args.heuristic or cfg.heuristic))]
+        skipped = {h: [] for _, h in combos}  # each selections file's error rows
         selected = {h: list(store.read_jsonl(cfg.output_dir / store.selections(h), Selection,
-                                             after="select"))  # each built before any request
-                    for h in dict.fromkeys(h for _, h in combos)}
-        counts.update(generated=0, errors=0)
+                                             after="select", errors=skipped[h]))
+                    for h in skipped}  # each built before any request
+        counts.update(generated=0, served=0, errors=0, selection_errors=0)
         for variant, h in combos:
             combo = combination_id(variant, h)
             ckpt = cfg.output_dir / store.checkpoint(combo)
@@ -125,8 +130,10 @@ def generate(cfg: PipelineConfig, args):
                     write(row.to_json())
             ok = sum(1 for r in rows if r.result is not None)
             counts["generated"] += ok
+            counts["served"] += sum(r.served for r in rows)
             counts["errors"] += len(rows) - ok
-            print(f"combo {combo}: {ok}/{len(rows)} generated -> {out}")
+            counts["selection_errors"] += len(skipped[h])
+            print(f"combo {combo}: {ok}/{len(rows) + len(skipped[h])} generated -> {out}")
 
 
 Reference = make_dataclass("Reference", [("site_id", str), ("title", str), ("abstract", str)])

@@ -4,10 +4,9 @@ Requests default to strictly sequential issuance (max_in_flight=1) to
 stay inside API rate limits; a bounded in-flight window enables
 parallelism where limits allow. Each site gets one connection (see
 `transport`), reused only for its own 429 retries and schema re-asks.
-Batches checkpoint after every completed site, keyed by the request, so
-an interrupted run resumes without asking again for a reply it already
-holds; `run_batch` parses the checkpoint's rows once, and a run that
-leaves a site more than one row rewrites it from memory with the last.
+A batch's checkpoint is the log of the replies it paid for, each keyed by
+its site and request and appended as it arrives, so a rerun, interrupted
+or not, asks only for what the log holds no reply to.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from .config import ClientConfig, build
 from .errors import ApiError, ConfigError, RateLimited, SchemaViolation
 from .prompts import GeneratedMetadata, PromptVariant, Selection, build_prompt, combination_id
-from .store import dumps, jsonl_writer, read_jsonl, replacing
+from .store import dumps, jsonl_writer, read_jsonl
 
 if TYPE_CHECKING:
     from .transport import Connection
@@ -121,17 +120,15 @@ class BatchRow:
     site_id: str
     result: Optional[GeneratedMetadata] = None
     error: Optional[str] = None
-    key: Optional[str] = None  # sha256 of the request that result answers
+    served: bool = False  # result is a reply the checkpoint held
 
-    def to_json(self, checkpoint: bool = False) -> str:
-        """The generated row; a checkpoint row adds the request key."""
+    def to_json(self) -> str:
+        """The generated row."""
         obj = {"site_id": self.site_id}
         if self.result is not None:
             obj.update(vars(self.result))
         if self.error is not None:
             obj["error"] = self.error
-        if checkpoint and self.key is not None:
-            obj["key"] = self.key
         return dumps(obj)
 
 
@@ -144,55 +141,39 @@ def run_batch(
     """Generate metadata for each selection's site, preserving order.
 
     Per-item failures become error rows; nothing aborts the batch. Each
-    row is appended to the checkpoint as it completes. A checkpointed
-    reply is served only while the sha256 of its site's request (messages,
-    model, temperature) is unchanged; a changed request, an error row, a row
-    without a key or one that does not build as a GeneratedMetadata is asked
-    again, and so is the site of a last line that an interrupted append left
-    without its newline. The checkpoint ends the run with one row per site,
-    the last; it is rewritten from memory only when some row had to go.
+    reply is appended to the checkpoint as it arrives, with the sha256 of
+    its request (messages, model, temperature) as its `key`; an error is
+    never written. A request is served from the checkpoint when any line
+    holds a reply for its site and key. A line that does not build as a
+    GeneratedMetadata with a string key is never served, and the last line,
+    if an interrupted append left it without its newline, is cut off first.
     """
-    done = {}  # site_id: (request key, reply)
-    last = {}  # site_id: its last checkpoint row
-    lines = 0  # checkpoint rows read and appended
     lock = threading.Lock()
     with jsonl_writer(checkpoint_path, append=True) as write:  # drops a torn last line
+        done = {}  # (site_id, request key): reply
         for obj in read_jsonl(checkpoint_path):
-            lines += 1
-            if isinstance(obj.get("site_id"), str):
-                last[obj["site_id"]] = dumps(obj)
-            if "key" in obj:  # only replies carry a key; one that does not build is asked again
+            if isinstance(obj.get("key"), str):  # only replies carry a key
                 with suppress(ConfigError):
                     reply = build(GeneratedMetadata, obj, str(checkpoint_path))
-                    done[reply.site_id] = (obj["key"], reply)
+                    done[reply.site_id, obj["key"]] = reply
 
         def work(selection) -> BatchRow:
-            nonlocal lines
             try:
                 messages = build_prompt(variant, selection.content, selection.chosen_url)
                 blob = dumps([messages, cfg.model_name, cfg.temperature])
                 key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-                hit = done.get(selection.site_id)
-                if hit and hit[0] == key:
-                    return BatchRow(selection.site_id, hit[1])
+                if (selection.site_id, key) in done:
+                    return BatchRow(selection.site_id, done[selection.site_id, key], served=True)
                 result = generate_metadata(selection, variant, cfg)
-                row = BatchRow(selection.site_id, result, key=key)
             except Exception as exc:
-                row = BatchRow(selection.site_id, error=f"{type(exc).__name__}: {exc}")
+                return BatchRow(selection.site_id, error=f"{type(exc).__name__}: {exc}")
             with lock:
-                last[row.site_id] = line = row.to_json(checkpoint=True)
-                write(line)
-                lines += 1
-            return row
+                write(dumps(dict(vars(result), key=key)))
+            return BatchRow(selection.site_id, result)
 
         if cfg.max_in_flight == 1:
-            rows = [work(selection) for selection in selections]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
+            return [work(selection) for selection in selections]
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-                rows = list(pool.map(work, selections))
-    if lines > len(last):  # a site written twice, or a row of no site
-        with replacing(checkpoint_path) as fh:
-            fh.write("".join(f"{line}\n" for line in last.values()))
-    return rows
+        with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
+            return list(pool.map(work, selections))

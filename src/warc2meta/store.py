@@ -16,7 +16,7 @@ module names these files:
 
 A JSONL row is one JSON object, keys sorted, non-ASCII kept. A row is
 written by its dataclass's `to_json` and read back by `config.build`.
-Only `client.run_batch` reads, appends to and compacts a checkpoint.
+Only `client.run_batch` reads a checkpoint, and it only appends to one.
 """
 
 import datetime

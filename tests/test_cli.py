@@ -335,6 +335,50 @@ class TestGenerateEvaluate:
             assert run_cli(args).exit_code == 0
             assert len(server.requests) == first  # checkpoint prevented re-requests
 
+    def test_generate_rerun_writes_no_checkpoint_byte(self, tmp_path):
+        """A rerun on unchanged selections is served every reply from the
+        checkpoints, and leaves each of them as it was: the same bytes in
+        the same file, not a copy that replaced it."""
+        warcs = defect_corpus(tmp_path / "warcs")
+        out = tmp_path / "out"
+
+        def counts():
+            return json.loads((out / "manifest_generate.json").read_text())["counts"]
+
+        def checkpoints():
+            return {path.name: (path.stat().st_ino, path.read_bytes())
+                    for path in out.glob("checkpoint_combo*")}
+
+        with MockChatServer(reply_fn=_echo_reply) as server:
+            cfg = _write_config(tmp_path, warcs, server.base_url)
+            for args in (["ingest"], ["select", "--all"], ["generate", "--all-combinations"]):
+                assert run_cli(["--config", str(cfg), *args]).exit_code == 0
+            first = counts()
+            held = checkpoints()
+            sent = len(server.requests)
+            assert run_cli(["--config", str(cfg), "generate", "--all-combinations"]).exit_code == 0
+            assert len(server.requests) == sent
+        assert checkpoints() == held
+        assert len(held) == 6
+        assert first["served"] == 0 and first["errors"] > 0  # the empty h3 selections
+        assert counts() == dict(first, served=first["generated"])
+
+    def test_generate_counts_the_sites_select_failed_on(self, tmp_path):
+        warc_dir = _make_corpus(tmp_path, n_sites=1)
+        build_warc(warc_dir / "empty.warc", [response_record("https://gone.sg/", status=404)])
+        out = tmp_path / "out"
+        with MockChatServer(reply_fn=_echo_reply) as server:
+            cfg = _write_config(tmp_path, warc_dir, server.base_url)
+            for args in (["ingest"], ["select", "--heuristic", "2"]):
+                assert run_cli(["--config", str(cfg), *args]).exit_code == 0
+            result = run_cli(["--config", str(cfg), "generate", "--heuristic", "2",
+                              "--prompt", "rules"])
+        assert result.exit_code == 0, result.output
+        assert "combo 2: 1/2 generated" in result.output
+        assert json.loads((out / "manifest_select.json").read_text())["counts"]["errors"] == 1
+        assert json.loads((out / "manifest_generate.json").read_text())["counts"] == {
+            "generated": 1, "served": 0, "errors": 0, "selection_errors": 1}
+
     def test_generate_asks_again_after_reselect(self, tmp_path):
         def content_reply(body):
             url, _, content = body["messages"][1]["content"].partition("\n")
@@ -945,7 +989,7 @@ class TestStageFilesAreChecked:
             assert (result.exit_code, result.exception) == (0, None), result.output
             assert len(server.requests) == sent + 1  # site0 only, whose row was replaced
         assert (out / "generated_combo2.jsonl").read_text() == before
-        assert sorted(ckpt.read_text().splitlines()) == sorted(kept)
+        assert ckpt.read_text().splitlines() == [json.dumps(bad_row), *kept[1:], kept[0]]
 
 
 def _outputs(out):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import socket
@@ -5,7 +6,6 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +18,8 @@ from warc2meta.client import (
     _parse_reply,
 )
 from warc2meta.errors import ApiError, RateLimited, SchemaViolation
-from warc2meta.prompts import WITH_RULES, WITHOUT_RULES, HeuristicId, Selection, combination_id
+from warc2meta.prompts import (WITH_RULES, WITHOUT_RULES, HeuristicId, Selection,
+                               build_prompt, combination_id)
 from warc2meta.store import dumps
 from warc2meta.urlnorm import normalize_url
 
@@ -254,8 +255,8 @@ class TestRunBatch:
             cfg = _cfg(server.base_url)
             run_batch(self._items(2), WITH_RULES, cfg, checkpoint_path=ckpt)
             whole = ckpt.read_text()
-            torn = run_batch(self._items(3)[2:], WITH_RULES, cfg, tmp_path / "other")
-            ckpt.write_text(whole + torn[0].to_json(checkpoint=True)[:25])
+            run_batch(self._items(3)[2:], WITH_RULES, cfg, tmp_path / "other")
+            ckpt.write_text(whole + (tmp_path / "other").read_text()[:25])
             rows = run_batch(self._items(3), WITH_RULES, cfg, checkpoint_path=ckpt)
             assert len(server.requests) == 4  # s2 only, once more
         assert [r.result.title for r in rows] == [f"Title for site {i} content" for i in range(3)]
@@ -276,16 +277,12 @@ class TestRunBatch:
             assert len(server.requests) == 1
         assert rows[0].result.title == "Title for site 0 content"
 
-    def test_checkpoint_keeps_last_row_per_site(self, tmp_path, monkeypatch):
+    def test_checkpoint_holds_only_replies(self, tmp_path, monkeypatch):
+        """An error is never written, so a rerun that gets only errors
+        leaves the checkpoint as it was, and it is never rewritten."""
         ckpt = tmp_path / "ckpt.jsonl"
         replaced = []
-        real_replace = os.replace
-
-        def replace(*args):
-            replaced.append(args)
-            real_replace(*args)
-
-        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "replace", lambda *args: replaced.append(args))
 
         def fn(body):  # site 1 always fails
             if body["messages"][1]["content"].splitlines()[1] == "site 1 content":
@@ -295,13 +292,47 @@ class TestRunBatch:
         with MockChatServer(reply_fn=fn) as server:
             cfg = _cfg(server.base_url, max_retries=0)
             run_batch(self._items(), WITH_RULES, cfg, checkpoint_path=ckpt)
-            assert replaced == []  # a fresh run writes no site twice
-            run_batch(self._items(), WITH_RULES, cfg, checkpoint_path=ckpt)
+            first = ckpt.read_text()
+            rows = run_batch(self._items(), WITH_RULES, cfg, checkpoint_path=ckpt)
             assert len(server.requests) == 4
-        rows = [json.loads(line) for line in ckpt.read_text().splitlines()]
-        assert [r["site_id"] for r in rows] == ["s0", "s1", "s2"]
-        assert rows[1]["error"].startswith("ApiError: API error 500")
-        assert len(replaced) == 1
+        assert ckpt.read_text() == first
+        assert [json.loads(line)["site_id"] for line in first.splitlines()] == ["s0", "s2"]
+        assert replaced == []
+        assert [r.served for r in rows] == [True, False, True]
+        assert rows[1].error.startswith("ApiError: API error 500")
+
+    def test_reply_followed_by_an_error_row_is_still_served(self, tmp_path):
+        """An error row that an older version wrote after a site's reply
+        neither hides the reply nor makes it go."""
+        ckpt = tmp_path / "ckpt.jsonl"
+        with MockChatServer(reply_fn=self._echo_fn) as server:
+            cfg = _cfg(server.base_url)
+            run_batch(self._items(1), WITH_RULES, cfg, checkpoint_path=ckpt)
+            with open(ckpt, "a") as fh:
+                fh.write(dumps({"site_id": "s0", "error": "ApiError: injected"}) + "\n")
+            held = ckpt.read_text()
+            sent = len(server.requests)
+            for _ in range(2):
+                rows = run_batch(self._items(1), WITH_RULES, cfg, checkpoint_path=ckpt)
+                assert len(server.requests) == sent
+                assert rows[0].result.title == "Title for site 0 content"
+        assert ckpt.read_text() == held
+        assert rows[0].served
+
+    def test_reverted_request_is_served(self, tmp_path):
+        """Content one, then two, then one again: the third run is served
+        the first run's reply."""
+        ckpt = tmp_path / "ckpt.jsonl"
+        one, two = ([_selection(content=f"site 0 {text}", site_id="s0")] for text in ("1", "2"))
+        with MockChatServer(reply_fn=self._echo_fn) as server:
+            cfg = _cfg(server.base_url)
+            sent = []
+            for items in (one, two, one):
+                rows = run_batch(items, WITH_RULES, cfg, checkpoint_path=ckpt)
+                sent.append(len(server.requests) - sum(sent))
+        assert sent == [1, 1, 0]
+        assert rows[0].served and rows[0].result.title == "Title for site 0 1"
+        assert len(ckpt.read_text().splitlines()) == 2
 
     def test_deterministic_output(self, tmp_path):
         with MockChatServer(reply_fn=self._echo_fn) as server:
@@ -311,26 +342,29 @@ class TestRunBatch:
         assert a == b
 
 
-def compact_reference(text):
-    """The checkpoint rule, as a reader of the whole file applies it: each
-    site's last row, in the order sites first appear, and no row without a
-    site_id string; the text as it is when no row has to go."""
-    lines = [line for line in text.splitlines(keepends=True) if line.strip()]
-    rows = ((json.loads(line).get("site_id"), line) for line in lines)
-    last = {site: line for site, line in rows if isinstance(site, str)}
-    return text if len(last) == len(lines) else "".join(last.values())
+def _key(content, cfg):
+    """The request key of a row of TestCheckpointRule: the sha256 of its
+    messages, model and temperature."""
+    messages = build_prompt(WITH_RULES, f"site {content}", normalize_url("https://acme.sg/"))
+    blob = dumps([messages, cfg.model_name, cfg.temperature]).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _reply(content):
+    return {"title": f"Title for site {content}", "abstract": f"Abstract for site {content}"}
 
 
 SITES = [f"s{i}" for i in range(5)]
 
 
 class TestCheckpointRule:
-    """run_batch, call after call on one checkpoint, leaves what the
-    reference compaction makes of the rows it held and appended."""
+    """run_batch, call after call on one checkpoint, serves exactly the
+    requests that the log holds a reply for and appends one line per reply
+    it paid for, whatever else the log holds."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
-    def test_calls_match_the_reference_compaction(self, data):
+    def test_calls_follow_the_log_rule(self, data):
         version = dict.fromkeys(SITES, 0)
         down = set()
 
@@ -340,7 +374,6 @@ class TestCheckpointRule:
                 return 500
             return {"title": f"Title for {content}", "abstract": f"Abstract for {content}"}
 
-        real_replace = os.replace
         with MockChatServer(reply_fn=fn) as server, tempfile.TemporaryDirectory() as tmp:
             ckpt = Path(tmp) / "ckpt.jsonl"
             for _ in range(data.draw(st.integers(2, 3), label="calls")):
@@ -348,56 +381,58 @@ class TestCheckpointRule:
                     :data.draw(st.integers(1, len(SITES)), label="sites")]
                 down = data.draw(st.sets(st.sampled_from(sites)), label="down")
                 for site in data.draw(st.sets(st.sampled_from(sites)), label="changed"):
-                    version[site] += 1
-                inject = data.draw(st.sampled_from([None, "torn", "no-site", "error"]),
-                                   label="inject")
-                text = ckpt.read_text() if ckpt.exists() else ""
-                if inject == "torn":
-                    row = dumps({"site_id": data.draw(st.sampled_from(SITES)), "title": "T"})
-                    text += row[:data.draw(st.integers(1, len(row) - 1), label="cut")]
-                elif inject == "no-site":
-                    text += dumps({"title": "T", "abstract": "A", "key": "0" * 64}) + "\n"
-                elif inject == "error":
-                    site = data.draw(st.sampled_from(SITES))
-                    text += dumps({"site_id": site, "error": "ApiError: injected"}) + "\n"
-                ckpt.write_text(text)
-                before = text[:text.rfind("\n") + 1]  # the torn-line cut
-                held = {}  # site_id: title of its last keyed row
-                for line in before.splitlines():
-                    obj = json.loads(line)
-                    if "key" in obj and isinstance(obj.get("site_id"), str):
-                        held[obj["site_id"]] = obj["title"]
+                    version[site] = data.draw(st.integers(0, 2).filter(
+                        lambda v, site=site: v != version[site]), label="version")
                 content = {site: f"{site} v{version[site]}" for site in sites}
-                snapshots = []
-
-                def replace(src, dst):
-                    snapshots.append(Path(dst).read_text())
-                    real_replace(src, dst)
-
-                sent = len(server.requests)
                 cfg = _cfg(server.base_url, max_retries=0,
                            max_in_flight=data.draw(st.sampled_from([1, 3])))
-                with mock.patch("os.replace", replace):
-                    rows = run_batch([_selection(content=f"site {content[s]}", site_id=s)
-                                      for s in sites], WITH_RULES, cfg, ckpt)
-                pre = snapshots[0] if snapshots else ckpt.read_text()
-                assert len(snapshots) <= 1 and pre.startswith(before)
-                expected = compact_reference(pre)
-                assert ckpt.read_text() == expected
-                assert bool(snapshots) == (expected != pre)  # rewritten only when a row goes
-                asked = [r for r in rows if r.key is not None or r.error is not None]
-                assert sorted(pre[len(before):].splitlines()) == sorted(
-                    r.to_json(checkpoint=True) for r in asked)
-                assert len(server.requests) - sent == len(asked)
+                inject = data.draw(st.sampled_from(
+                    [None, "torn", "no-site", "error", "list-key", "number-key", "no-build"]),
+                    label="inject")
+                site = data.draw(st.sampled_from(sites), label="injected site")
+                line = {"site_id": site, "source": "combo2", **_reply(content[site]),
+                        "key": _key(content[site], cfg)}  # a reply in all but what is injected
+                text = ckpt.read_text() if ckpt.exists() else ""
+                if inject == "torn":
+                    row = dumps(line)
+                    text += row[:data.draw(st.integers(1, len(row) - 1), label="cut")]
+                elif inject == "no-site":
+                    text += dumps(dict(line, site_id=None)) + "\n"
+                elif inject == "error":
+                    text += dumps({"site_id": site, "error": "ApiError: injected"}) + "\n"
+                elif inject == "list-key":
+                    text += dumps(dict(line, key=[line["key"]])) + "\n"
+                elif inject == "number-key":
+                    text += dumps(dict(line, key=7)) + "\n"
+                elif inject == "no-build":
+                    text += dumps(dict(line, abstract=None)) + "\n"
+                ckpt.write_text(text)
+                before = text[:text.rfind("\n") + 1]  # the torn-line cut
+                held = set()  # (site_id, key) of each reply in the log
+                for obj in map(json.loads, before.splitlines()):
+                    if isinstance(obj.get("key"), str) and all(
+                            isinstance(obj.get(name), str)
+                            for name in ("site_id", "title", "abstract", "source")):
+                        held.add((obj["site_id"], obj["key"]))
+
+                sent = len(server.requests)
+                rows = run_batch([_selection(content=f"site {content[s]}", site_id=s)
+                                  for s in sites], WITH_RULES, cfg, ckpt)
+                after = ckpt.read_text()
                 assert [r.site_id for r in rows] == list(sites)
+                paid = []
                 for row in rows:
-                    title = f"Title for site {content[row.site_id]}"
-                    served = row.key is None and row.error is None
-                    assert served == (held.get(row.site_id) == title)
-                    if row.site_id in down and not served:
+                    key = _key(content[row.site_id], cfg)
+                    assert row.served == ((row.site_id, key) in held)
+                    if row.site_id in down and not row.served:
                         assert row.error.startswith("ApiError: API error 500")
                     else:
-                        assert row.result.title == title
+                        assert row.result.title == _reply(content[row.site_id])["title"]
+                        if not row.served:
+                            paid.append(dumps(dict(vars(row.result), key=key)))
+                assert after.startswith(before)
+                assert sorted(after[len(before):].splitlines()) == sorted(paid)
+                assert len(server.requests) - sent == sum(not r.served for r in rows)
 
 
 class TestClientConfig:
