@@ -87,20 +87,17 @@ def _post_chat(messages: List[Dict[str, str]], cfg: ClientConfig, conn: Connecti
             raise ApiError(status, f"malformed completion body: {exc}")
 
 
-def generate_metadata(
-    selection: Selection, variant: PromptVariant, cfg: ClientConfig
-) -> GeneratedMetadata:
-    """One chat completion on one connection, re-asked with the parse
-    error on schema failures."""
+def generate_metadata(messages: List[Dict[str, str]], cfg: ClientConfig) -> Tuple[str, str]:
+    """The (title, abstract) of one chat completion of messages on one
+    connection, re-asked with the parse error on schema failures."""
     from .transport import Connection
 
-    messages = build_prompt(variant, selection.content, selection.chosen_url)
     last_error: Optional[SchemaViolation] = None
     with Connection(cfg.base_url) as conn:
         for _ in range(cfg.max_retries + 1):
             reply = _post_chat(messages, cfg, conn)
             try:
-                title, abstract = _parse_reply(reply)
+                return _parse_reply(reply)
             except SchemaViolation as exc:
                 last_error = exc
                 messages = messages + [
@@ -108,10 +105,6 @@ def generate_metadata(
                     {"role": "user", "content": f"Your previous reply was not valid: {exc}. "
                      "Return only the JSON object {'title': ..., 'abstract': ...}."},
                 ]
-                continue
-            return GeneratedMetadata(
-                title, abstract, source=f"combo{combination_id(variant, selection.heuristic)}",
-                site_id=selection.site_id, model_name=cfg.model_name)
     raise last_error
 
 
@@ -164,7 +157,10 @@ def run_batch(
                 key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
                 if (selection.site_id, key) in done:
                     return BatchRow(selection.site_id, done[selection.site_id, key], served=True)
-                result = generate_metadata(selection, variant, cfg)
+                title, abstract = generate_metadata(messages, cfg)
+                result = GeneratedMetadata(
+                    title, abstract, source=f"combo{combination_id(variant, selection.heuristic)}",
+                    site_id=selection.site_id, model_name=cfg.model_name)
             except Exception as exc:
                 return BatchRow(selection.site_id, error=f"{type(exc).__name__}: {exc}")
             with lock:

@@ -2,10 +2,10 @@
 
 A YAML config file names the fields, the client's and the prices' under
 `client:` and `prices:`; a key left out or empty takes its default, and an
-unknown key is ignored. The file is read here, without PyYAML, in the
-subset of YAML that README documents. Secrets never live in the file: the
-client reads its bearer token from the environment variable named by
-api_key_source.
+unknown key is ignored if it holds a scalar or a section of them. The file
+is read here, without PyYAML, as a mapping of two levels in the YAML that
+README documents. Secrets never live in the file: the client reads its
+bearer token from the environment variable named by api_key_source.
 """
 
 import dataclasses
@@ -168,17 +168,14 @@ def _value(kind, value, name: str):
     raise ConfigError(f"{name} must be {(get_origin(kind) or kind).__name__}, got {value!r}")
 
 
-# The YAML a config file may use, which yaml.safe_load reads the same way:
-# block mappings and sequences, one-line scalars, [] of scalars, and {}.
+# The YAML a config file may use, which yaml.safe_load reads the same way: a mapping of
+# one-line scalars and sections, each a mapping of one-line scalars; either may be {}.
 _ESCAPE = (r"\\(?:[0abtnvfre \"/\\N_LP]|x[0-9A-Fa-f]{2}|u[0-9A-Fa-f]{4}"
            r"|U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4})")
 _QUOTED = rf"""'(?:[^']|'')*'|"(?:[^"\\]|{_ESCAPE})*\""""
 _PLAIN = r"""(?:[^-?:,\[\]{}#&*!|>'"%@` ]|[-?:](?=[^ ]))(?:[^: ]|:(?=[^ ])| +(?=[^ #:]|:[^ ]))*"""
-_ITEM = _QUOTED + r"""|[^-?:,\[\]{}#&*!|>'"%@` ](?:[^?:,\[\]{}# ]| +(?=[^?:,\[\]{}# ]))*"""
-_VALUE = rf"({_QUOTED}|{_PLAIN})(?: +#.*| *)"
-_FLOW = rf"(\[ *(?:(?:{_ITEM}) *(?:,|(?=\])) *)*\]|\{{ *\}})(?: +#.*| *)"
+_VALUE = rf"({_QUOTED}|{_PLAIN}|\{{ *\}})(?: +#.*| *)"
 _KEY = rf"({_QUOTED}|{_PLAIN}) *:(?: +|$)"
-_DASH = r"-(?: +|$)"
 _ESCAPES = dict(zip('0abtnvfre "/\\N_LP', '\0\a\b\t\n\v\f\r\x1b "/\\\x85\xa0\u2028\u2029'))
 # How YAML 1.1 types a plain scalar (https://yaml.org/type/): null, a decimal
 # int and a dotted float are read; a plain scalar of any other type is refused.
@@ -202,12 +199,10 @@ def _read_yaml(text: str, path):
                     text, re.M)
     if bad:
         fail(text.count("\n", 0, bad.start()) + 1, "a tab, control character or document marker")
-    lines = [[n, len(line) - len(body), body] for n, line in enumerate(text.split("\n"), 1)
-             if (body := line.lstrip(" "))[:1] not in ("", "#")]  # [number, indent, text]
+    lines = [(n, len(line) - len(body), body) for n, line in enumerate(text.split("\n"), 1)
+             if (body := line.lstrip(" "))[:1] not in ("", "#")]  # (number, indent, text)
 
     def scalar(n, token):
-        if token[0] in "[{":
-            return [scalar(n, t) for t in re.findall(_ITEM, token[1:-1])] if token[0] == "[" else {}
         if token[0] in "'\"":
             return token[1:-1].replace("''", "'") if token[0] == "'" else re.sub(
                 r"\\(?:x(..)|u(.{4})|U(.{8})|(.))", lambda m: _ESCAPES[m[4]] if m[4]
@@ -217,33 +212,31 @@ def _read_yaml(text: str, path):
             fail(n, f"YAML 1.1 reads plain {token} as a bool, a date or a number: quote it")
         return token if m is None else None if m["none"] else (int if m["int"] else float)(token)
 
-    def node(i, one_line=False):
-        """The node that starts on lines[i], and the index of the line after it."""
-        n, indent, body = lines[i]
-        entry = _DASH if re.match(_DASH, body) else _KEY if re.match(_KEY, body) else None
-        if entry is None or one_line:
-            m = re.fullmatch(_FLOW if body[0] in "[{" else _VALUE, body) or fail(n)
-            return scalar(n, m[1]), i + 1
-        out = {}  # a sequence's items are keyed by their index
-        while i < len(lines) and lines[i][1] == indent and (m := re.match(entry, lines[i][2])):
-            n, rest = lines[i][0], lines[i][2][m.end():]
-            if len(m[0].rstrip(" ")) > 1025:
-                fail(n, "a key longer than 1024 characters")
-            key = len(out) if entry is _DASH else scalar(n, m[1])
-            _, below, first = lines[i + 1] if i + 1 < len(lines) else (0, -1, "")
-            if rest[:1] not in ("", "#"):  # "- a: 1" starts a mapping; "a: 1" has a one-line value
-                lines[i][1:] = [indent + m.end(), rest]
-                out[key], i = node(i, entry is _KEY)
-            elif below > indent or below == indent and entry is _KEY and re.match(_DASH, first):
-                out[key], i = node(i + 1)  # the node on the lines below
-            else:
-                out[key], i = None, i + 1
-        return (list(out.values()) if entry is _DASH else out), i
+    def value(n, body):
+        token = (re.fullmatch(_VALUE, body) or fail(n))[1]
+        return {} if token[0] == "{" else scalar(n, token)
 
-    doc, i = node(0) if lines else (None, 0)
-    if i < len(lines):
-        fail(lines[i][0])
-    return doc
+    if not lines or not re.match(_KEY, lines[0][2]):  # no node, or a file that is one scalar
+        if len(lines) > 1:
+            fail(lines[1][0])
+        return value(lines[0][0], lines[0][2]) if lines else None
+    out, root = {}, lines[0][1]  # the mapping may be indented as a whole
+    for n, indent, body in lines:
+        m = re.match(_KEY, body) or fail(n)
+        if len(m[0].rstrip(" ")) > 1025:
+            fail(n, "a key longer than 1024 characters")
+        key, rest = scalar(n, m[1]), body[m.end():]
+        opens = rest[:1] in ("", "#")  # "key:", which a section's lines may follow
+        item = None if opens else value(n, rest)
+        if indent == root:  # inner: its section's indent, None until set, root if it has none
+            out[key], section, inner = item, key, None if opens else root
+        elif inner == indent or inner is None and indent > root:
+            if inner is None:  # the section's first line sets its lines' indent
+                out[section], inner = {}, indent
+            out[section][key] = item
+        else:  # a third level, or an indent of neither level
+            fail(n)
+    return out
 
 
 def load_config(path=None, output_dir=None) -> PipelineConfig:
@@ -256,10 +249,7 @@ def load_config(path=None, output_dir=None) -> PipelineConfig:
                 raw = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        try:
-            raw = _read_yaml(raw, path)
-        except RecursionError:  # the reader recurses once per level
-            raise ConfigError(f"{path}: nested too deeply") from None
+        raw = _read_yaml(raw, path)
     cfg = build(PipelineConfig, {} if raw is None else raw, str(path))
     if output_dir is not None:
         cfg.output_dir = Path(output_dir)

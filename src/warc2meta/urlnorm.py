@@ -41,6 +41,8 @@ def normalize_url(raw: str) -> str:
         host = f"[{host}]"
     elif host.startswith("www."):
         host = host[4:]
+    if not host:
+        raise InvalidUrl(f"no host: {raw!r}")
     if port is not None and str(port) != _DEFAULT_PORTS.get(scheme):
         host = f"{host}:{port}"
 

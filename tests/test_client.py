@@ -39,6 +39,12 @@ def _selection(content="acme corp builds instruments", heuristic=HeuristicId.SHO
     )
 
 
+def _messages(variant=WITH_RULES):
+    """The messages run_batch sends for _selection()."""
+    selection = _selection()
+    return build_prompt(variant, selection.content, selection.chosen_url)
+
+
 def _cfg(base_url, **kw):
     return ClientConfig(base_url=base_url, model_name="test-model", **kw)
 
@@ -75,10 +81,11 @@ class TestParseReply:
 
 
 class TestGenerateMetadata:
-    def test_happy_path(self):
+    def test_happy_path(self, tmp_path):
         reply = {"title": "Acme Pte Ltd", "abstract": "This is the website of Acme..."}
         with MockChatServer(script=[reply]) as server:
-            meta = generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
+            [row] = run_batch([_selection()], WITH_RULES, _cfg(server.base_url), tmp_path / "ck")
+        meta = row.result
         assert meta.title == "Acme Pte Ltd"
         assert meta.source == "combo2"
         assert meta.site_id == "s1"
@@ -90,8 +97,8 @@ class TestGenerateMetadata:
             {"title": "Acme", "abstract": "An instrument maker."},
         ]
         with MockChatServer(script=script) as server:
-            meta = generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
-            assert meta.title == "Acme"
+            title, _ = generate_metadata(_messages(), _cfg(server.base_url))
+            assert title == "Acme"
             # the re-ask carries the parse error back to the model
             second = server.requests[1]
             assert second["messages"][-1]["role"] == "user"
@@ -100,9 +107,7 @@ class TestGenerateMetadata:
     def test_rate_limited_forever(self):
         with MockChatServer(script=[429]) as server:
             with pytest.raises(RateLimited):
-                generate_metadata(
-                    _selection(), WITH_RULES, _cfg(server.base_url, max_retries=2)
-                )
+                generate_metadata(_messages(), _cfg(server.base_url, max_retries=2))
 
     @pytest.mark.parametrize("retry_after, slept", [
         ("0.02", 0.02),  # a finite number of seconds >= 0 is honoured
@@ -114,27 +119,25 @@ class TestGenerateMetadata:
         monkeypatch.setattr("warc2meta.client.time.sleep", delays.append)
         reply = {"title": "T", "abstract": "A"}
         with MockChatServer(script=[429, reply], retry_after=retry_after) as server:
-            meta = generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
-        assert meta.title == "T"
+            title, _ = generate_metadata(_messages(), _cfg(server.base_url))
+        assert title == "T"
         assert len(server.requests) == 2
         assert delays == [slept]
 
     def test_server_error_surfaces(self):
         with MockChatServer(script=[500]) as server:
             with pytest.raises(ApiError):
-                generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
+                generate_metadata(_messages(), _cfg(server.base_url))
 
     def test_schema_violation_after_retries(self):
         with MockChatServer(script=["never json"]) as server:
             with pytest.raises(SchemaViolation):
-                generate_metadata(
-                    _selection(), WITH_RULES, _cfg(server.base_url, max_retries=1)
-                )
+                generate_metadata(_messages(), _cfg(server.base_url, max_retries=1))
 
     def test_request_body_shape(self):
         reply = {"title": "T", "abstract": "A"}
         with MockChatServer(script=[reply]) as server:
-            generate_metadata(_selection(), WITHOUT_RULES, _cfg(server.base_url))
+            generate_metadata(_messages(WITHOUT_RULES), _cfg(server.base_url))
             body = server.requests[0]
         assert body["model"] == "test-model"
         assert body["temperature"] == 0.0
@@ -158,6 +161,20 @@ class TestRunBatch:
             assert server.high_water == 1
         assert [r.site_id for r in rows] == ["s0", "s1", "s2"]
         assert all(r.result is not None for r in rows)
+
+    def test_each_prompt_built_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return build_prompt(*args)
+
+        monkeypatch.setattr("warc2meta.client.build_prompt", counted)
+        with MockChatServer(reply_fn=self._echo_fn) as server:
+            rows = run_batch(self._items(), WITH_RULES, _cfg(server.base_url), tmp_path / "ck")
+            assert len(server.requests) == 3
+        assert all(r.result is not None for r in rows)
+        assert len(built) == 3
 
     def test_concurrent_mode_overlaps(self, tmp_path):
         barrier = threading.Barrier(3, timeout=10)
@@ -463,9 +480,9 @@ class TestWire:
         reply = {"title": "T", "abstract": "A"}
         monkeypatch.delenv("WARC2META_API_KEY", raising=False)
         with MockChatServer(script=[reply]) as server:
-            generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
+            generate_metadata(_messages(), _cfg(server.base_url))
             monkeypatch.setenv("WARC2META_API_KEY", "sekrit")
-            generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
+            generate_metadata(_messages(), _cfg(server.base_url))
             without, with_key = server.headers
         assert "Authorization" not in without
         assert with_key["Authorization"] == "Bearer sekrit"
@@ -475,7 +492,7 @@ class TestWire:
     def test_non_json_body_is_api_error(self):
         with MockChatServer(script=[b"<html>bad gateway</html>"]) as server:
             with pytest.raises(ApiError, match="malformed completion body"):
-                generate_metadata(_selection(), WITH_RULES, _cfg(server.base_url))
+                generate_metadata(_messages(), _cfg(server.base_url))
 
     def test_closed_port_gives_one_error_row_per_site(self, tmp_path):
         items = [_selection(content=f"site {i} content", site_id=f"s{i}") for i in range(3)]
@@ -491,10 +508,8 @@ class TestWire:
         reply = {"title": "T", "abstract": "A"}
         with MockChatServer(script=[reply]) as server:
             monkeypatch.setenv("http_proxy", server.base_url)
-            meta = generate_metadata(
-                _selection(), WITH_RULES, _cfg("http://warc2meta-proxy.invalid/v1")
-            )
-        assert meta.title == "T"
+            title, _ = generate_metadata(_messages(), _cfg("http://warc2meta-proxy.invalid/v1"))
+        assert title == "T"
         assert server.paths == ["http://warc2meta-proxy.invalid/v1/chat/completions"]
         assert server.headers[0]["Host"] == "warc2meta-proxy.invalid"
 

@@ -36,7 +36,8 @@ def test_dedup_key_roundtrip():
 
 
 @pytest.mark.parametrize("bad", ["", "not a url", "/relative/only", "mailto:",
-                                 "http://example.com:99999/", "http://example.com:abc/x"])
+                                 "http://example.com:99999/", "http://example.com:abc/x",
+                                 "http://user@/x", "http://:80/", "https://www./"])
 def test_invalid_urls(bad):
     with pytest.raises(InvalidUrl):
         normalize_url(bad)
