@@ -155,8 +155,6 @@ def reduction_report(
 ) -> CostReport:
     """Report the drop from tokens_before to tokens_after, both counted by
     the caller under tok; without tok the report is approximate."""
-    if prices.price_per_million_input < 0 or prices.price_per_million_output < 0:
-        raise ValueError("prices must be nonnegative")
     ratio = Fraction(0) if tokens_before == 0 else 1 - Fraction(tokens_after, tokens_before)
     return CostReport(
         tokens_before=tokens_before,

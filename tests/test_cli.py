@@ -22,7 +22,7 @@ from warc2meta.prompts import GeneratedMetadata, Selection
 from warc2meta.sites import PageRecord, SiteDocument
 
 from helpers import (MockChatServer, build_warc, defect_corpus, html_page, response_record,
-                     run_cli)
+                     run_cli, warc_corpus)
 
 
 def _make_corpus(root, n_sites=3):
@@ -272,6 +272,54 @@ class TestSelectCommand:
         assert run_cli(["--config", str(cfg), "select", "--heuristic", "1"]).exit_code == 0
         assert [k for k in counts() if k.startswith("empty_")] == ["empty_h1"]
         assert counts()["empty_h1"] == empty(1)
+
+    def test_memory_is_set_by_a_site_not_the_crawl(self, tmp_path):
+        """select --all on ten copies of a crawl's sites.jsonl stays within
+        8 MB of max RSS over one copy, and its outputs scale by ten."""
+        one, many = tmp_path / "one", tmp_path / "many"
+        warcs = warc_corpus(tmp_path / "warcs", 48)[0].parent
+        assert run_cli(["--output", one, "ingest", "--input", warcs]).exit_code == 0
+        sites = (one / "sites.jsonl").read_bytes()
+        many.mkdir()
+        with open(many / "sites.jsonl", "wb") as fh:
+            for _ in range(10):
+                fh.write(sites)
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", _SELECT_RSS_SCRIPT, one, many],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        bare, rss_one, rss_many = map(float, proc.stdout.split())
+        assert rss_one > bare  # else the figure is the launcher's peak, not select's
+        assert rss_many <= rss_one + 8
+        for h in (1, 2, 3):
+            name = f"selections_h{h}.jsonl"
+            assert (many / name).read_bytes() == (one / name).read_bytes() * 10
+
+        def token_sums(out):
+            with open(out / "cost_report.csv", newline="") as fh:
+                return {r["heuristic"]: (int(r["tokens_before"]), int(r["tokens_after"]))
+                        for r in csv.DictReader(fh)}
+
+        assert token_sums(many) == {
+            h: (before * 10, after * 10) for h, (before, after) in token_sums(one).items()}
+
+
+# Runs `select --all` on each output directory it is given, each in a child of
+# this small interpreter, and prints the max RSS in MB of a bare child and then
+# of each run. Linux starts a child's max RSS at the peak of the process that
+# started it, so a child of pytest would read pytest's peak, not select's.
+_SELECT_RSS_SCRIPT = """
+import os, subprocess, sys
+def max_rss(*args):
+    proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, args
+    return usage.ru_maxrss / 1024
+runs = [("-c", "pass")] + [("-m", "warc2meta.cli", "--output", out, "select", "--all")
+                           for out in sys.argv[1:]]
+print(*(max_rss(*args) for args in runs))
+"""
 
 
 class TestGenerateEvaluate:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import socket
 import sys
 import tempfile
@@ -212,6 +213,33 @@ class TestRunBatch:
         assert [r.site_id for r in rows] == ["s0", "s1", "s2"]
         lines = [json.loads(l) for l in ckpt.read_text().splitlines()]
         assert len(lines) == 3
+
+    def test_rows_hold_the_replies_sent_and_a_rerun_sends_none(self, tmp_path):
+        computed = {}  # each selection's content -> the reply the server sent for it
+
+        def reply_fn(body):
+            content = body["messages"][1]["content"].partition("\n")[2]
+            digest = hashlib.sha256(content.encode("utf-8")).hexdigest()
+            computed[content] = {"title": f"Site {digest[:8]}", "abstract": f"Abstract {digest}"}
+            return computed[content]
+
+        rng = random.Random(0)
+        words = "service quality customer project design build support team office café".split()
+        items = [_selection(content=f"site {i} " + " ".join(rng.choice(words) for _ in range(300)),
+                            site_id=f"s{i}") for i in range(200)]
+        ckpt = tmp_path / "ckpt.jsonl"
+        with MockChatServer(reply_fn=reply_fn, keep_alive=True) as server:
+            cfg = _cfg(server.base_url)
+            rows = run_batch(items, WITH_RULES, cfg, ckpt)
+            sent, held = len(server.requests), ckpt.read_bytes()
+            resumed = run_batch(items, WITH_RULES, cfg, ckpt)
+            assert len(server.requests) == sent
+        assert [{"title": r.result.title, "abstract": r.result.abstract} for r in rows] == [
+            computed[sel.content] for sel in items]
+        assert [r.to_json() for r in resumed] == [r.to_json() for r in rows]
+        assert ckpt.read_bytes() == held
+        assert sorted(json.loads(line)["site_id"] for line in held.splitlines()) == sorted(
+            sel.site_id for sel in items)
 
     def test_concurrent_checkpoint_resume(self, tmp_path):
         ckpt = tmp_path / "ckpt.jsonl"

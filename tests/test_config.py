@@ -204,6 +204,7 @@ class TestLoad:
         ("client:\n  max_in_flight: 0\n", "max_in_flight"),
         ("client:\n  max_retries: -1\n", "max_retries"),
         ("prices:\n  price_per_million_input: cheap\n", "price_per_million_input"),
+        ("prices:\n  price_per_million_input: -1\n", "prices"),
         ("prices:\n  price_per_million_output: -1\n", "prices"),
     ])
     def test_bad_value_rejected(self, text, match):

@@ -1,6 +1,7 @@
 import encodings.aliases
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -205,6 +206,46 @@ _MARKUP = st.sampled_from([
 _PAGES = st.lists(st.one_of(_MARKUP, _TEXT, _START, _END), max_size=12).map("".join)
 
 
+# Parts of a crawl-like page: words with character references, and the
+# navigation, script, style, comment and plain `<div class="row">`-style
+# tags that most of a crawled page is made of
+_CRAWL_WORDS = (
+    "service quality customer project design build support team office "
+    "café naïve 企業 AT&amp;T &lt;b&gt; 5&nbsp;km &#169; a<b"
+).split()
+_CRAWL_MARKUP = (
+    '<a href="/about" title="x>y">About</a>',
+    "<script>if (a<b) document.write('<p>x</p>');</script>",
+    "<style>p{color:red}</style>",
+    "<!-- nav <b>start</b> -->",
+    "<noscript><img src=x alt='no script'></noscript>",
+    "<noscript><noscript>a</noscript>hidden</noscript>",
+    "<br/>",
+    "<title>Second title</title>",
+    "<![CDATA[kept out]]>",
+    "<DIV CLASS=row>",
+    "</DIV>",
+    '<div class="row">',
+    "</div>",
+    "<h2>",
+    "</h2>",
+    '<a href="/x" class="nav">',
+    '<img src="/l.png" alt="logo">',
+)
+
+
+def _crawl_like_pages(n, seed=0):
+    """n seeded pages of 20 to 200 parts, 30 % of them markup."""
+    rng = random.Random(seed)
+    pages = []
+    for i in range(n):
+        body = "".join(
+            rng.choice(_CRAWL_MARKUP) if rng.random() < 0.3 else rng.choice(_CRAWL_WORDS) + " "
+            for _ in range(rng.randint(20, 200)))
+        pages.append(html_page(f"Page {i} &amp; co", body, rng.choice(_CRAWL_MARKUP)).decode())
+    return pages
+
+
 def _edge_case_examples(test):
     """Every EDGE_CASES page as an explicit example of the property."""
     for html, _, _ in EDGE_CASES:
@@ -229,6 +270,10 @@ class TestExtractionOracle:
             reject()
         page = extract_page(_record(body=html.encode("utf-8")))
         assert (page.title, page.body_text) == want
+
+    def test_matches_html_parser_on_crawl_like_pages(self):
+        for page in _crawl_like_pages(500):
+            assert extract_text(page) == oracle_text(page)
 
     @pytest.mark.parametrize("unit", [
         "<!-- x ", "<!-- x > ", "<![CDATA[ x > ", "<![if x > ", "<x", "<x ", "</a ",
@@ -444,7 +489,7 @@ def _direct(path):
 class TestIngestMany:
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
-        paths = warc_corpus(tmp_path_factory.mktemp("pool") / "warcs", 12)
+        paths = warc_corpus(tmp_path_factory.mktemp("pool") / "warcs", 48)
         assert sum(p.stat().st_size for p in paths) >= ingest.POOL_MIN_BYTES
         return paths
 

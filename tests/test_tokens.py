@@ -1,5 +1,7 @@
 import base64
 import itertools
+import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -36,23 +38,66 @@ PRICES = PriceConfig(
 )
 
 
-def oracle_encode(text: str, vocab) -> list:
-    """Reference BPE: repeatedly merge the lowest-rank pair, searching by
-    vocabulary order instead of scanning positions for the minimum."""
+def naive_encode(text: str, vocab) -> list:
+    """Reference BPE: rescan every adjacent pair before each merge; take the
+    lowest rank, leftmost on a tie."""
     parts = [bytes([b]) for b in text.encode("utf-8")]
-    by_rank = sorted(vocab.items(), key=lambda kv: kv[1])
-    changed = True
-    while changed and len(parts) > 1:
-        changed = False
-        for token, _rank in by_rank:
-            for i in range(len(parts) - 1):
-                if parts[i] + parts[i + 1] == token:
-                    parts[i : i + 2] = [token]
-                    changed = True
-                    break
-            if changed:
-                break
+    while len(parts) > 1:
+        best = None
+        for i in range(len(parts) - 1):
+            rank = vocab.get(parts[i] + parts[i + 1])
+            if rank is not None and (best is None or rank < best[0]):
+                best = (rank, i)
+        if best is None:
+            break
+        i = best[1]
+        parts[i : i + 2] = [parts[i] + parts[i + 1]]
     return parts
+
+
+WORDS = (
+    "service quality customer project design build support team office "
+    "client solution product market delivery local global trusted expert "
+    "partner value care system network planning growth community training "
+    "café crème 漢字 企業 😀 naïve www ...... ------- 1000000"
+).split()
+
+
+def make_text(chars: int, seed: int) -> str:
+    """`chars` characters of seeded random WORDS."""
+    rng = random.Random(seed)
+    words = []
+    length = 0
+    while length < chars:
+        words.append(rng.choice(WORDS))
+        length += len(words[-1]) + 1
+    return " ".join(words)[:chars]
+
+
+def train_ranks(text: str, merges: int) -> dict:
+    """Rank table of the first `merges` most frequent adjacent pairs of
+    text, each counted after the merges before it."""
+    parts = [bytes([b]) for b in text.encode("utf-8")]
+    ranks = {}
+    while len(ranks) < merges and len(parts) > 1:
+        pairs = Counter(map(bytes.__add__, parts, parts[1:]))
+        for token in ranks:
+            del pairs[token]
+        if not pairs:
+            break
+        token = pairs.most_common(1)[0][0]
+        ranks[token] = len(ranks)
+        merged = []
+        i = 0
+        while i < len(parts):
+            if i + 1 < len(parts) and parts[i] + parts[i + 1] == token:
+                merged.append(token)
+                i += 2
+            else:
+                merged.append(parts[i])
+                i += 1
+        parts = merged
+    return ranks
 
 
 class TestCountTokens:
@@ -74,11 +119,11 @@ class TestCountTokens:
 
     def test_oracle_equality_fixed_strings(self):
         for text in ["hello world", "abcabcabc", "he llo", "zzz", "a", ""]:
-            assert len(oracle_encode(text, PINNED_VOCAB)) == count_tokens(text, TOK)
+            assert len(naive_encode(text, PINNED_VOCAB)) == count_tokens(text, TOK)
 
     @given(st.text(alphabet="helo wrabc", max_size=64))
     def test_oracle_equality_random(self, text):
-        assert len(oracle_encode(text, PINNED_VOCAB)) == count_tokens(text, TOK)
+        assert len(naive_encode(text, PINNED_VOCAB)) == count_tokens(text, TOK)
 
     @given(st.text(max_size=200))
     def test_decode_roundtrip(self, text):
@@ -119,19 +164,26 @@ class TestEncodeOracle:
     def test_runs(self, vocab):
         tok = TokenizerHandle(vocabulary=vocab)
         for n in range(1, 40):
-            assert encode("a" * n, tok) == oracle_encode("a" * n, vocab)
+            assert encode("a" * n, tok) == naive_encode("a" * n, vocab)
 
     @given(st.text(alphabet="a b", min_size=100, max_size=300),
            st.sampled_from(RUN_VOCABS))
     def test_long_runs_with_breaks(self, text, vocab):
         vocab = {**vocab, b"a ": len(vocab), b" a": len(vocab) + 1}
         tok = TokenizerHandle(vocabulary=vocab)
-        assert encode(text, tok) == oracle_encode(text, vocab)
+        assert encode(text, tok) == naive_encode(text, vocab)
 
     @given(st.text(alphabet="aé漢😀 ", min_size=35, max_size=100))
     def test_multibyte_tokens(self, text):
         tok = TokenizerHandle(vocabulary=MULTIBYTE_VOCAB)
-        assert encode(text, tok) == oracle_encode(text, MULTIBYTE_VOCAB)
+        assert encode(text, tok) == naive_encode(text, MULTIBYTE_VOCAB)
+
+    def test_trained_table_on_long_text(self):
+        # a table trained as real ones are, on text with multibyte characters
+        ranks = train_ranks(make_text(12_000, seed=0), 300)
+        assert len(ranks) == 300
+        text = make_text(2_000, seed=2_000)
+        assert encode(text, TokenizerHandle(vocabulary=ranks)) == naive_encode(text, ranks)
 
 
 class TestVocabularyLoading:
@@ -199,11 +251,6 @@ class TestReductionReport:
                 Decimal(tokens) / Decimal(1_000_000) * PRICES.price_per_million_input
             ).quantize(Decimal("0.000001"))
             assert cost == expected
-
-    def test_negative_prices_rejected(self):
-        bad = PriceConfig(Decimal("-1"), Decimal("0"))
-        with pytest.raises(ValueError):
-            reduction_report(1, 1, bad)
 
     def test_approximate_flag(self):
         assert reduction_report(1, 1, PRICES).approximate
