@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from .config import ClientConfig, build
 from .errors import ApiError, ConfigError, RateLimited, SchemaViolation
 from .prompts import GeneratedMetadata, PromptVariant, Selection, build_prompt, combination_id
-from .store import dumps, jsonl_writer, read_jsonl
+from .store import appending, dumps
 
 if TYPE_CHECKING:
     from .transport import Connection
@@ -137,14 +136,12 @@ def run_batch(
     reply is appended to the checkpoint as it arrives, with the sha256 of
     its request (messages, model, temperature) as its `key`; an error is
     never written. A request is served from the checkpoint when any line
-    holds a reply for its site and key. A line that does not build as a
-    GeneratedMetadata with a string key is never served, and the last line,
-    if an interrupted append left it without its newline, is cut off first.
+    (see `store.appending`) holds a reply for its site and key; a line that
+    does not build as a GeneratedMetadata with a string key is never served.
     """
-    lock = threading.Lock()
-    with jsonl_writer(checkpoint_path, append=True) as write:  # drops a torn last line
+    with appending(checkpoint_path) as (logged, append):  # a torn last line cut off
         done = {}  # (site_id, request key): reply
-        for obj in read_jsonl(checkpoint_path):
+        for obj in logged:
             if isinstance(obj.get("key"), str):  # only replies carry a key
                 with suppress(ConfigError):
                     reply = build(GeneratedMetadata, obj, str(checkpoint_path))
@@ -163,8 +160,7 @@ def run_batch(
                     site_id=selection.site_id, model_name=cfg.model_name)
             except Exception as exc:
                 return BatchRow(selection.site_id, error=f"{type(exc).__name__}: {exc}")
-            with lock:
-                write(dumps(dict(vars(result), key=key)))
+            append(dumps(dict(vars(result), key=key)))
             return BatchRow(selection.site_id, result)
 
         if cfg.max_in_flight == 1:

@@ -4,25 +4,27 @@ Stages hand each other files in one directory (`output_dir`, `out/` by
 default), so any stage can be inspected and rerun on its own. No other
 module names these files:
 
-    file                        written by     read by
-    sites.jsonl                 ingest         select
-    selections_h<N>.jsonl       select         generate
+    file                        written by            read by
+    sites.jsonl                 ingest                select
+    selections_h<N>.jsonl       select                generate
     cost_report.csv             select
-    checkpoint_combo<N>.jsonl   generate       generate (resume)
-    generated_combo<N>.jsonl    generate       evaluate
+    checkpoint_combo<N>.jsonl   generate (appended)   generate (resume)
+    generated_combo<N>.jsonl    generate              evaluate
     scores_per_site.csv         evaluate
     ranked_summary.csv          evaluate
     manifest_<stage>.json       ingest, select, generate, evaluate
 
 A JSONL row is one JSON object, keys sorted, non-ASCII kept. A row is
 written by its dataclass's `to_json` and read back by `config.build`.
-Only `client.run_batch` reads a checkpoint, and it only appends to one.
+Every file but a checkpoint (`appending`) is written whole (`replacing`).
 """
 
-import datetime
+import io
 import json
 import os
+import threading
 from contextlib import contextmanager
+from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import build
@@ -55,11 +57,11 @@ def dumps(obj) -> str:
 def read_jsonl(path, row=None, after=None, errors=None):
     """The object of each non-blank line, parsed once, as it is read, or
     given a row type, each that is not an error row built by config.build;
-    the list `errors`, if given, gets the error rows passed over.
-
-    A missing file is a ConfigError, raised by this call, before any row
-    is read; `after` names the stage that writes it. A line that is not
-    UTF-8, a JSON object or a row is a ConfigError naming the file and line.
+    the list `errors`, if given, gets the error rows passed over. A missing
+    file is a ConfigError, raised by this call, before any row is read;
+    `after` names the stage that writes it. A line that is not UTF-8, a
+    JSON object or a row is a ConfigError naming the file and line, here
+    and in a checkpoint, which `appending` parses by these same rules.
     """
     path = Path(path)
     if not path.is_file():
@@ -67,8 +69,8 @@ def read_jsonl(path, row=None, after=None, errors=None):
     return _rows(path, row, errors)
 
 
-def _rows(path, row, errors):
-    with open(path, "rb") as fh:
+def _rows(path, row, errors, data=None):
+    with open(path, "rb") if data is None else io.BytesIO(data) as fh:
         for n, line in enumerate(fh, 1):
             if line.strip():
                 try:
@@ -99,47 +101,49 @@ def replacing(path, newline=None):
 
 
 @contextmanager
-def jsonl_writer(path, append=False):
-    """A write(row) for one JSONL file, new (see `replacing`) or appended
-    to. Each row is flushed as it is written, so an interrupted append
-    keeps every row it finished; the next append first cuts off the last
-    line if it has no newline, the row that was being written."""
-    if append:
-        with open(path, "ab+") as fh:
-            fh.seek(0)
-            fh.truncate(fh.read().rfind(b"\n") + 1)
-    with open(path, "a", encoding="utf-8") if append else replacing(path) as fh:
+def appending(path):
+    """The objects of a JSONL log's lines (see `read_jsonl`), read once, after
+    a last line without its newline (a torn append) is cut off, and an
+    append(row) on the same handle, for any thread, that writes and flushes
+    each row whole, so an interrupted run keeps every row it finished."""
+    lock = threading.Lock()
+    with open(path, "ab+") as fh:
+        fh.seek(0)
+        kept = fh.read()
+        kept = kept[:fh.truncate(kept.rfind(b"\n") + 1)]  # truncate returns the new size
 
-        def write(row: str):
-            fh.write(row + "\n")
-            fh.flush()
+        def append(row: str):
+            with lock:
+                fh.write(row.encode("utf-8") + b"\n")
+                fh.flush()
 
-        yield write
+        yield _rows(path, None, None, kept), append
+
+
+@contextmanager
+def jsonl_writer(path):
+    """A write(row) for one JSONL file, written whole (see `replacing`)."""
+    with replacing(path) as fh:
+        yield lambda row: fh.write(row + "\n")
 
 
 def write_csv(path, header, rows):
     import csv  # here: ingest and generate write no CSV
 
     with replacing(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerows([header, *rows])
 
 
 @contextmanager
 def stage(cfg, name: str):
     """A stage's run: yields its counts, which the block fills in. When the
-    block ends without an error, manifest_<name>.json is written last: a
-    fresh run id, the start and end times (UTC, ISO 8601), the digest of
-    cfg as it is then, and the counts."""
-    started = _now()
+    block ends without an error, manifest_<name>.json is written last and
+    whole (see `replacing`): a fresh run id, the start and end times (UTC,
+    ISO 8601), the digest of cfg as it is then, and the counts."""
+    started = datetime.now(timezone.utc).isoformat()
     counts = {}
     yield counts
-    manifest = {"run_id": os.urandom(16).hex(), "stage": name, "started_at": started,
-                "finished_at": _now(), "config_digest": cfg.digest(), "counts": counts}
-    path = Path(cfg.output_dir) / f"manifest_{name}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def _now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+    with replacing(Path(cfg.output_dir) / f"manifest_{name}.json") as fh:
+        json.dump({"run_id": os.urandom(16).hex(), "stage": name, "started_at": started,
+                   "finished_at": datetime.now(timezone.utc).isoformat(),
+                   "config_digest": cfg.digest(), "counts": counts}, fh, indent=2, sort_keys=True)

@@ -1,6 +1,9 @@
 import base64
+import builtins
 import csv
 import dataclasses
+import errno
+import io
 import json
 import os
 import shutil
@@ -1103,6 +1106,25 @@ class TestFailedStageKeepsOutputs:
         assert _outputs(out) == kept
 
 
+class _FullDisk:
+    """A text file that takes the first 10 characters written to it, then
+    fails as a write to a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:10])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 class TestStageManifest:
     """`store.stage` writes a stage's manifest last, and only when the
     stage ends without an error."""
@@ -1122,6 +1144,27 @@ class TestStageManifest:
         with pytest.raises(ConfigError), store.stage(cfg, "evaluate"):
             raise ConfigError("stopped")
         assert not (tmp_path / "manifest_evaluate.json").exists()
+
+    def test_a_failed_write_leaves_the_previous_manifest_whole(self, tmp_path, monkeypatch):
+        """A new manifest whose write fails part-way, after its file is
+        opened (a full disk, say), leaves the previous one whole and no
+        temporary file."""
+        cfg = PipelineConfig(output_dir=tmp_path)
+        with store.stage(cfg, "select") as counts:
+            counts["sites"] = 2
+        before = (tmp_path / "manifest_select.json").read_bytes()
+        real_open = open
+
+        def full_disk(*args, **kwargs):
+            return _FullDisk(real_open(*args, **kwargs))
+
+        with pytest.raises(OSError, match="No space left"), monkeypatch.context() as patch:
+            with store.stage(cfg, "select") as counts:
+                counts["sites"] = 3
+                patch.setattr(io, "open", full_disk)  # pathlib's open
+                patch.setattr(builtins, "open", full_disk)
+        assert (tmp_path / "manifest_select.json").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest_select.json"]
 
     @pytest.mark.parametrize("args", [
         ["ingest", "--input", "missing"],

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -6,6 +7,7 @@ import socket
 import sys
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from warc2meta.client import (
 from warc2meta.errors import ApiError, RateLimited, SchemaViolation
 from warc2meta.prompts import (WITH_RULES, WITHOUT_RULES, HeuristicId, Selection,
                                build_prompt, combination_id)
-from warc2meta.store import dumps
+from warc2meta.store import appending, dumps
 from warc2meta.urlnorm import normalize_url
 
 from helpers import MockChatServer
@@ -309,6 +311,32 @@ class TestRunBatch:
         assert "\n".join(lines[:2]) + "\n" == whole
         assert [json.loads(line)["site_id"] for line in lines] == ["s0", "s1", "s2"]
 
+    def test_resume_opens_and_reads_the_checkpoint_once(self, tmp_path, monkeypatch):
+        """A resumed batch opens its checkpoint once and reads its bytes
+        once: the torn-line cut and the parse of the lines share one read."""
+        ckpt = tmp_path / "ckpt.jsonl"
+        opened, sizes = [], []
+        real_open = open
+
+        def counted_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            if not isinstance(file, (str, os.PathLike)) or Path(file) != ckpt:
+                return fh
+            opened.append(args)
+            return _CountedReads(fh, sizes)
+
+        with MockChatServer(reply_fn=self._echo_fn) as server:
+            cfg = _cfg(server.base_url)
+            run_batch(self._items(2), WITH_RULES, cfg, ckpt)
+            held = ckpt.read_bytes()
+            with monkeypatch.context() as patch:
+                patch.setattr("builtins.open", counted_open)
+                rows = run_batch(self._items(3), WITH_RULES, cfg, ckpt)
+            assert len(server.requests) == 3
+        assert [r.served for r in rows] == [True, True, False]
+        assert (len(opened), sum(sizes)) == (1, len(held))
+        assert ckpt.read_bytes().startswith(held)
+
     def test_checkpoint_row_without_key_requested_again(self, tmp_path):
         # rows written before checkpoints carried a request key
         ckpt = tmp_path / "ckpt.jsonl"
@@ -385,6 +413,51 @@ class TestRunBatch:
             a = [r.to_json() for r in run_batch(self._items(), WITH_RULES, cfg, tmp_path / "a")]
             b = [r.to_json() for r in run_batch(self._items(), WITH_RULES, cfg, tmp_path / "b")]
         assert a == b
+
+
+class _CountedReads:
+    """A file handle that adds the size of each read through it to `sizes`."""
+
+    def __init__(self, fh, sizes):
+        self.fh, self.sizes = fh, sizes
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = next(self.fh)
+        self.sizes.append(len(line))
+        return line
+
+    def read(self, *args):
+        data = self.fh.read(*args)
+        self.sizes.append(len(data))
+        return data
+
+
+def test_rows_appended_from_many_threads_stay_whole_lines(tmp_path):
+    """Rows that several threads append to one checkpoint at once, each
+    longer than the file's buffer, land whole on lines of their own."""
+    path = tmp_path / "ckpt.jsonl"
+    rows = [dumps({"site_id": f"s{i}", "pad": "x" * (io.DEFAULT_BUFFER_SIZE + i)})
+            for i in range(500)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with appending(path) as (_, append), ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(append, rows))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(path.read_text().splitlines()) == sorted(rows)
 
 
 def _key(content, cfg):
