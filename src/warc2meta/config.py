@@ -6,10 +6,12 @@ unknown key is ignored if it holds a scalar or a section of them. The file
 is read here, without PyYAML, as a mapping of two levels in the YAML that
 README documents. Secrets never live in the file: the client reads its
 bearer token from the environment variable named by api_key_source.
+
+`sha256` and `shake_256` are CPython's built-in hashes, as in `random`; the
+same ones from `hashlib` map OpenSSL, about 3.7 MB, which only `generate` needs.
 """
 
 import dataclasses
-import hashlib
 import json
 import os
 import re
@@ -21,6 +23,15 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 
 from .errors import ConfigError
+
+try:  # CPython's own sha256 is in _sha2 from 3.12, in _sha256 before
+    from _sha3 import shake_256
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from _sha256 import sha256
+except ImportError:  # a build without them
+    from hashlib import sha256, shake_256
 
 # the setting that cannot change an output, so the digest leaves it out
 NOT_DIGESTED = frozenset({"api_key_source"})
@@ -94,7 +105,7 @@ class PipelineConfig:
         """Short hash of every setting but NOT_DIGESTED; the referenced
         files must be readable (validate() checks), as their contents count."""
         blob = json.dumps(_digested(self), sort_keys=True, default=str)  # Path, Decimal
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return sha256(blob.encode()).hexdigest()[:16]
 
 
 def _digested(settings) -> dict:
@@ -107,7 +118,7 @@ def _digested(settings) -> dict:
             value = _digested(value)
         elif f.name in _FILES and value is not None:
             # its contents, not its name, set the outputs
-            value = hashlib.sha256(Path(value).read_bytes()).hexdigest()
+            value = sha256(Path(value).read_bytes()).hexdigest()
         out[f.name] = value
     return out
 

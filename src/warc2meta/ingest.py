@@ -26,7 +26,7 @@ _REJECT_BYTES = tuple(marker.encode() for marker in REJECT_MARKERS)
 _META_CHARSET_RE = re.compile(
     rb"""<meta[^>]+charset\s*=\s*["']?\s*([a-zA-Z0-9_\-]+)""", re.I
 )
-_CHARSET_PARAM_RE = re.compile(r"charset\s*=\s*([a-zA-Z0-9_\-]+)", re.I)
+_CHARSET_PARAM_RE = re.compile(r'charset\s*=\s*"?([a-zA-Z0-9_\-]+)', re.I)  # "quoted" too
 
 
 # html.parser's grammar where it decides what is text: the tag names that

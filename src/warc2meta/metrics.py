@@ -15,7 +15,6 @@ never load them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -23,6 +22,7 @@ import struct
 import unicodedata
 from typing import TYPE_CHECKING, Iterable, Protocol, Tuple
 
+from .config import shake_256
 from .errors import ApiError, EmptyText
 
 if TYPE_CHECKING:
@@ -89,7 +89,7 @@ class MockEmbeddingProvider:
 
         rows = []
         for token in tokens:
-            digest = hashlib.shake_256(token.encode("utf-8")).digest(8 * self.dim)
+            digest = shake_256(token.encode("utf-8")).digest(8 * self.dim)
             v = [(w >> 11) * 2.0**-52 - 1 for w in struct.unpack(f"<{self.dim}Q", digest)]
             norm = math.sqrt(math.fsum(x * x for x in v)) or 1.0  # a zero vector stays zero
             rows.append([x / norm for x in v])

@@ -22,6 +22,7 @@ Every file but a checkpoint (`appending`) is written whole (`replacing`).
 import io
 import json
 import os
+import sys
 import threading
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -139,11 +140,21 @@ def stage(cfg, name: str):
     """A stage's run: yields its counts, which the block fills in. When the
     block ends without an error, manifest_<name>.json is written last and
     whole (see `replacing`): a fresh run id, the start and end times (UTC,
-    ISO 8601), the digest of cfg as it is then, and the counts."""
+    ISO 8601), the digest of cfg as it is then, the counts, and the peak RSS
+    of this process and the largest of its waited-for children's (MiB, null
+    on Windows)."""
     started = datetime.now(timezone.utc).isoformat()
     counts = {}
     yield counts
+    try:
+        import resource
+        unit = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss: bytes on macOS, else KiB
+        rss = {who: round(resource.getrusage(flag).ru_maxrss / unit, 1) for who, flag in
+               (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))}
+    except ImportError:  # no resource module on Windows
+        rss = None
     with replacing(Path(cfg.output_dir) / f"manifest_{name}.json") as fh:
         json.dump({"run_id": os.urandom(16).hex(), "stage": name, "started_at": started,
                    "finished_at": datetime.now(timezone.utc).isoformat(),
-                   "config_digest": cfg.digest(), "counts": counts}, fh, indent=2, sort_keys=True)
+                   "config_digest": cfg.digest(), "counts": counts, "max_rss_mb": rss},
+                  fh, indent=2, sort_keys=True)

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import types
 import typing
 from pathlib import Path
 
@@ -792,14 +793,15 @@ class TestUsageErrors:
 # Runs one CLI stage in this interpreter, then prints its OPENBLAS_NUM_THREADS
 # and which of the heavy modules the stage loaded. click is watched because it
 # may still be installed, where a leftover import of it would pass every other test.
+# _hashlib and _ssl map OpenSSL's libcrypto, which only TLS needs.
 _STAGE_SCRIPT = """
 import os, sys
 from warc2meta.cli import main
 main(sys.argv[1:])
-watched = ("click", "requests", "yaml", "numpy", "numpy.random", "concurrent.futures",
-           "urllib.request", "warc2meta.client", "warc2meta.heuristics", "warc2meta.ingest",
-           "warc2meta.metrics", "warc2meta.ranking", "warc2meta.stats", "warc2meta.tokens",
-           "warc2meta.urlnorm", "warc2meta.warc")
+watched = ("_hashlib", "_ssl", "click", "requests", "yaml", "numpy", "numpy.random",
+           "concurrent.futures", "urllib.request", "warc2meta.client", "warc2meta.heuristics",
+           "warc2meta.ingest", "warc2meta.metrics", "warc2meta.ranking", "warc2meta.stats",
+           "warc2meta.tokens", "warc2meta.urlnorm", "warc2meta.warc")
 print(os.environ.get("OPENBLAS_NUM_THREADS"))
 print(sorted(m for m in watched if m in sys.modules))
 """
@@ -857,7 +859,7 @@ class TestImportFootprint:
         assert loaded == {
             "ingest": "['warc2meta.ingest', 'warc2meta.urlnorm', 'warc2meta.warc']",
             "select": "['warc2meta.heuristics', 'warc2meta.tokens']",
-            "generate": "['warc2meta.client']",
+            "generate": "['_hashlib', '_ssl', 'warc2meta.client']",
             "stats": "['warc2meta.stats']",
             "evaluate": "['numpy', 'warc2meta.metrics', 'warc2meta.ranking']",  # not numpy.random
         }
@@ -868,7 +870,7 @@ class TestImportFootprint:
             (tmp_path / "out" / "checkpoint_combo2.jsonl").unlink()  # so each row is asked
             (tmp_path / "out" / "generated_combo2.jsonl").unlink()
             loaded = self._loaded("--config", cfg, "generate", http_proxy=server.base_url)
-        assert loaded == "['urllib.request', 'warc2meta.client']"
+        assert loaded == "['_hashlib', '_ssl', 'urllib.request', 'warc2meta.client']"
         assert (tmp_path / "out" / "generated_combo2.jsonl").read_text() == reference.read_text()
         # an absolute-form target: the request went through the proxy
         assert server.paths[-3:] == [f"{server.base_url}/chat/completions"] * 3
@@ -1136,14 +1138,41 @@ class TestStageManifest:
             counts["sites"] = 2
             assert not path.exists()
         manifest = json.loads(path.read_text())
-        assert sorted(manifest) == ["config_digest", "counts", "finished_at", "run_id", "stage",
-                                    "started_at"]
+        assert sorted(manifest) == ["config_digest", "counts", "finished_at", "max_rss_mb",
+                                    "run_id", "stage", "started_at"]
         assert manifest["stage"] == "select" and manifest["counts"] == {"sites": 2}
         assert manifest["config_digest"] == cfg.digest()
         assert manifest["started_at"] <= manifest["finished_at"]
         with pytest.raises(ConfigError), store.stage(cfg, "evaluate"):
             raise ConfigError("stopped")
         assert not (tmp_path / "manifest_evaluate.json").exists()
+
+    def test_peak_memory_counts_the_children_waited_for(self, tmp_path):
+        cfg = PipelineConfig(output_dir=tmp_path)
+        with store.stage(cfg, "ingest"):  # a child whose peak is at least 48 MiB
+            subprocess.run([sys.executable, "-c", "b'x' * (48 << 20)"], check=True)
+        rss = json.loads((tmp_path / "manifest_ingest.json").read_text())["max_rss_mb"]
+        assert sorted(rss) == ["children", "self"]
+        assert rss["children"] >= 48 and rss["self"] > 0
+
+    @pytest.mark.parametrize("platform, maxrss", [("linux", 51200), ("darwin", 50 << 20)])
+    def test_peak_memory_is_in_mib_on_each_platform(self, tmp_path, monkeypatch, platform,
+                                                      maxrss):
+        """ru_maxrss is in KiB on Linux and in bytes on macOS; Windows has
+        no resource module, and its manifest says null."""
+        cfg = PipelineConfig(output_dir=tmp_path)
+        monkeypatch.setitem(sys.modules, "resource", types.SimpleNamespace(
+            RUSAGE_SELF=0, RUSAGE_CHILDREN=-1,
+            getrusage=lambda who: types.SimpleNamespace(ru_maxrss=maxrss * (1 if who == 0 else 3))))
+        monkeypatch.setattr(sys, "platform", platform)
+        with store.stage(cfg, "select"):
+            pass
+        path = tmp_path / "manifest_select.json"
+        assert json.loads(path.read_text())["max_rss_mb"] == {"self": 50.0, "children": 150.0}
+        monkeypatch.setitem(sys.modules, "resource", None)  # import resource: ImportError
+        with store.stage(cfg, "select"):
+            pass
+        assert json.loads(path.read_text())["max_rss_mb"] is None
 
     def test_a_failed_write_leaves_the_previous_manifest_whole(self, tmp_path, monkeypatch):
         """A new manifest whose write fails part-way, after its file is

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from warc2meta import store
 from warc2meta.client import (
     RETRY_BACKOFF,
     ClientConfig,
@@ -458,6 +459,56 @@ def test_rows_appended_from_many_threads_stay_whole_lines(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert sorted(path.read_text().splitlines()) == sorted(rows)
+
+
+class _HeldFirstWrite:
+    """A file handle whose first write, once made, sets `writing` and then
+    waits, at most `timeout` seconds, for another thread's write."""
+
+    def __init__(self, fh, timeout):
+        self.fh, self.timeout = fh, timeout
+        self.writing, self.other = threading.Event(), threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        n = self.fh.write(data)
+        if not self.writing.is_set():
+            self.writing.set()
+            self.other.wait(self.timeout)
+        else:
+            self.other.set()
+        return n
+
+
+def test_a_row_and_its_newline_are_written_under_one_lock(tmp_path, monkeypatch):
+    """A second append, made while the first is inside its write, waits its
+    turn, and the first's write gives up waiting for it after half a second.
+    An append that wrote its row and its newline in two writes, without a
+    lock around both, would have the second row land between them."""
+    handles = []
+
+    def held(*args, **kwargs):
+        handles.append(_HeldFirstWrite(open(*args, **kwargs), timeout=0.5))
+        return handles[-1]
+
+    monkeypatch.setattr(store, "open", held, raising=False)  # store's own name only
+    rows = [dumps({"site_id": "s0"}), dumps({"site_id": "s1"})]
+    path = tmp_path / "ckpt.jsonl"
+    with appending(path) as (_, append):
+        first = threading.Thread(target=append, args=(rows[0],))
+        first.start()
+        assert handles[0].writing.wait(10)
+        append(rows[1])
+        first.join()
+    assert path.read_text().splitlines() == rows
 
 
 def _key(content, cfg):

@@ -1,11 +1,13 @@
 import dataclasses
+import hashlib
 import math
+import random
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from warc2meta.config import (
     NOT_DIGESTED,
@@ -15,6 +17,8 @@ from warc2meta.config import (
     build,
     _read_yaml,
     load_config,
+    sha256,
+    shake_256,
 )
 from warc2meta.errors import ConfigError
 
@@ -435,3 +439,16 @@ def test_reader_never_differs_from_pyyaml(lines):
         assert str(exc).startswith("cfg.yaml: line ")
         return
     assert repr(got) == repr(yaml.safe_load(text))  # repr: 1 and 1.0 differ
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300), st.integers(0, 300))
+@example(b"", 0)
+@example(b"", 128)
+@example(random.Random(1).randbytes((1 << 20) + 7), 128)
+def test_bound_hashes_are_hashlibs(data, length):
+    """config's sha256 and shake_256, CPython's built-in ones where it has
+    them, give hashlib's digests, so the config digest and the mock vectors
+    stay the same bits."""
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    assert shake_256(data).digest(length) == hashlib.shake_256(data).digest(length)

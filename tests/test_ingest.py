@@ -90,6 +90,14 @@ class TestExtractPage:
         page = extract_page(_record(content_type="text/html", body=body))
         assert "café" in page.body_text
 
+    @pytest.mark.parametrize("param", ['charset=iso-8859-1', 'charset="iso-8859-1"',
+                                       'CHARSET = "iso-8859-1"'])
+    def test_header_charset_plain_or_quoted(self, param):
+        # RFC 9110 5.6.6: a parameter's value may be a quoted-string
+        body = "<title>Café</title><p>Crème brûlée at the café.</p>".encode("iso-8859-1")
+        page = extract_page(_record(content_type=f"text/html; {param}", body=body))
+        assert (page.title, page.body_text) == ("Café", "Crème brûlée at the café.")
+
     def test_xhtml_accepted(self):
         page = extract_page(
             _record(content_type="application/xhtml+xml",
