@@ -37,9 +37,6 @@ _TAG_NAME = r"[a-zA-Z][^\t\n\r\f />\x00]*"
 _WHOLE = r"(?![^\t\n\r\f />\x00])"  # the tag name ends here
 _ATTRS = (r"""(?:\s|/(?!>))*(?:(?<=['"\s/])[^\s/>][^\s/=>]*"""
           r"""(?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*))?(?:\s|/(?!>))*)*""")
-# _atomic(group, pattern) is matched in a lookahead, then again by
-# reference, so the engine cannot backtrack into it for another reading.
-_atomic = "(?=(?P<{0}>{1}))(?P={0})".format
 # Markup that runs to a close of its own, as (opener, close): comments, and
 # marked sections by keyword.
 _OPENERS = (
@@ -64,7 +61,7 @@ def _scanner(openers):
                 rf"|/(?!{_SPECIAL}>)[a-zA-Z][a-zA-Z0-9]*>)")
     dropped = (
         rf"{ordinary}(?:<{ordinary})*",
-        rf"(?!{_SPECIAL}{_WHOLE}){_atomic('tag', _TAG_NAME + _ATTRS)}/?>",
+        rf"(?!{_SPECIAL}{_WHOLE})(?>{_TAG_NAME}{_ATTRS})/?>",
         rf"/(?!\s*{_SPECIAL}\s*>|{_SPECIAL}[\t\n\r\f /\x00])[^>]*>",
         *(rf"{opener}(?s:.*?){close}" for opener, close in openers),
         r"\?[^>]*>", r"!(?!--|\[)[^>]*>",
@@ -77,9 +74,9 @@ def _scanner(openers):
     # the next '>', or the rest of the page when no '>' is left.
     kept = (
         rf"/(?:\s+(?={_SPECIAL}\s*>))?(?P<end>{_SPECIAL})(?:\s*>|[\t\n\r\f /\x00][^>]*>)",
-        _atomic("start", rf"(?P<name>(?P<raw>(?ai:script|style))|{_SPECIAL}){_WHOLE}{_ATTRS}")
-        + r"(?P<close>/)?>(?(close)|(?(raw)(?:(?P<rawtext>(?s:.*?))</\s*(?ai:(?P=raw))\s*>|(?s:.*))))",
-        _atomic("junk", _TAG_NAME + _ATTRS) + "(?=[^>/=a-zA-Z])",
+        rf"(?>(?P<name>(?P<raw>(?ai:script|style))|{_SPECIAL}){_WHOLE}{_ATTRS})"
+        r"(?P<close>/)?>(?(close)|(?(raw)(?:(?P<rawtext>(?s:.*?))</\s*(?ai:(?P=raw))\s*>|(?s:.*))))",
+        rf"(?P<junk>(?>{_TAG_NAME}{_ATTRS}))(?=[^>/=a-zA-Z])",
         rf"(?P<opener>{'|'.join(opener for opener, _ in openers) or '(?!)'})(?s:.*)",
         r"(?=[a-zA-Z/!?])(?:[^>]*>|(?s:.*))",
     )
@@ -120,7 +117,7 @@ def extract_text(page: str) -> tuple[str, str]:
             if at == last:
                 break
             start = at + groups
-            end, _, name, raw, close, rawtext, junk, opener = parts[i + 1:start]
+            end, name, raw, close, rawtext, junk, opener = parts[i + 1:start]
             if end:
                 if end.lower() != "title":
                     depth -= depth > 0
