@@ -22,6 +22,8 @@ from .tokens import TokenizerHandle, truncate
 ABOUT_TOKENS = frozenset(
     {"about", "about-us", "aboutus", "about_us", "who-we-are"}
 )
+# a path segment's file extension, which an About page's may have ("about.html")
+_EXTENSION_RE = re.compile(r"\.[a-zA-Z0-9]{1,5}\Z")
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,8 @@ def select(
     about = []
     if heuristic == HeuristicId.ABOUT_PRIORITY:
         about = [p for p in site.pages
-                 if any(seg.lower() in ABOUT_TOKENS for seg in _path_segments(p.url))]
+                 if any(_EXTENSION_RE.sub("", seg).lower() in ABOUT_TOKENS
+                        for seg in _path_segments(p.url))]
     page = min(about or site.pages, key=lambda p: (len(p.url), p.url))
     content, original, reduced = truncate(page.body_text, max_tokens, tok)
     if heuristic == HeuristicId.SHORTEST_URL_FILTERED:

@@ -8,6 +8,7 @@ variant with the most body text.
 import codecs
 import os
 import re
+from collections import Counter
 from functools import lru_cache
 from html import unescape
 from itertools import compress, repeat
@@ -183,23 +184,18 @@ def _is_html(record: RawWarcRecord) -> bool:
     return media_type in HTML_CONTENT_TYPES
 
 
-def extract_page(record: RawWarcRecord) -> Optional[PageRecord]:
-    """Turn an HTML record into a PageRecord; None for non-HTML or a bad URL."""
-    if not _is_html(record):
+def extract_page(record: RawWarcRecord, known_html: bool = False) -> Optional[PageRecord]:
+    """Turn an HTML record into a PageRecord; None for non-HTML or a bad URL.
+    A caller that has found the record to be HTML says so by `known_html`."""
+    if not (known_html or _is_html(record)):
         return None
     try:
         url = normalize_url(record.target_uri)
     except InvalidUrl:
         return None
     title, body_text = extract_text(_decode_body(record.payload, record.content_type))
-    return PageRecord(
-        url=url,
-        raw_url=record.target_uri,
-        title=title,
-        body_text=body_text,
-        http_status=record.http_status,
-        char_count=len(body_text),
-    )
+    return PageRecord(url=url, raw_url=record.target_uri, title=title, body_text=body_text,
+                      http_status=record.http_status, char_count=len(body_text))
 
 
 def quality_filter(page: PageRecord, min_chars: int = PipelineConfig.min_chars) -> Optional[str]:
@@ -228,33 +224,35 @@ def deduplicate(pages: List[PageRecord]) -> List[PageRecord]:
     return list(best.values())
 
 
-def ingest_warc_file(path, min_chars: int = PipelineConfig.min_chars) -> SiteDocument:
-    """Stream one WARC file into a deduplicated, quality-filtered SiteDocument."""
+def ingest_warc_file(path, min_chars: int = PipelineConfig.min_chars,
+                     rejected: Optional[Counter] = None) -> SiteDocument:
+    """Stream one WARC file into a deduplicated, quality-filtered SiteDocument;
+    `rejected`, an empty Counter if given, counts its rejected pages by reason."""
     kept = []
-    rejected = 0
+    rejected = Counter() if rejected is None else rejected
     undecodable = 0
     for record in open_warc_stream(path):
-        page = extract_page(record)
-        if page is None:
-            if _is_html(record):
-                undecodable += 1
+        if not _is_html(record):
             continue
-        if quality_filter(page, min_chars) is not None:
-            rejected += 1
+        page = extract_page(record, known_html=True)
+        if page is None:
+            undecodable += 1
+            continue
+        reason = quality_filter(page, min_chars)
+        if reason is not None:
+            rejected[reason] += 1
             continue
         kept.append(page)
     pages = deduplicate(kept)
-    return SiteDocument(
-        source_file=str(path),
-        pages=pages,
-        rejected_count=rejected,
-        duplicate_count=len(kept) - len(pages),
-        undecodable_count=undecodable,
-    )
+    return SiteDocument(str(path), pages, rejected_count=rejected.total(),
+                        duplicate_count=len(kept) - len(pages), undecodable_count=undecodable)
 
 
-# A FileResult's page counts, named as the ingest manifest names their sums.
-PAGE_COUNTS = ("pages_kept", "pages_rejected", "pages_duplicate", "pages_undecodable")
+# quality_filter's reasons, and a FileResult's page counts, named as the
+# ingest manifest names their sums.
+REJECT_REASONS = ("status", "placeholder", "too_short")
+PAGE_COUNTS = ("pages_kept", "pages_rejected", "pages_duplicate", "pages_undecodable",
+               *(f"pages_rejected_{reason}" for reason in REJECT_REASONS))
 
 
 class FileResult(NamedTuple):
@@ -270,12 +268,14 @@ def _ingest_file(path, min_chars: int) -> FileResult:
     # The pool's task, private so that no tracer rebinds it to a wrapper the
     # pool cannot pickle. It returns only strings and ints: an exception whose
     # __init__ takes other arguments than its message cannot be unpickled.
+    rejected = Counter()
     try:
-        doc = ingest_warc_file(path, min_chars)
+        doc = ingest_warc_file(path, min_chars, rejected)
     except Exception as exc:
         return FileResult(error=f"{type(exc).__name__}: {exc}")
     return FileResult(doc.to_json(), dict(zip(PAGE_COUNTS, (
-        len(doc.pages), doc.rejected_count, doc.duplicate_count, doc.undecodable_count))))
+        len(doc.pages), doc.rejected_count, doc.duplicate_count, doc.undecodable_count,
+        *(rejected[reason] for reason in REJECT_REASONS)))))
 
 
 # A pool costs about 35 ms to import, fork and stop. Ingest through one

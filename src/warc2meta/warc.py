@@ -25,7 +25,6 @@ SURFACED_TYPES = ("response", "resource")
 class RawWarcRecord:
     """One response/resource record with its HTTP envelope removed."""
 
-    record_type: str
     target_uri: str
     http_status: Optional[int]
     content_type: Optional[str]
@@ -109,13 +108,7 @@ def _iter_records(stream) -> Iterator[RawWarcRecord]:
             status, content_type, body = _split_http_payload(payload)
         else:
             status, content_type, body = None, warc_ct or None, payload
-        yield RawWarcRecord(
-            record_type=rec_type,
-            target_uri=uri,
-            http_status=status,
-            content_type=content_type,
-            payload=body,
-        )
+        yield RawWarcRecord(uri, status, content_type, body)
 
 
 def open_warc_stream(path) -> Iterator[RawWarcRecord]:

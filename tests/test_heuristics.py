@@ -88,6 +88,17 @@ class TestAboutPriority:
             site = _site("https://a.sg/x", f"https://a.sg/{token}")
             assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url == f"https://a.sg/{token}"
 
+    @pytest.mark.parametrize("path", ["about.html", "about-us.php", "aboutus.aspx", "About.HTM"])
+    def test_about_page_with_a_file_extension(self, path):
+        site = _site("https://a.sg/x", f"https://a.sg/{path}")
+        assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url == f"https://a.sg/{path}"
+
+    @pytest.mark.parametrize("path", ["about.tar.gz", "about.abcdef", "about.", "about.h-m",
+                                      "about.\u212a"])
+    def test_only_one_short_ascii_extension_is_dropped(self, path):
+        site = _site("https://a.sg/x", f"https://a.sg/{path}")
+        assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url == "https://a.sg/x"
+
     def test_case_insensitive_segment_match(self):
         site = _site("https://a.sg/xyz", "https://a.sg/About")
         assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url == "https://a.sg/About"

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from concurrent import futures
 from pathlib import Path
 
@@ -35,7 +36,6 @@ _LABELS = sorted({*encodings.aliases.aliases, *encodings.aliases.aliases.values(
 
 def _record(content_type="text/html", body=b"", uri="https://a.sg/", status=200):
     return RawWarcRecord(
-        record_type="response",
         target_uri=uri,
         http_status=status,
         content_type=content_type,
@@ -422,6 +422,34 @@ class TestIngestWarcFile:
         assert doc.rejected_count == 1
         assert doc.duplicate_count == 0
 
+    def test_rejects_counted_by_reason(self, tmp_path):
+        records = [
+            response_record("https://a.sg/", body=html_page("Home", "welcome " * 20)),
+            response_record("https://a.sg/gone", status=410, body=html_page("Gone", "x " * 20)),
+            response_record("https://a.sg/lost", status=404, body=html_page("Lost", "y " * 20)),
+            response_record("https://a.sg/todo", body=html_page("Todo", "Lorem ipsum " * 5)),
+            response_record("https://a.sg/soon", body=html_page("Soon", "Coming soon.")),
+        ]
+        rejected = Counter()
+        doc = ingest_warc_file(build_warc(tmp_path / "f.warc", records), rejected=rejected)
+        assert rejected == {"status": 2, "placeholder": 1, "too_short": 1}
+        assert doc.rejected_count == 4
+
+    def test_each_record_is_read_as_html_or_not_once(self, tmp_path, monkeypatch):
+        seen = []
+        is_html = ingest._is_html
+        monkeypatch.setattr(ingest, "_is_html",
+                            lambda record: seen.append(record.target_uri) or is_html(record))
+        uris = ["https://a.sg/", "https://a.sg:99999/", "https://a.sg/img"]
+        records = [
+            response_record(uris[0], body=html_page("Home", "welcome " * 20)),
+            response_record(uris[1], body=html_page("Bad", "unreachable " * 20)),
+            response_record(uris[2], content_type="image/png", body=b"png"),
+        ]
+        doc = ingest_warc_file(build_warc(tmp_path / "f.warc", records))
+        assert seen == uris
+        assert (len(doc.pages), doc.undecodable_count) == (1, 1)
+
     def test_duplicates_counted(self, tmp_path):
         records = [
             response_record("https://a.sg/", body=html_page("A", "first crawl " * 10)),
@@ -526,7 +554,11 @@ class TestIngestMany:
                     "pages_kept": len(doc.pages), "pages_rejected": doc.rejected_count,
                     "pages_duplicate": doc.duplicate_count,
                     "pages_undecodable": doc.undecodable_count,
+                    **{f"pages_rejected_{reason}": r.counts[f"pages_rejected_{reason}"]
+                       for reason in ("status", "placeholder", "too_short")},
                 }
+                assert sum(n for k, n in r.counts.items()
+                           if k.startswith("pages_rejected_")) == doc.rejected_count
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         assert pools == ([min(cores, len(corpus))] if cores >= 2 else [])
 

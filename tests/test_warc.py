@@ -31,7 +31,6 @@ def test_response_surfaced_request_skipped(tmp_path):
     out = list(open_warc_stream(path))
     assert len(out) == 1
     rec = out[0]
-    assert rec.record_type == "response"
     assert rec.target_uri == "https://a.sg/"
     assert rec.http_status == 200
     assert rec.content_type.startswith("text/html")
@@ -95,10 +94,11 @@ def test_resource_record_uses_warc_content_type(tmp_path):
                       html_page("R", "resource body text"),
                       content_type="text/html")
     path = build_warc(tmp_path / "res.warc", [rec])
-    out = list(open_warc_stream(path))
-    assert out[0].record_type == "resource"
-    assert out[0].http_status is None
-    assert out[0].content_type == "text/html"
+    [out] = open_warc_stream(path)  # the one resource record is surfaced
+    assert out.target_uri == "https://a.sg/page.html"
+    assert out.http_status is None
+    assert out.content_type == "text/html"
+    assert out.payload == html_page("R", "resource body text")
 
 
 def test_streaming_record_size_accounting(tmp_path):
