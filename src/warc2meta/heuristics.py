@@ -19,11 +19,9 @@ from .sites import SiteDocument
 from .tokens import TokenizerHandle, truncate
 
 
-ABOUT_TOKENS = frozenset(
-    {"about", "about-us", "aboutus", "about_us", "who-we-are"}
-)
-# a path segment's file extension, which an About page's may have ("about.html")
-_EXTENSION_RE = re.compile(r"\.[a-zA-Z0-9]{1,5}\Z")
+# An About page's path segment, in any case, with or without one file
+# extension of 1-5 ASCII letters or digits ("about.html").
+_ABOUT_RE = re.compile(r"(?ai:about|about-us|aboutus|about_us|who-we-are)(?:\.[a-zA-Z0-9]{1,5})?")
 
 
 @dataclass(frozen=True)
@@ -110,9 +108,7 @@ def select(
         raise EmptySite(site.source_file)
     about = []
     if heuristic == HeuristicId.ABOUT_PRIORITY:
-        about = [p for p in site.pages
-                 if any(_EXTENSION_RE.sub("", seg).lower() in ABOUT_TOKENS
-                        for seg in _path_segments(p.url))]
+        about = [p for p in site.pages if any(map(_ABOUT_RE.fullmatch, _path_segments(p.url)))]
     page = min(about or site.pages, key=lambda p: (len(p.url), p.url))
     content, original, reduced = truncate(page.body_text, max_tokens, tok)
     if heuristic == HeuristicId.SHORTEST_URL_FILTERED:

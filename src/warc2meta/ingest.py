@@ -194,8 +194,14 @@ def extract_page(record: RawWarcRecord, known_html: bool = False) -> Optional[Pa
     except InvalidUrl:
         return None
     title, body_text = extract_text(_decode_body(record.payload, record.content_type))
-    return PageRecord(url=url, raw_url=record.target_uri, title=title, body_text=body_text,
-                      http_status=record.http_status, char_count=len(body_text))
+    return PageRecord(
+        url=url,
+        raw_url=record.target_uri,
+        title=title,
+        body_text=body_text,
+        http_status=record.http_status,
+        char_count=len(body_text),
+    )
 
 
 def quality_filter(page: PageRecord, min_chars: int = PipelineConfig.min_chars) -> Optional[str]:

@@ -150,6 +150,10 @@ EDGE_CASES = [
     ("a <x <x&lt;\x00b", "", "a <x <x&lt;\x00b"),
     ("<p>a</p> <x&amp;'\x00b", "", "a <x&'\x00b"),
     ("<title>t</x <!-- c", "t</x <!-- c", ""),
+    # a tag's name and attributes have one reading: html.parser does not cut
+    # them shorter or split them otherwise to reach a '>'
+    ("<b'=\x00>", "", "<b'=\x00>"),
+    ("<noscript x=='>'", "", "<noscript x=='>'"),
     # at the edges of the ordinary tags the scan matches first: a longer
     # name, a space before '>', a quoted '>', a glued attribute
     ("<scripts>x</scripts>", "", "x"),
