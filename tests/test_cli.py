@@ -96,6 +96,24 @@ class TestIngestCommand:
         [site] = (tmp_path / "out" / "sites.jsonl").read_text().splitlines()
         assert json.loads(site)["pages"][1]["body_text"].startswith("content +2D0- content")
 
+    def test_ingest_manifest_counts_rejected_pages_by_reason(self, tmp_path):
+        """The defect corpus's "404 Orchard Road" page is a placeholder; a site
+        added to it has a page per other reason quality_filter gives."""
+        warcs = defect_corpus(tmp_path / "warcs")
+        build_warc(warcs / "rejects.warc", [
+            response_record("https://gone.sg/", status=404, body=html_page(
+                "Gone", "The page you asked for has moved to our new address.")),
+            response_record("https://gone.sg/soon", body=html_page("Soon", "Coming soon.")),
+            response_record("https://gone.sg/shop", body=html_page(
+                "Shop", "Hand-made leather bags and wallets, repaired for free.")),
+        ])
+        cfg = _write_config(tmp_path, warcs)
+        assert run_cli(["--config", str(cfg), "ingest"]).exit_code == 0
+        counts = json.loads((tmp_path / "out" / "manifest_ingest.json").read_text())["counts"]
+        assert {k: n for k, n in counts.items() if k.startswith("pages_rejected")} == {
+            "pages_rejected": 3, "pages_rejected_status": 1,
+            "pages_rejected_placeholder": 1, "pages_rejected_too_short": 1}
+
     def test_empty_dir_is_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -276,24 +294,6 @@ class TestSelectCommand:
         assert run_cli(["--config", str(cfg), "select", "--heuristic", "1"]).exit_code == 0
         assert [k for k in counts() if k.startswith("empty_")] == ["empty_h1"]
         assert counts()["empty_h1"] == empty(1)
-
-    def test_ingest_manifest_counts_rejected_pages_by_reason(self, tmp_path):
-        """The defect corpus's "404 Orchard Road" page is a placeholder; a site
-        added to it has a page per other reason quality_filter gives."""
-        warcs = defect_corpus(tmp_path / "warcs")
-        build_warc(warcs / "rejects.warc", [
-            response_record("https://gone.sg/", status=404, body=html_page(
-                "Gone", "The page you asked for has moved to our new address.")),
-            response_record("https://gone.sg/soon", body=html_page("Soon", "Coming soon.")),
-            response_record("https://gone.sg/shop", body=html_page(
-                "Shop", "Hand-made leather bags and wallets, repaired for free.")),
-        ])
-        cfg = _write_config(tmp_path, warcs)
-        assert run_cli(["--config", str(cfg), "ingest"]).exit_code == 0
-        counts = json.loads((tmp_path / "out" / "manifest_ingest.json").read_text())["counts"]
-        assert {k: n for k, n in counts.items() if k.startswith("pages_rejected")} == {
-            "pages_rejected": 3, "pages_rejected_status": 1,
-            "pages_rejected_placeholder": 1, "pages_rejected_too_short": 1}
 
     def test_memory_is_set_by_a_site_not_the_crawl(self, tmp_path):
         """select --all on ten copies of a crawl's sites.jsonl stays within

@@ -95,7 +95,7 @@ class TestAboutPriority:
 
     @pytest.mark.parametrize("path", ["about.tar.gz", "about.abcdef", "about.", "about.h-m",
                                       "about.\u212a"])
-    def test_only_one_short_ascii_extension_is_dropped(self, path):
+    def test_only_one_short_ascii_extension_is_allowed(self, path):
         site = _site("https://a.sg/x", f"https://a.sg/{path}")
         assert select(site, HeuristicId.ABOUT_PRIORITY).chosen_url == "https://a.sg/x"
 
