@@ -10,8 +10,8 @@ loads no other stage's modules or libraries.
 
 import sys
 from argparse import ArgumentParser, ArgumentTypeError, RawDescriptionHelpFormatter
-from dataclasses import make_dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import store
 from .config import PipelineConfig, load_config
@@ -23,9 +23,9 @@ def ingest(cfg: PipelineConfig, args):
     written as each file is done."""
     from .ingest import PAGE_COUNTS, ingest_many
 
+    if args.input:
+        cfg = cfg._replace(input_dir=Path(args.input))
     with store.stage(cfg, "ingest") as counts:
-        if args.input:
-            cfg.input_dir = Path(args.input)
         if not cfg.input_dir.is_dir():
             sys.exit(f"Error: input directory not found: {cfg.input_dir}")
         paths = sorted(cfg.input_dir.glob("*.warc")) + sorted(cfg.input_dir.glob("*.warc.gz"))
@@ -136,7 +136,7 @@ def generate(cfg: PipelineConfig, args):
             print(f"combo {combo}: {ok}/{len(rows) + len(skipped[h])} generated -> {out}")
 
 
-Reference = make_dataclass("Reference", [("site_id", str), ("title", str), ("abstract", str)])
+Reference = NamedTuple("Reference", [("site_id", str), ("title", str), ("abstract", str)])
 
 
 def evaluate(cfg: PipelineConfig, args):

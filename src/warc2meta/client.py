@@ -16,8 +16,7 @@ import json
 import re
 import time
 from contextlib import suppress
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .config import ClientConfig, build
 from .errors import ApiError, ConfigError, RateLimited, SchemaViolation
@@ -107,8 +106,7 @@ def generate_metadata(messages: List[Dict[str, str]], cfg: ClientConfig) -> Tupl
     raise last_error
 
 
-@dataclass
-class BatchRow:
+class BatchRow(NamedTuple):
     site_id: str
     result: Optional[GeneratedMetadata] = None
     error: Optional[str] = None
@@ -118,7 +116,7 @@ class BatchRow:
         """The generated row."""
         obj = {"site_id": self.site_id}
         if self.result is not None:
-            obj.update(vars(self.result))
+            obj.update(self.result._asdict())
         if self.error is not None:
             obj["error"] = self.error
         return dumps(obj)
@@ -160,7 +158,7 @@ def run_batch(
                     site_id=selection.site_id, model_name=cfg.model_name)
             except Exception as exc:
                 return BatchRow(selection.site_id, error=f"{type(exc).__name__}: {exc}")
-            append(dumps(dict(vars(result), key=key)))
+            append(dumps(dict(result._asdict(), key=key)))
             return BatchRow(selection.site_id, result)
 
         if cfg.max_in_flight == 1:

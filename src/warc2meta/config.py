@@ -1,4 +1,5 @@
-"""Pipeline settings, each declared once: a dataclass field and its default.
+"""Pipeline settings, each declared once: a NamedTuple field and its default.
+Settings do not change in place; `_replace` gives a changed copy.
 
 A YAML config file names the fields, the client's and the prices' under
 `client:` and `prices:`; a key left out or empty takes its default, and an
@@ -11,15 +12,13 @@ bearer token from the environment variable named by api_key_source.
 same ones from `hashlib` map OpenSSL, about 3.7 MB, which only `generate` needs.
 """
 
-import dataclasses
 import json
 import os
 import re
-from dataclasses import MISSING, dataclass, field
 from decimal import Decimal
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 
 from .errors import ConfigError
@@ -39,10 +38,7 @@ NOT_DIGESTED = frozenset({"api_key_source"})
 _FILES = ("tokenizer_path", "filter_rules_path")
 
 
-@dataclass(frozen=True)
-class ClientConfig:
-    """Chat endpoint settings; `client.py` makes the calls."""
-
+class _ClientFields(NamedTuple):
     base_url: str = "https://api.openai.com/v1"
     model_name: str = "gpt-4o"
     api_key_source: str = "WARC2META_API_KEY"
@@ -50,35 +46,46 @@ class ClientConfig:
     max_in_flight: int = 1
     max_retries: int = 3
 
-    def __post_init__(self):
+
+class ClientConfig(_ClientFields):
+    """Chat endpoint settings; `client.py` makes the calls. A value out of
+    range is a ValueError, from the constructor and from `_replace`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError("temperature must be in [0, 2]")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # what _replace builds with
+        return cls(*iterable)
 
     def api_key(self) -> str:
         return os.environ.get(self.api_key_source, "")
 
 
-@dataclass(frozen=True)
-class PriceConfig:
+class PriceConfig(NamedTuple):
     """USD per million tokens."""
 
     price_per_million_input: Decimal = Decimal("2.50")
     price_per_million_output: Decimal = Decimal("10.00")
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     input_dir: Path = Path(".")
     output_dir: Path = Path("out")
     heuristic: int = 2  # a heuristics.HeuristicId
     prompt_variant: str = "rules"
-    client: ClientConfig = field(default_factory=ClientConfig)
+    client: ClientConfig = ClientConfig()
     tokenizer_path: Optional[Path] = None
-    prices: PriceConfig = field(default_factory=PriceConfig)
+    prices: PriceConfig = PriceConfig()
     filter_rules_path: Optional[Path] = None
     min_chars: int = 30
     max_content_tokens: int = 8000
@@ -94,7 +101,7 @@ class PipelineConfig:
         _check_http_url("client.base_url", self.client.base_url)
         if self.embedding_base_url is not None:
             _check_http_url("embedding_base_url", self.embedding_base_url)
-        if min(dataclasses.astuple(self.prices)) < 0:
+        if min(self.prices) < 0:
             raise ConfigError("prices must be >= 0")
         for name in _FILES:
             p = getattr(self, name)
@@ -110,16 +117,15 @@ class PipelineConfig:
 
 def _digested(settings) -> dict:
     out = {}
-    for f in dataclasses.fields(settings):
-        if f.name in NOT_DIGESTED:
+    for name, value in settings._asdict().items():
+        if name in NOT_DIGESTED:
             continue
-        value = getattr(settings, f.name)
-        if dataclasses.is_dataclass(value):
+        if isinstance(value, tuple):  # a section
             value = _digested(value)
-        elif f.name in _FILES and value is not None:
+        elif name in _FILES and value is not None:
             # its contents, not its name, set the outputs
             value = sha256(Path(value).read_bytes()).hexdigest()
-        out[f.name] = value
+        out[name] = value
     return out
 
 
@@ -135,9 +141,10 @@ def _check_http_url(name: str, url) -> None:
 
 
 def build(cls, raw, name: str):
-    """cls from a parsed mapping, a config section or a stage file's row: a
-    key that names no field is passed over, a null or empty value takes its
-    field's default, and a field without one is required. A value must be
+    """The NamedTuple cls from a parsed mapping, a config section or a stage
+    file's row: a key that names no field is passed over, a null or empty
+    value takes its field's default, and a field without one is required; a
+    field of a NamedTuple type is built from a mapping. A value must be
     of its field's type, but an int may stand for a float or an IntEnum, a
     str for a Path, and a str or a number for a Decimal."""
     if not isinstance(raw, dict):
@@ -159,16 +166,16 @@ def build(cls, raw, name: str):
 def _fields(cls):
     """(name, X of Optional[X] or List[X], or the type; type, required) per field."""
     hints = get_type_hints(cls)  # evaluates annotations left as strings, too
-    return tuple((f.name, (get_args(t) or (t,))[0], t, f.default is f.default_factory is MISSING)
-                 for f in dataclasses.fields(cls) for t in [hints[f.name]])
+    return tuple((name, (get_args(t) or (t,))[0], t, name not in cls._field_defaults)
+                 for name in cls._fields for t in [hints[name]])
 
 
 def _value(kind, value, name: str):
     if get_origin(kind) is Union:  # Optional[X]
         return None if value is None else _value(get_args(kind)[0], value, name)
-    if dataclasses.is_dataclass(kind):
+    if isinstance(kind, type) and issubclass(kind, tuple):  # a NamedTuple
         return build(kind, value, name)
-    if get_origin(kind) is list and type(value) is list:  # of dataclasses
+    if get_origin(kind) is list and type(value) is list:  # of NamedTuples
         return [_value(get_args(kind)[0], v, f"{name}[{i}]") for i, v in enumerate(value)]
     if type(value) in {float: (float, int), Path: (str,), Decimal: (str, int, float)}.get(
             kind, (kind, int) if isinstance(kind, type) and issubclass(kind, int) else (kind,)):
@@ -263,6 +270,6 @@ def load_config(path=None, output_dir=None) -> PipelineConfig:
         raw = _read_yaml(raw, path)
     cfg = build(PipelineConfig, {} if raw is None else raw, str(path))
     if output_dir is not None:
-        cfg.output_dir = Path(output_dir)
+        cfg = cfg._replace(output_dir=Path(output_dir))
     cfg.validate()
     return cfg

@@ -9,8 +9,7 @@ One `select`, with three strategies keyed by stable integer codes:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .config import PipelineConfig
 from .errors import EmptySite, InvalidPattern
@@ -24,8 +23,7 @@ from .tokens import TokenizerHandle, truncate
 _ABOUT_RE = re.compile(r"(?ai:about|about-us|aboutus|about_us|who-we-are)(?:\.[a-zA-Z0-9]{1,5})?")
 
 
-@dataclass(frozen=True)
-class FilterRule:
+class FilterRule(NamedTuple):
     name: str
     pattern: str
     replacement: str
@@ -97,7 +95,7 @@ def select(
     heuristic: HeuristicId,
     rules: Optional[List[FilterRule]] = None,
     tok: Optional[TokenizerHandle] = None,
-    max_tokens: int = PipelineConfig.max_content_tokens,
+    max_tokens: int = PipelineConfig().max_content_tokens,
 ) -> Selection:
     """Pick the page with the shortest normalized URL (ties: lexicographic),
     among the About pages under heuristic 1 when the site has one, and cut

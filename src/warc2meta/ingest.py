@@ -204,7 +204,8 @@ def extract_page(record: RawWarcRecord, known_html: bool = False) -> Optional[Pa
     )
 
 
-def quality_filter(page: PageRecord, min_chars: int = PipelineConfig.min_chars) -> Optional[str]:
+def quality_filter(page: PageRecord,
+                   min_chars: int = PipelineConfig().min_chars) -> Optional[str]:
     """Return a rejection reason, or None to keep the page."""
     if page.http_status is not None and page.http_status >= 400:
         return "status"
@@ -230,7 +231,7 @@ def deduplicate(pages: List[PageRecord]) -> List[PageRecord]:
     return list(best.values())
 
 
-def ingest_warc_file(path, min_chars: int = PipelineConfig.min_chars,
+def ingest_warc_file(path, min_chars: int = PipelineConfig().min_chars,
                      rejected: Optional[Counter] = None) -> SiteDocument:
     """Stream one WARC file into a deduplicated, quality-filtered SiteDocument;
     `rejected`, an empty Counter if given, counts its rejected pages by reason."""
@@ -290,7 +291,7 @@ def _ingest_file(path, min_chars: int) -> FileResult:
 POOL_MIN_BYTES = 1 << 20
 
 
-def ingest_many(paths, min_chars: int = PipelineConfig.min_chars):
+def ingest_many(paths, min_chars: int = PipelineConfig().min_chars):
     """Yield each WARC file's FileResult, in input order, as it is ready.
 
     The files are ingested by a pool of processes, one per usable core, when

@@ -5,9 +5,8 @@ The two system-prompt variants are pinned byte-for-byte by golden-file
 tests; edit with care.
 """
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .errors import EmptyContent
 from .store import dumps
@@ -42,8 +41,7 @@ class HeuristicId(IntEnum):  # defined here, not in heuristics: evaluate loads n
     SHORTEST_URL_FILTERED = 3
 
 
-@dataclass(frozen=True)
-class Selection:  # here, not in heuristics: generate loads no select layer
+class Selection(NamedTuple):  # here, not in heuristics: generate loads no select layer
     site_id: str
     heuristic: HeuristicId
     chosen_url: str
@@ -52,11 +50,10 @@ class Selection:  # here, not in heuristics: generate loads no select layer
     reduced_token_estimate: int
 
     def to_json(self) -> str:
-        return dumps(vars(self))
+        return dumps(self._asdict())
 
 
-@dataclass(frozen=True)
-class PromptVariant:
+class PromptVariant(NamedTuple):
     name: str  # "rules" or "norules"
     system_text: str
 
@@ -74,8 +71,7 @@ def combination_id(variant: PromptVariant, heuristic: HeuristicId) -> int:
     return COMBINATIONS.index((variant, heuristic))
 
 
-@dataclass(frozen=True)
-class GeneratedMetadata:  # here, not in client: evaluate loads no chat client
+class GeneratedMetadata(NamedTuple):  # here, not in client: evaluate loads no chat client
     title: str
     abstract: str
     source: str  # "human" or "combo<N>"

@@ -9,32 +9,28 @@ than one combination can hold score 1.
 """
 
 import statistics
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import EmptyText, NoOverlap
 from .metrics import TokenTable, bertscore, levenshtein
 from .prompts import GeneratedMetadata
 
 
-@dataclass(frozen=True)
-class ScorePair:
+class ScorePair(NamedTuple):
     site_id: str
     title_levenshtein: int
     title_bertscore_f1: float
     abstract_bertscore_f1: float
 
 
-@dataclass(frozen=True)
-class CombinationStats:
+class CombinationStats(NamedTuple):
     combination_id: int
     lev_median: float
     bs_median: float
     bs_std: float
 
 
-@dataclass(frozen=True)
-class RankedCombination:
+class RankedCombination(NamedTuple):
     stats: CombinationStats
     rank_sum: int
     final_score: int

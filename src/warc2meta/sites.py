@@ -2,14 +2,12 @@
 
 import os
 import re
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .store import dumps
 
 
-@dataclass(frozen=True)
-class PageRecord:
+class PageRecord(NamedTuple):
     url: str  # normalized
     raw_url: str
     title: str
@@ -18,8 +16,7 @@ class PageRecord:
     char_count: int
 
 
-@dataclass
-class SiteDocument:
+class SiteDocument(NamedTuple):
     source_file: str
     pages: List[PageRecord]
     rejected_count: int = 0
@@ -27,8 +24,8 @@ class SiteDocument:
     undecodable_count: int = 0
 
     def to_json(self) -> str:
-        return dumps(dict(vars(self), page_count=len(self.pages),
-                          pages=[vars(p) for p in self.pages]))
+        return dumps(dict(self._asdict(), page_count=len(self.pages),
+                          pages=[p._asdict() for p in self.pages]))
 
     @property
     def site_id(self) -> str:

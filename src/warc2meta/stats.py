@@ -10,8 +10,7 @@ import csv
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import (
     DegenerateMatrix,
@@ -39,8 +38,7 @@ def chi_square_survival(x: float, df: int) -> float:
     return min(1.0, total)
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     test_name: str
     statistic: float
     degrees_of_freedom: int
@@ -73,8 +71,7 @@ class TestResult:
         )
 
 
-@dataclass
-class GradingMatrix:
+class GradingMatrix(NamedTuple):
     subjects: List[str]
     treatments: List[str]
     cells: List[List[int]]  # subjects x treatments, 1 = pass

@@ -15,7 +15,7 @@ module names these files:
     manifest_<stage>.json       ingest, select, generate, evaluate
 
 A JSONL row is one JSON object, keys sorted, non-ASCII kept. A row is
-written by its dataclass's `to_json` and read back by `config.build`.
+written by its NamedTuple's `to_json` and read back by `config.build`.
 Every file but a checkpoint (`appending`) is written whole (`replacing`).
 """
 

@@ -9,10 +9,9 @@ decimal with 6 fractional digits; reduction ratios are exact fractions.
 import base64
 import heapq
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .config import PriceConfig
 from .errors import VocabularyLoadError
@@ -20,8 +19,7 @@ from .errors import VocabularyLoadError
 _CENTS = Decimal("0.000001")
 
 
-@dataclass(frozen=True)
-class TokenizerHandle:
+class TokenizerHandle(NamedTuple):
     vocabulary: Dict[bytes, int]
 
 
@@ -131,8 +129,7 @@ def truncate(
     return data[:cut].decode("utf-8"), len(parts), kept
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     tokens_before: int
     tokens_after: int
     reduction_ratio: Fraction

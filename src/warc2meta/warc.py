@@ -10,8 +10,7 @@ import gzip
 import io
 import re
 import zlib
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import GzipError, MalformedWarcHeader, TruncatedRecord
 
@@ -21,8 +20,7 @@ _STATUS_RE = re.compile(rb"^HTTP/\d\.\d\s+(\d{3})")
 SURFACED_TYPES = ("response", "resource")
 
 
-@dataclass(frozen=True)
-class RawWarcRecord:
+class RawWarcRecord(NamedTuple):
     """One response/resource record with its HTTP envelope removed."""
 
     target_uri: str

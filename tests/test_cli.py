@@ -1,7 +1,6 @@
 import base64
 import builtins
 import csv
-import dataclasses
 import errno
 import io
 import json
@@ -811,15 +810,16 @@ class TestUsageErrors:
 # Runs one CLI stage in this interpreter, then prints its OPENBLAS_NUM_THREADS
 # and which of the heavy modules the stage loaded. click is watched because it
 # may still be installed, where a leftover import of it would pass every other test.
-# _hashlib and _ssl map OpenSSL's libcrypto, which only TLS needs.
+# _hashlib and _ssl map OpenSSL's libcrypto, which only TLS needs. dataclasses
+# loads inspect, and each class it makes costs about 1 ms; numpy loads inspect.
 _STAGE_SCRIPT = """
 import os, sys
 from warc2meta.cli import main
 main(sys.argv[1:])
-watched = ("_hashlib", "_ssl", "click", "requests", "yaml", "numpy", "numpy.random",
-           "concurrent.futures", "urllib.request", "warc2meta.client", "warc2meta.heuristics",
-           "warc2meta.ingest", "warc2meta.metrics", "warc2meta.ranking", "warc2meta.stats",
-           "warc2meta.tokens", "warc2meta.urlnorm", "warc2meta.warc")
+watched = ("_hashlib", "_ssl", "click", "dataclasses", "inspect", "requests", "yaml", "numpy",
+           "numpy.random", "concurrent.futures", "urllib.request", "warc2meta.client",
+           "warc2meta.heuristics", "warc2meta.ingest", "warc2meta.metrics", "warc2meta.ranking",
+           "warc2meta.stats", "warc2meta.tokens", "warc2meta.urlnorm", "warc2meta.warc")
 print(os.environ.get("OPENBLAS_NUM_THREADS"))
 print(sorted(m for m in watched if m in sys.modules))
 """
@@ -879,7 +879,8 @@ class TestImportFootprint:
             "select": "['warc2meta.heuristics', 'warc2meta.tokens']",
             "generate": "['_hashlib', '_ssl', 'warc2meta.client']",
             "stats": "['warc2meta.stats']",
-            "evaluate": "['numpy', 'warc2meta.metrics', 'warc2meta.ranking']",  # not numpy.random
+            # not numpy.random, and no dataclasses; numpy loads inspect
+            "evaluate": "['inspect', 'numpy', 'warc2meta.metrics', 'warc2meta.ranking']",
         }
 
     def test_generate_loads_urllib_request_when_a_proxy_is_set(self, tmp_path):
@@ -956,11 +957,11 @@ def _keyed(obj, at):
 def _field_paths(cls, obj, required_only):
     """Key paths to the fields of obj, a row of type cls, and of its pages."""
     paths = []
-    for f in dataclasses.fields(cls):
-        optional = type(None) in typing.get_args(typing.get_type_hints(cls)[f.name])
-        has_default = (f.default, f.default_factory) != (dataclasses.MISSING,) * 2
+    for name in cls._fields:
+        optional = type(None) in typing.get_args(typing.get_type_hints(cls)[name])
+        has_default = name in cls._field_defaults
         if not required_only or not (optional or has_default):
-            paths.append([f.name])
+            paths.append([name])
     if cls is SiteDocument:
         paths += [["pages", i, *p] for i, page in enumerate(obj["pages"])
                   for p in _field_paths(PageRecord, page, required_only)]

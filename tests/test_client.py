@@ -598,7 +598,7 @@ class TestCheckpointRule:
                     else:
                         assert row.result.title == _reply(content[row.site_id])["title"]
                         if not row.served:
-                            paid.append(dumps(dict(vars(row.result), key=key)))
+                            paid.append(dumps(dict(row.result._asdict(), key=key)))
                 assert after.startswith(before)
                 assert sorted(after[len(before):].splitlines()) == sorted(paid)
                 assert len(server.requests) - sent == sum(not r.served for r in rows)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -38,28 +37,21 @@ def _config():
 
 
 def _with_client(**changes):
-    def change(cfg):
-        cfg.client = dataclasses.replace(cfg.client, **changes)
-
-    return change
+    return lambda cfg: cfg._replace(client=cfg.client._replace(**changes))
 
 
 def _with_prices(**changes):
-    def change(cfg):
-        cfg.prices = dataclasses.replace(cfg.prices, **changes)
-
-    return change
+    return lambda cfg: cfg._replace(prices=cfg.prices._replace(**changes))
 
 
+# each returns a changed copy of the settings it is given
 OUTPUT_SETTINGS = {
-    "tokenizer_path": lambda cfg: setattr(cfg, "tokenizer_path", Path("ranks.tiktoken")),
-    "filter_rules_path": lambda cfg: setattr(cfg, "filter_rules_path", Path("rules.tsv")),
+    "tokenizer_path": lambda cfg: cfg._replace(tokenizer_path=Path("ranks.tiktoken")),
+    "filter_rules_path": lambda cfg: cfg._replace(filter_rules_path=Path("rules.tsv")),
     "price_per_million_input": _with_prices(price_per_million_input=Decimal("3.00")),
     "price_per_million_output": _with_prices(price_per_million_output=Decimal("12.00")),
-    "embedding_base_url": lambda cfg: setattr(
-        cfg, "embedding_base_url", "http://127.0.0.1:9/v1"
-    ),
-    "embedding_model": lambda cfg: setattr(cfg, "embedding_model", "embed-small"),
+    "embedding_base_url": lambda cfg: cfg._replace(embedding_base_url="http://127.0.0.1:9/v1"),
+    "embedding_model": lambda cfg: cfg._replace(embedding_model="embed-small"),
     "max_retries": _with_client(max_retries=5),
     "max_in_flight": _with_client(max_in_flight=4),
 }
@@ -89,20 +81,17 @@ OTHER_VALUES = {
 }
 # (section, name) of every field; section None for PipelineConfig's own
 SETTINGS = [
-    (section, f.name)
+    (section, name)
     for cls, section in ((PipelineConfig, None), (ClientConfig, "client"), (PriceConfig, "prices"))
-    for f in dataclasses.fields(cls)
+    for name in cls._fields
 ]
 
 
 def _changed(section, name):
     cfg = _config()
     if section is None:
-        setattr(cfg, name, OTHER_VALUES[name])
-    else:
-        setattr(cfg, section, dataclasses.replace(getattr(cfg, section),
-                                                  **{name: OTHER_VALUES[name]}))
-    return cfg
+        return cfg._replace(**{name: OTHER_VALUES[name]})
+    return cfg._replace(**{section: getattr(cfg, section)._replace(**{name: OTHER_VALUES[name]})})
 
 
 class TestDigest:
@@ -115,8 +104,7 @@ class TestDigest:
 
     @pytest.mark.parametrize("change", OUTPUT_SETTINGS.values(), ids=OUTPUT_SETTINGS)
     def test_output_setting_changes_digest(self, change):
-        cfg = _config()
-        change(cfg)
+        cfg = change(_config())
         assert cfg.digest() != _config().digest()
 
     @pytest.mark.parametrize("field, name, rewritten", [
@@ -124,8 +112,7 @@ class TestDigest:
         ("filter_rules_path", "rules.tsv", "footer\tCopyright\t\n"),
     ])
     def test_file_rewritten_in_place_changes_digest(self, field, name, rewritten):
-        cfg = _config()
-        setattr(cfg, field, Path(name))
+        cfg = _config()._replace(**{field: Path(name)})
         before = cfg.digest()
         Path(name).write_text(rewritten)
         assert cfg.digest() != before
@@ -240,6 +227,17 @@ class TestLoad:
         assert (cfg.prices.price_per_million_input, cfg.prices.price_per_million_output) == (
             Decimal("3"), Decimal("0.5"))
 
+    @pytest.mark.parametrize("change", [
+        {"max_in_flight": 0}, {"temperature": 3.0}, {"max_retries": -1}], ids=str)
+    def test_changed_copy_checked(self, change):
+        """_replace checks a client setting as the constructor does."""
+        (name, value), = change.items()
+        with pytest.raises(ValueError, match=name):
+            ClientConfig()._replace(**change)
+        with pytest.raises(ValueError, match=name):
+            ClientConfig(**change)
+        assert ClientConfig()._replace(**{name: getattr(ClientConfig(), name)}) == ClientConfig()
+
     def test_negative_max_retries_rejected_before_any_stage(self):
         with pytest.raises(ValueError, match="max_retries"):
             ClientConfig(max_retries=-1)
@@ -298,8 +296,8 @@ def _mostly(good, other):
 def _section(cls):
     """Some of cls's settings, mostly valid, else any scalar, and some unknown keys."""
     known = st.fixed_dictionaries({}, optional={
-        f.name: _mostly(st.just(_VALID[f.name]), _SCALARS) if f.name in _VALID else _SCALARS
-        for f in dataclasses.fields(cls) if f.name not in ("client", "prices")})
+        name: _mostly(st.just(_VALID[name]), _SCALARS) if name in _VALID else _SCALARS
+        for name in cls._fields if name not in ("client", "prices")})
     unknown = st.dictionaries(_KEYS, _SCALARS, max_size=2)
     return st.tuples(unknown, known).map(lambda parts: {**parts[0], **parts[1]})
 

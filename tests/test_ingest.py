@@ -367,7 +367,7 @@ class TestQualityFilter:
     def test_agrees_with_str_lower(self, title, body):
         haystack = (title + " " + body).lower()
         want = ("placeholder" if any(m in haystack for m in REJECT_MARKERS)
-                else "too_short" if len(body) < PipelineConfig.min_chars else None)
+                else "too_short" if len(body) < PipelineConfig().min_chars else None)
         assert quality_filter(_page(body_text=body, title=title)) == want
 
 
