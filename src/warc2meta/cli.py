@@ -20,7 +20,8 @@ from .errors import NoOverlap, Warc2MetaError
 
 def ingest(cfg: PipelineConfig, args):
     """Extract, filter, and deduplicate pages: one store row per WARC file,
-    written as each file is done."""
+    written as each file is done. A file that fails is counted by its
+    error's type, as `failed_<type>`."""
     from .ingest import PAGE_COUNTS, ingest_many
 
     if args.input:
@@ -38,6 +39,7 @@ def ingest(cfg: PipelineConfig, args):
             for path, result in zip(paths, ingest_many(paths, cfg.min_chars)):
                 if result.row is None:
                     counts["failed"] += 1
+                    counts["failed_" + result.error.partition(":")[0]] += 1
                     print(f"error: {path}: {result.error}", file=sys.stderr)
                     continue
                 write(result.row)
@@ -54,9 +56,10 @@ def select_cmd(cfg: PipelineConfig, args):
 
     Sites are read one at a time, and each goes through every requested
     heuristic before the next is read. A site's selection error is written
-    as its row, in place of a selection. The cost report has a row per
-    heuristic run: the tokens of every whole site (its pages' texts joined
-    by spaces) against the tokens selected, both counted by one tokenizer.
+    as its row, in place of a selection, and counted by type (`errors_<type>`).
+    The cost report has a row per heuristic run: the tokens of every whole
+    site (its pages' texts joined by spaces) against the tokens selected,
+    both counted by one tokenizer.
     """
     from contextlib import ExitStack
 
@@ -86,6 +89,7 @@ def select_cmd(cfg: PipelineConfig, args):
                         error = f"{type(exc).__name__}: {exc}"
                         write(store.dumps({"site_id": doc.site_id, "error": error}))
                         counts["errors"] += 1
+                        counts[f"errors_{type(exc).__name__}"] += 1
                         continue
                     write(sel.to_json())
                     afters[h] += sel.reduced_token_estimate
@@ -107,7 +111,8 @@ def generate(cfg: PipelineConfig, args):
     """Call the chat model over selections; resumable via checkpoints.
 
     Per combination, counts `generated` rows (`served` of them from the
-    checkpoint), `errors`, and `selection_errors`, sites select failed on.
+    checkpoint), `errors` (`errors_<type>` by type), and `selection_errors`,
+    sites select failed on.
     """
     from .client import run_batch
     from .prompts import COMBINATIONS, VARIANTS, HeuristicId, Selection, combination_id
@@ -129,6 +134,7 @@ def generate(cfg: PipelineConfig, args):
                 for row in rows:
                     write(row.to_json())
             ok = sum(1 for r in rows if r.result is not None)
+            counts.update("errors_" + r.error.partition(":")[0] for r in rows if r.error)
             counts["generated"] += ok
             counts["served"] += sum(r.served for r in rows)
             counts["errors"] += len(rows) - ok

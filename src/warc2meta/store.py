@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -137,14 +138,14 @@ def write_csv(path, header, rows):
 
 @contextmanager
 def stage(cfg, name: str):
-    """A stage's run: yields its counts, which the block fills in. When the
+    """A stage's run: yields its counts, a Counter the block fills in. When the
     block ends without an error, manifest_<name>.json is written last and
     whole (see `replacing`): a fresh run id, the start and end times (UTC,
     ISO 8601), the digest of cfg as it is then, the counts, and the peak RSS
     of this process and the largest of its waited-for children's (MiB, null
     on Windows)."""
     started = datetime.now(timezone.utc).isoformat()
-    counts = {}
+    counts = Counter()
     yield counts
     try:
         import resource

@@ -131,6 +131,21 @@ class TestIngestCommand:
         assert len(lines) == 2
         assert "broken.warc" in result.output
 
+    def test_failed_files_counted_by_error_type(self, tmp_path):
+        warc_dir = _make_corpus(tmp_path, n_sites=1)
+        (warc_dir / "broken.warc").write_bytes(b"garbage not a warc\r\n\r\n")
+        (warc_dir / "bad.warc.gz").write_bytes(b"\x1f\x8b not gzip")
+        cut = build_warc(warc_dir / "cut.warc", [response_record(
+            "https://cut.sg/", body=html_page("Cut", "A page whose record ends early. " * 4))])
+        cut.write_bytes(cut.read_bytes()[:-60])
+        cfg = _write_config(tmp_path, warc_dir)
+        assert run_cli(["--config", str(cfg), "ingest"]).exit_code == 0
+        counts = json.loads((tmp_path / "out" / "manifest_ingest.json").read_text())["counts"]
+        assert {k: n for k, n in counts.items() if k.startswith("failed")} == {
+            "failed": 3, "failed_GzipError": 1, "failed_MalformedWarcHeader": 1,
+            "failed_TruncatedRecord": 1}
+        assert counts["ingested"] == 1
+
 
 class TestSelectCommand:
     def test_single_heuristic(self, tmp_path):
@@ -155,6 +170,8 @@ class TestSelectCommand:
             rows = [json.loads(line) for line in path.read_text().splitlines()]
             errors = [r["error"] for r in rows if "error" in r]
             assert errors == [f"EmptySite: {empty}"]
+        counts = json.loads((tmp_path / "out" / "manifest_select.json").read_text())["counts"]
+        assert (counts["errors"], counts["errors_EmptySite"]) == (3, 3)
         with open(tmp_path / "out" / "cost_report.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["heuristic"] for r in rows] == ["1", "2", "3"]
@@ -430,6 +447,7 @@ class TestGenerateEvaluate:
         assert checkpoints() == held
         assert len(held) == 6
         assert first["served"] == 0 and first["errors"] > 0  # the empty h3 selections
+        assert first["errors_EmptyContent"] == first["errors"]
         assert counts() == dict(first, served=first["generated"])
 
     def test_generate_counts_the_sites_select_failed_on(self, tmp_path):
