@@ -202,10 +202,17 @@ _ATTR = st.one_of(
             st.sampled_from(['"v"', '"a b"', "'v'", "v", "'a b'"]),
         ),
     ),
+    # where a tag has one reading only: a quote or "=" glued to the tag name
+    # is part of the name, and a quoted value after "==" or " = " that holds
+    # ">" is one value, not an empty or "="-led value and a '>'
+    st.builds(
+        "{}{}{}".format, st.sampled_from([" x", "'", '"', "=", " x"]),
+        st.sampled_from(["", "=", "==", " = "]),
+        st.sampled_from(["'>'", '"x>y"', "v", "\x00", "'", '"'])),
 )
 _START = st.builds(lambda name, attrs, close: f"<{name}{''.join(attrs)}{close}",
                    _NAME, st.lists(_ATTR, max_size=2),
-                   st.sampled_from([">", ">", "/>", " />", "", "\x00>"]))
+                   st.sampled_from([">", ">", "/>", " />", "", "", "\x00>"]))
 _END = st.builds("</{}{}{}".format, st.sampled_from(["", " "]), _NAME,
                  st.sampled_from([">", ">", " >", " x>", "/>", ""]))
 _MARKUP = st.sampled_from([
@@ -215,7 +222,11 @@ _MARKUP = st.sampled_from([
     "<noscript>", "</noscript>", "&am", "p;", "x", " ",
     "a>", "/b>",  # text that reads as a tag after a '<'
 ])
-_PAGES = st.lists(st.one_of(_MARKUP, _TEXT, _START, _END), max_size=12).map("".join)
+# a page may end inside a start tag, which html.parser then reads as text
+_PAGES = st.builds(
+    "{}{}".format, st.lists(st.one_of(_MARKUP, _TEXT, _START, _END), max_size=12).map("".join),
+    st.one_of(st.just(""), st.builds("<{}{}".format, _NAME,
+                                     st.lists(_ATTR, min_size=1, max_size=2).map("".join))))
 
 
 # Parts of a crawl-like page: words with character references, and the
