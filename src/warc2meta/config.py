@@ -65,7 +65,7 @@ class ClientConfig(_ClientFields):
 
     @classmethod
     def _make(cls, iterable):  # what _replace builds with
-        return cls(*iterable)
+        return cls(*super()._make(iterable))
 
     def api_key(self) -> str:
         return os.environ.get(self.api_key_source, "")

@@ -203,8 +203,8 @@ _ATTR = st.one_of(
         ),
     ),
     # where a tag has one reading only: a quote or "=" glued to the tag name
-    # is part of the name, and a quoted value after "==" or " = " that holds
-    # ">" is one value, not an empty or "="-led value and a '>'
+    # is part of the name, and a quoted value that holds ">" after "==" or
+    # " = " is one whole value, so that ">" does not end the tag
     st.builds(
         "{}{}{}".format, st.sampled_from([" x", "'", '"', "=", " x"]),
         st.sampled_from(["", "=", "==", " = "]),
